@@ -6,8 +6,9 @@ Every result is one canonical-JSON report on standard output:
 
 Identical invocations produce byte-identical standard output; wall-clock
 timing goes to standard error only.  Exit codes: 0 success, 1 domain errors
-(malformed files, violated operation domains), 2 usage errors (bad argument
-literals, degree pairs out of order).
+(malformed files, violated operation domains), 2 usage errors (arguments the
+parser rejects, bad argument literals, degree pairs out of order).  Errors
+are reports too; only ``--help`` prints plain text.
 
 Module and map arguments accept a JSON file path or a built-in example name
 (see ``persloc random --help`` and the README for formats).  Complex
@@ -71,6 +72,13 @@ from .verify import CHECKS, run_all
 
 class UsageError(Exception):
     """A malformed argument literal or inconsistent flag combination."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose failures raise UsageError instead of exiting."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 # Which subcommand exposes each public operation.  The dispatch-coverage test
@@ -503,7 +511,7 @@ def _cmd_verify_paper(args, fld: Field, inputs: list) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument(
         "--char",
         type=int,
@@ -512,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="field characteristic for generated inputs (prime, or 0 for rationals); "
         "files carry their own",
     )
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="persloc",
         description="Exact invariants of finitely presented multigraded modules.",
     )
@@ -655,17 +663,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     tokens = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    try:
-        args = parser.parse_args(tokens)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
     started = time.perf_counter()
     echo = ["persloc"] + tokens
     inputs: list = []
     exit_code = 0
     try:
+        try:
+            args = build_parser().parse_args(tokens)
+        except SystemExit as exc:  # --help printed its text
+            return exc.code if isinstance(exc.code, int) else 2
         try:
             fld = Field(args.char)
         except ValueError as exc:

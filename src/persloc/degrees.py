@@ -23,16 +23,8 @@ def join(a: Degree, b: Degree) -> Degree:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def meet(a: Degree, b: Degree) -> Degree:
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
 def add(a: Degree, b: Degree) -> Degree:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def sub(a: Degree, b: Degree) -> Degree:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def is_nonnegative(a: Degree) -> bool:
@@ -51,6 +43,11 @@ def axis_unit(m: int, axis: int) -> Degree:
 def box(limit: Degree) -> Iterator[Degree]:
     """All degrees 0 <= d <= limit, in lexicographic order."""
     return product(*(range(b + 1) for b in limit))
+
+
+def with_axis(d: Degree, axis: int, value: int) -> Degree:
+    """d with its 1-based coordinate `axis` replaced by `value`."""
+    return d[: axis - 1] + (value,) + d[axis:]
 
 
 def pin(d: Degree, coords: Iterable[int], values: Degree) -> Degree:

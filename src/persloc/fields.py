@@ -7,26 +7,50 @@ canonical basis.  All values are exact: integers in [0, p) for characteristic
 p, `fractions.Fraction` for characteristic 0.  Matrices and subspaces are
 immutable; operations return fresh objects, so sharing them between threads is
 safe.
+
+The only row-reduction code in the package is here: the two row operations
+`Field.axpy` and `Field.scale`, the full reduction `_rref`, and `Echelon`,
+which grows an echelon basis one vector at a time.  Every other module
+reduces rows through them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import AmbientMismatchError
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below _MR_LIMIT, the
+# least strong pseudoprime to all of them (OEIS A014233).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError past the exact range."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"characteristic {n} is too large (must be below {_MR_LIMIT})")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -75,6 +99,20 @@ class Field:
     def neg(self, value):
         return self.normalize(-value)
 
+    def axpy(self, u, c, v) -> list:
+        """The row u + c * v (u, v canonical, c an int or a canonical scalar)."""
+        if self.char:
+            p = self.char
+            return [(x + c * y) % p for x, y in zip(u, v)]
+        return [x + c * y for x, y in zip(u, v)]
+
+    def scale(self, u, c) -> list:
+        """The row c * u."""
+        if self.char:
+            p = self.char
+            return [x * c % p for x in u]
+        return [x * c for x in u]
+
     def inv(self, value):
         if self.char == 0:
             if value == 0:
@@ -98,7 +136,7 @@ def _rref(field: Field, rows: list[list], ncols: int) -> tuple[list[list], list[
     Pivot choice is deterministic: scan columns left to right, take the first
     row (top to bottom) with a nonzero entry.
     """
-    norm = field.normalize
+    axpy = field.axpy
     r = 0
     pivots: list[int] = []
     nrows = len(rows)
@@ -113,17 +151,51 @@ def _rref(field: Field, rows: list[list], ncols: int) -> tuple[list[list], list[
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = field.inv(rows[r][c])
         if inv != 1:
-            rows[r] = [norm(x * inv) for x in rows[r]]
+            rows[r] = field.scale(rows[r], inv)
         top = rows[r]
         for i in range(nrows):
             if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [norm(x - f * y) for x, y in zip(rows[i], top)]
+                rows[i] = axpy(rows[i], -rows[i][c], top)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return rows, pivots
+
+
+class Echelon:
+    """An echelon basis grown one vector at a time.
+
+    Each stored row has pivot entry 1 and vanishes on the pivots of the rows
+    stored before it, so reducing in storage order clears every pivot.
+    """
+
+    __slots__ = ("field", "rows", "pivots")
+
+    def __init__(self, field: Field, rows=(), pivots=()) -> None:
+        self.field = field
+        self.rows = list(rows)
+        self.pivots = list(pivots)
+
+    def reduce(self, vec) -> list:
+        """vec minus the combination of rows that clears every pivot entry."""
+        axpy = self.field.axpy
+        vec = list(vec)
+        for p, row in zip(self.pivots, self.rows):
+            c = vec[p]
+            if c != 0:
+                vec = axpy(vec, -c, row)
+        return vec
+
+    def insert(self, vec) -> bool:
+        """Add vec to the basis; False (basis unchanged) if it already lies in the span."""
+        red = self.reduce(vec)
+        piv = next((i for i, x in enumerate(red) if x != 0), None)
+        if piv is None:
+            return False
+        self.rows.append(self.field.scale(red, self.field.inv(red[piv])))
+        self.pivots.append(piv)
+        return True
 
 
 @dataclass(frozen=True)
@@ -308,6 +380,10 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.ncols
 
+    @cached_property
+    def _echelon(self) -> Echelon:
+        return Echelon(self.field, self.basis.columns(), self.pivots)
+
     def reduce(self, vec) -> tuple:
         """Subtract the unique basis combination matching vec on pivot rows.
 
@@ -318,12 +394,7 @@ class Subspace:
         v = [field.normalize(x) for x in vec]
         if len(v) != self.ambient:
             raise AmbientMismatchError("vector length mismatch")
-        ent = self.basis.entries
-        for k, p in enumerate(self.pivots):
-            c = v[p]
-            if c != 0:
-                v = [field.normalize(x - c * ent[i][k]) for i, x in enumerate(v)]
-        return tuple(v)
+        return tuple(self._echelon.reduce(v))
 
     def contains_vector(self, vec) -> bool:
         return all(x == 0 for x in self.reduce(vec))
@@ -361,7 +432,3 @@ class Subspace:
             a.field, a.nrows, [a.apply(c) for c in self.basis.columns()]
         )
 
-
-def sum_and_intersection(u: Subspace, w: Subspace) -> tuple[Subspace, Subspace]:
-    """Both lattice operations at once (they share the dimension identity)."""
-    return u.plus(w), u.intersect(w)

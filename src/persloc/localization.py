@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import degrees as dg
-from .degrees import Degree
 from .errors import DegreeOrderError, PreconditionError
-from .fields import Matrix
+from .fields import Echelon, Matrix
 from .presentation import GradedPresentation
 
 _INF = float("inf")
@@ -78,9 +77,6 @@ class Barcode:
     def infinite(self) -> Bars:
         return tuple((iv, m) for iv, m in self.bars if iv.end is None)
 
-    def total_infinite(self) -> int:
-        return sum(m for _, m in self.infinite())
-
 
 def _check_sigma(m: int, sigma) -> frozenset[int]:
     sigma = frozenset(int(i) for i in sigma)
@@ -127,17 +123,12 @@ def localized_dim(module: GradedPresentation, sigma, d) -> int:
 
 def axis_rank_function(module: GradedPresentation, axis: int) -> Callable[[int, int], int]:
     """The one-parameter rank function along `axis`, all other variables inverted."""
-    m = module.m
-    if not 1 <= axis <= m:
-        raise PreconditionError(f"axis {axis} not inside 1..{m}")
-    sigma = frozenset(range(1, m + 1)) - {axis}
+    if not 1 <= axis <= module.m:
+        raise PreconditionError(f"axis {axis} not inside 1..{module.m}")
     bound = module.stabilization_bound()
-    base = dg.pin(dg.zero(m), sigma, bound)
 
     def rank(a: int, b: int) -> int:
-        ap = tuple(a if i == axis - 1 else base[i] for i in range(m))
-        bp = tuple(b if i == axis - 1 else base[i] for i in range(m))
-        return module.rank_invariant(ap, bp)
+        return module.rank_invariant(dg.with_axis(bound, axis, a), dg.with_axis(bound, axis, b))
 
     return rank
 
@@ -186,14 +177,11 @@ def pinned_slice_sequence(module: GradedPresentation, axis: int) -> tuple[list[i
     Returns spaces V_0..V_bound and the maps V_c -> V_{c+1}; past `bound`
     every further map is an isomorphism.
     """
-    m = module.m
-    if not 1 <= axis <= m:
-        raise PreconditionError(f"axis {axis} not inside 1..{m}")
+    if not 1 <= axis <= module.m:
+        raise PreconditionError(f"axis {axis} not inside 1..{module.m}")
     bound_vec = module.stabilization_bound()
     bound = bound_vec[axis - 1]
-    sigma = frozenset(range(1, m + 1)) - {axis}
-    base = dg.pin(dg.zero(m), sigma, bound_vec)
-    at = lambda c: tuple(c if i == axis - 1 else base[i] for i in range(m))
+    at = lambda c: dg.with_axis(bound_vec, axis, c)
     dims = [module.dim_at(at(c)) for c in range(bound + 1)]
     maps = [module.transition(at(c), at(c + 1)) for c in range(bound)]
     return dims, maps
@@ -213,17 +201,7 @@ def intervals_by_reduction(
     """
     if len(maps) != max(len(dims) - 1, 0):
         raise PreconditionError("need one map per consecutive pair of spaces")
-    norm = fld.normalize
     zero_v, one = fld.zero, fld.one
-
-    def reduce_against(vec, echelon):
-        vec = list(vec)
-        for p, u in echelon:
-            c = vec[p]
-            if c != 0:
-                vec = [norm(x - c * y) for x, y in zip(vec, u)]
-        return vec
-
     current: list[tuple[int, tuple]] = [
         (0, tuple(one if i == k else zero_v for i in range(dims[0])))
         for k in range(dims[0])
@@ -232,27 +210,16 @@ def intervals_by_reduction(
     for c, mat in enumerate(maps):
         images = [(birth, mat.apply(vec)) for birth, vec in current]
         images.sort(key=lambda bv: bv[0])  # stable sort: oldest first
-        echelon: list[tuple[int, list]] = []
+        echelon = Echelon(fld)
         kept: list[tuple[int, tuple]] = []
         for birth, vec in images:
-            red = reduce_against(vec, echelon)
-            piv = next((i for i, x in enumerate(red) if x != 0), None)
-            if piv is None:
+            if echelon.insert(vec):
+                kept.append((birth, tuple(echelon.rows[-1])))
+            else:
                 bars.append((Interval(birth, c + 1), 1))
-                continue
-            inv = fld.inv(red[piv])
-            red = [norm(x * inv) for x in red]
-            echelon.append((piv, red))
-            kept.append((birth, tuple(red)))
         for r in range(dims[c + 1]):
-            unit = [one if i == r else zero_v for i in range(dims[c + 1])]
-            red = reduce_against(unit, echelon)
-            piv = next((i for i, x in enumerate(red) if x != 0), None)
-            if piv is not None:
-                inv = fld.inv(red[piv])
-                red = [norm(x * inv) for x in red]
-                echelon.append((piv, red))
-                kept.append((c + 1, tuple(red)))
+            if echelon.insert([one if i == r else zero_v for i in range(dims[c + 1])]):
+                kept.append((c + 1, tuple(echelon.rows[-1])))
         current = kept
     tail = len(dims) - 1
     for birth, _ in current:

@@ -4,7 +4,8 @@ Every loader validates shape and content and raises ParseError with a
 location: syntax errors carry the line and column from the JSON parser,
 semantic errors carry an index-precise path such as ``relations[2].coeffs``.
 Serializers emit canonical JSON (sorted keys, compact separators) so that
-identical values produce identical bytes.
+identical values produce identical bytes.  Barcode and decomposition reports
+are output only; nothing reads them back.
 
 Files produced by the CLI wrap their payload in a report envelope; loaders
 unwrap one envelope level automatically, so command output can be piped back
@@ -42,6 +43,8 @@ def loads(text: str, source: str = "input") -> object:
         raise ParseError(
             f"{source}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ParseError(f"{source}: JSON nested too deeply") from exc
 
 
 def unwrap_envelope(obj: object) -> object:
@@ -342,26 +345,6 @@ def barcode_to_obj(bc: Barcode) -> dict:
     return {"axis": bc.axis, "bars": [interval_to_obj(iv, m) for iv, m in bc.bars]}
 
 
-def barcode_from_obj(obj: object, where: str = "barcode") -> Barcode:
-    obj = unwrap_envelope(obj)
-    _expect(isinstance(obj, dict), where, "expected a barcode object")
-    axis = _int(_get(obj, "axis", where), f"{where}.axis", minimum=1)
-    bars_raw = _get(obj, "bars", where)
-    _expect(isinstance(bars_raw, list), f"{where}.bars", "expected a list")
-    bars = []
-    for i, bar in enumerate(bars_raw):
-        bwhere = f"{where}.bars[{i}]"
-        start = _int(_get(bar, "start", bwhere), f"{bwhere}.start", minimum=0)
-        end_raw = _get(bar, "end", bwhere)
-        end = None if end_raw == "inf" else _int(end_raw, f"{bwhere}.end", minimum=1)
-        mult = _int(_get(bar, "mult", bwhere), f"{bwhere}.mult", minimum=1)
-        try:
-            bars.append((Interval(start, end), mult))
-        except PreconditionError as exc:
-            raise ParseError(f"{bwhere}: {exc}") from exc
-    return Barcode.make(axis, bars)
-
-
 def decomposition_to_obj(deco: Decomposition) -> dict:
     return {
         "vertical_strips": [
@@ -374,43 +357,3 @@ def decomposition_to_obj(deco: Decomposition) -> dict:
             {"corner": list(c), "mult": m} for c, m in deco.quadrants
         ],
     }
-
-
-def _strips_from_obj(raw, where: str) -> list[tuple[Interval, int]]:
-    _expect(isinstance(raw, list), where, "expected a list")
-    out = []
-    for i, item in enumerate(raw):
-        iwhere = f"{where}[{i}]"
-        a = _int(_get(item, "a", iwhere), f"{iwhere}.a", minimum=0)
-        b = _int(_get(item, "b", iwhere), f"{iwhere}.b", minimum=1)
-        mult = _int(_get(item, "mult", iwhere), f"{iwhere}.mult", minimum=1)
-        try:
-            out.append((Interval(a, b), mult))
-        except PreconditionError as exc:
-            raise ParseError(f"{iwhere}: {exc}") from exc
-    return out
-
-
-def decomposition_from_obj(obj: object, where: str = "decomposition") -> Decomposition:
-    obj = unwrap_envelope(obj)
-    _expect(isinstance(obj, dict), where, "expected a decomposition object")
-    vertical = _strips_from_obj(_get(obj, "vertical_strips", where), f"{where}.vertical_strips")
-    horizontal = _strips_from_obj(_get(obj, "horizontal_strips", where), f"{where}.horizontal_strips")
-    quads_raw = _get(obj, "quadrants", where)
-    _expect(isinstance(quads_raw, list), f"{where}.quadrants", "expected a list")
-    quads = []
-    for i, item in enumerate(quads_raw):
-        iwhere = f"{where}.quadrants[{i}]"
-        corner = _get(item, "corner", iwhere)
-        _expect(
-            isinstance(corner, list) and len(corner) == 2,
-            f"{iwhere}.corner",
-            "expected a pair",
-        )
-        c = tuple(_int(v, f"{iwhere}.corner[{j}]", minimum=0) for j, v in enumerate(corner))
-        mult = _int(_get(item, "mult", iwhere), f"{iwhere}.mult", minimum=1)
-        quads.append((c, mult))
-    try:
-        return Decomposition.make(vertical, horizontal, quads)
-    except PreconditionError as exc:
-        raise ParseError(f"{where}: {exc}") from exc

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from . import degrees as dg
 from .degrees import Degree
 from .errors import AmbientMismatchError, DegreeOrderError, HomogeneityError, PreconditionError
-from .fields import DEFAULT_FIELD, Field, Matrix, Subspace, _rref
+from .fields import DEFAULT_FIELD, Echelon, Field, Matrix, Subspace, _rref
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,9 @@ class _Slice:
     """Canonical data of one graded piece M(d)."""
 
     gens: tuple[int, ...]        # eligible generator indices, ascending
-    pivots: tuple[int, ...]      # pivot positions within `gens` coordinates
+    positions: dict              # generator index -> its position in `gens`
     coords: tuple[int, ...]      # non-pivot positions: the canonical basis
-    rel_basis: tuple[tuple, ...]  # reduced-column-echelon relation columns
+    relations: Echelon           # reduced-column-echelon relation columns
 
     @property
     def dim(self) -> int:
@@ -102,22 +102,29 @@ class GradedPresentation:
         # reduction on its transpose, deterministically.
         rows = [[self.rel_coeffs.entries[i][j] for i in gens] for j in rels]
         rows, pivots = _rref(self.field, rows, len(gens))
-        rel_basis = tuple(tuple(r) for r in rows[: len(pivots)])
         pivot_set = set(pivots)
         coords = tuple(k for k in range(len(gens)) if k not in pivot_set)
-        sl = _Slice(gens, tuple(pivots), coords, rel_basis)
+        positions = {g: k for k, g in enumerate(gens)}
+        sl = _Slice(gens, positions, coords, Echelon(self.field, rows[: len(pivots)], pivots))
         self._slices[d] = sl
         return sl
 
-    def _reduce_in_slice(self, sl: _Slice, vec: list) -> tuple:
-        """Canonical coset representative: kill pivot coordinates."""
-        norm = self.field.normalize
-        for k, p in enumerate(sl.pivots):
-            c = vec[p]
-            if c != 0:
-                basis_row = sl.rel_basis[k]
-                vec = [norm(x - c * y) for x, y in zip(vec, basis_row)]
-        return tuple(vec)
+    def _slice_coords(self, d: Degree, terms) -> list | None:
+        """Canonical coordinates at d of the sum of c * (generator g) over (g, c) in terms.
+
+        The vector is reduced modulo the relations present at d, then read off
+        the canonical basis positions.  None when some generator is not yet
+        present at d.
+        """
+        sl = self._slice(d)
+        vec = [self.field.zero] * len(sl.gens)
+        for g, c in terms:
+            k = sl.positions.get(g)
+            if k is None:
+                return None
+            vec[k] = c
+        red = sl.relations.reduce(vec)
+        return [red[k] for k in sl.coords]
 
     def dim_at(self, d) -> int:
         d = dg.as_degree(d, self.m)
@@ -138,17 +145,9 @@ class GradedPresentation:
         if cached is not None:
             return cached
         sa = self._slice(a)
-        sb = self._slice(b)
-        posn = {g: i for i, g in enumerate(sb.gens)}
-        cols = []
-        zero, one = self.field.zero, self.field.one
-        for k in sa.coords:
-            g = sa.gens[k]
-            vec = [zero] * len(sb.gens)
-            vec[posn[g]] = one
-            red = self._reduce_in_slice(sb, vec)
-            cols.append([red[c] for c in sb.coords])
-        mat = Matrix.from_cols(self.field, sb.dim, cols)
+        one = self.field.one
+        cols = [self._slice_coords(b, [(sa.gens[k], one)]) for k in sa.coords]
+        mat = Matrix.from_cols(self.field, self._slice(b).dim, cols)
         self._transitions[key] = mat
         return mat
 
@@ -166,17 +165,13 @@ class GradedPresentation:
             raise PreconditionError(f"degree {a} not in N^{self.m}")
         if not dg.leq(a, b):
             raise DegreeOrderError(f"{a} is not <= {b}")
-        sb = self._slice(b)
-        posn = {g: i for i, g in enumerate(sb.gens)}
-        zero, one = self.field.zero, self.field.one
-        rows = []
-        for i, gd in enumerate(self.gen_degrees):
-            if dg.leq(gd, a):
-                vec = [zero] * len(sb.gens)
-                vec[posn[i]] = one
-                red = self._reduce_in_slice(sb, vec)
-                rows.append([red[c] for c in sb.coords])
-        _, pivots = _rref(self.field, rows, sb.dim)
+        one = self.field.one
+        rows = [
+            self._slice_coords(b, [(i, one)])
+            for i, gd in enumerate(self.gen_degrees)
+            if dg.leq(gd, a)
+        ]
+        _, pivots = _rref(self.field, rows, self._slice(b).dim)
         return len(pivots)
 
     def slice_image(self, a, b) -> Subspace:
@@ -313,20 +308,8 @@ class PresentationMap:
         # of the target at its own degree.
         for j, rd in enumerate(src.rel_degrees):
             img = self.coeffs.apply(src.rel_coeffs.col(j))
-            sl = tgt._slice(rd)
-            posn = {g: i for i, g in enumerate(sl.gens)}
-            vec = [tgt.field.zero] * len(sl.gens)
-            ok = True
-            for gi, x in enumerate(img):
-                if x != 0:
-                    if gi in posn:
-                        vec[posn[gi]] = x
-                    else:
-                        ok = False
-                        break
-            if ok:
-                ok = all(x == 0 for x in tgt._reduce_in_slice(sl, vec))
-            if not ok:
+            coords = tgt._slice_coords(rd, [(i, x) for i, x in enumerate(img) if x != 0])
+            if coords is None or any(x != 0 for x in coords):
                 raise HomogeneityError(
                     f"source relation {j} (degree {rd}) does not map into the "
                     "target relation span; the map is not well defined"
@@ -344,19 +327,11 @@ class PresentationMap:
         """The induced map on canonical slices at degree d."""
         d = dg.as_degree(d, self.m)
         ss = self.source._slice(d)
-        st = self.target._slice(d)
-        posn = {g: i for i, g in enumerate(st.gens)}
         cols = []
         for k in ss.coords:
-            j = ss.gens[k]
-            vec = [self.field.zero] * len(st.gens)
-            for i in range(self.target.num_gens):
-                x = self.coeffs.entries[i][j]
-                if x != 0:
-                    vec[posn[i]] = x
-            red = self.target._reduce_in_slice(st, vec)
-            cols.append([red[c] for c in st.coords])
-        return Matrix.from_cols(self.field, st.dim, cols)
+            image = self.coeffs.col(ss.gens[k])
+            cols.append(self.target._slice_coords(d, [(i, x) for i, x in enumerate(image) if x != 0]))
+        return Matrix.from_cols(self.field, self.target._slice(d).dim, cols)
 
     def cokernel(self) -> GradedPresentation:
         """Target modulo the image: adjoin one relation per source generator."""

@@ -19,8 +19,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from . import degrees as dg
 from .errors import DecompositionError, PreconditionError
-from .fields import DEFAULT_FIELD, Field, Matrix, Subspace
+from .fields import DEFAULT_FIELD, Echelon, Field, Matrix, Subspace
 from .localization import Interval, bars_from_rank_fn
 from .presentation import GradedPresentation
 
@@ -83,9 +84,6 @@ class QuiverRep:
     def total_dim(self) -> int:
         return self.sink_dim + sum(sum(d) for d in self.leg_dims)
 
-    def dims_signature(self) -> tuple:
-        return (self.sink_dim, self.leg_dims)
-
     def direct_sum(self, other: "QuiverRep") -> "QuiverRep":
         if other.field != self.field or other.n != self.n:
             raise PreconditionError("direct sum needs matching field and n")
@@ -119,10 +117,6 @@ class QuiverRep:
         return out
 
 
-def _pinned(module: GradedPresentation, axis: int, value: int, others: tuple[int, int, int]) -> tuple:
-    return tuple(value if i == axis - 1 else others[i] for i in range(3))
-
-
 def in_leq_n(module: GradedPresentation, n: int) -> bool:
     """Do pinned transitions become isomorphisms past degree n on every axis?
 
@@ -138,9 +132,7 @@ def in_leq_n(module: GradedPresentation, n: int) -> bool:
     pin = tuple(max(n, b) for b in bound)
     for axis in (1, 2, 3):
         for c in range(n, bound[axis - 1]):
-            a = _pinned(module, axis, c, pin)
-            b = _pinned(module, axis, c + 1, pin)
-            t = module.transition(a, b)
+            t = module.transition(dg.with_axis(pin, axis, c), dg.with_axis(pin, axis, c + 1))
             if t.nrows != t.ncols or t.rank() != t.nrows:
                 return False
     return True
@@ -163,15 +155,9 @@ def to_quiver_rep(module: GradedPresentation, n: int) -> QuiverRep:
     leg_dims = []
     arrows = []
     for axis in (1, 2, 3):
-        dims = tuple(module.dim_at(_pinned(module, axis, j, pin)) for j in range(n))
-        maps = []
-        for j in range(n - 1):
-            maps.append(
-                module.transition(
-                    _pinned(module, axis, j, pin), _pinned(module, axis, j + 1, pin)
-                )
-            )
-        maps.append(module.transition(_pinned(module, axis, n - 1, pin), pin))
+        at = [dg.with_axis(pin, axis, j) for j in range(n)] + [pin]
+        dims = tuple(module.dim_at(d) for d in at[:n])
+        maps = [module.transition(at[j], at[j + 1]) for j in range(n)]
         leg_dims.append(dims)
         arrows.append(tuple(maps))
     return QuiverRep(module.field, n, sink_dim, tuple(leg_dims), tuple(arrows))
@@ -252,25 +238,21 @@ def endomorphism_basis(rep: QuiverRep) -> list[Endo]:
 
     rows: list[list] = []
     zero = fld.zero
-    norm = fld.normalize
     for leg in range(3):
         for j in range(rep.n):
             a = rep.arrows[leg][j]
             u = vertex_index(leg, j)
             w = vertex_index(leg, j + 1)
             du, dw = dims[u], dims[w]
-            # X_w A - A X_u = 0, entrywise over (r, c) in dw x du
+            # X_w A - A X_u = 0, entrywise over (r, c) in dw x du; u != w,
+            # so each unknown appears at most once per equation
             for r in range(dw):
                 for c in range(du):
                     row = [zero] * total
                     for k in range(dw):
-                        x = a.entries[k][c]
-                        if x != 0:
-                            row[offsets[w] + r * dw + k] = norm(row[offsets[w] + r * dw + k] + x)
+                        row[offsets[w] + r * dw + k] = a.entries[k][c]
                     for k in range(du):
-                        x = a.entries[r][k]
-                        if x != 0:
-                            row[offsets[u] + k * du + c] = norm(row[offsets[u] + k * du + c] - x)
+                        row[offsets[u] + k * du + c] = fld.neg(a.entries[r][k])
                     rows.append(row)
     mat = Matrix(fld, len(rows), total, tuple(tuple(r) for r in rows))
     kernel = mat.kernel()
@@ -282,22 +264,8 @@ def endomorphism_basis(rep: QuiverRep) -> list[Endo]:
     )
     id_vec = _endo_to_vector(rep, identity)
     candidates = [id_vec] + [list(c) for c in kernel.basis.columns()]
-    kept_vecs: list[list] = []
-    echelon: list[list] = []
-    for vec in candidates:
-        red = list(vec)
-        for other in echelon:
-            piv = next(i for i, x in enumerate(other) if x != 0)
-            c = red[piv]
-            if c != 0:
-                red = [norm(x - c * y) for x, y in zip(red, other)]
-        piv = next((i for i, x in enumerate(red) if x != 0), None)
-        if piv is None:
-            continue
-        inv = fld.inv(red[piv])
-        echelon.append([norm(x * inv) for x in red])
-        kept_vecs.append(vec)
-    return [_endo_from_vector(rep, v) for v in kept_vecs]
+    echelon = Echelon(fld)
+    return [_endo_from_vector(rep, v) for v in candidates if echelon.insert(v)]
 
 
 def _mat_power(mat: Matrix, k: int) -> Matrix:
@@ -388,8 +356,7 @@ def try_split(rep: QuiverRep, trials: int = 64, seed: int = 0) -> tuple[QuiverRe
         vec = [fld.zero] * len(_endo_to_vector(rep, basis[0]))
         for c, b in zip(coeffs, basis):
             if c:
-                bv = _endo_to_vector(rep, b)
-                vec = [fld.normalize(x + c * y) for x, y in zip(vec, bv)]
+                vec = fld.axpy(vec, c, _endo_to_vector(rep, b))
         candidates.append(_endo_from_vector(rep, vec))
     for endo in candidates:
         split = _split_along(rep, endo, total)
@@ -432,7 +399,6 @@ def is_indecomposable(
         return IndecResult("unknown", dim)
     vectors = [_endo_to_vector(rep, b) for b in basis]
     total_len = len(vectors[0])
-    norm = fld.normalize
 
     def all_coeff_tuples(k: int):
         if k == 0:
@@ -446,7 +412,7 @@ def is_indecomposable(
         vec = [fld.zero] * total_len
         for c, bv in zip(coeffs, vectors):
             if c:
-                vec = [norm(x + c * y) for x, y in zip(vec, bv)]
+                vec = fld.axpy(vec, c, bv)
         endo = _endo_from_vector(rep, vec)
         if endo.is_zero() or endo.is_identity():
             continue

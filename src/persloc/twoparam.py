@@ -17,7 +17,6 @@ a localized epimorphism admits a compatible pair of sections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from . import degrees as dg
 from .degrees import Degree
@@ -59,12 +58,6 @@ class Decomposition:
         if any(iv.end is None for iv, _ in vert + horiz):
             raise PreconditionError("strips are bounded intervals")
         return cls(vert, horiz, quads)
-
-    def rank(self) -> int:
-        return sum(m for _, m in self.quadrants)
-
-    def is_empty(self) -> bool:
-        return not (self.vertical or self.horizontal or self.quadrants)
 
 
 def torsion_strips(module: GradedPresentation) -> tuple[Barcode, Barcode]:
@@ -258,13 +251,9 @@ def _solve(fld: Field, rows: list[list], rhs: list, ncols: int) -> tuple | None:
 def _is_finite_module(module: GradedPresentation) -> bool:
     """True iff every single-variable localization vanishes."""
     bound = module.stabilization_bound()
-    m = module.m
-    for axis in range(1, m + 1):
-        sigma = frozenset(range(1, m + 1)) - {axis}
-        base = dg.pin(dg.zero(m), sigma, bound)
+    for axis in range(1, module.m + 1):
         for c in range(bound[axis - 1] + 1):
-            probe = tuple(c if i == axis - 1 else base[i] for i in range(m))
-            if module.dim_at(probe):
+            if module.dim_at(dg.with_axis(bound, axis, c)):
                 return False
     return True
 
@@ -305,21 +294,11 @@ def section_exists(f: PresentationMap) -> SectionResult:
     def blank_rows(count: int) -> list[list]:
         return [[zero] * total for _ in range(count)]
 
-    def add_block(rows, row0, mat: Matrix, col0, sign=1) -> None:
-        for i in range(mat.nrows):
-            tgt_row = rows[row0 + i]
-            for j in range(mat.ncols):
-                x = mat.entries[i][j]
-                if x != 0:
-                    tgt_row[col0 + j] = fld.normalize(tgt_row[col0 + j] + sign * x)
-
-    def tgt_gen_vector(k: int, at: Degree) -> list:
-        sl = tgt._slice(at)
-        posn = {g: i for i, g in enumerate(sl.gens)}
-        vec = [zero] * len(sl.gens)
-        vec[posn[k]] = fld.one
-        red = tgt._reduce_in_slice(sl, vec)
-        return [red[c] for c in sl.coords]
+    def add_block(rows, mat: Matrix, col0, coeff=1) -> None:
+        """Add coeff * mat into rows, at columns col0 onwards."""
+        end = col0 + mat.ncols
+        for row, mat_row in zip(rows, mat.entries):
+            row[col0:end] = fld.axpy(row[col0:end], coeff, mat_row)
 
     rows_ax1: list[list] = []
     rhs_ax1: list = []
@@ -341,17 +320,7 @@ def section_exists(f: PresentationMap) -> SectionResult:
             for k, coeff in enumerate(col):
                 if coeff == 0:
                     continue
-                trans = src.transition(slices[k], at)
-                scaled = Matrix(
-                    fld,
-                    trans.nrows,
-                    trans.ncols,
-                    tuple(
-                        tuple(fld.normalize(coeff * x) for x in r)
-                        for r in trans.entries
-                    ),
-                )
-                add_block(block, 0, scaled, offs[k])
+                add_block(block, src.transition(slices[k], at), offs[k], coeff)
             rows_out.extend(block)
             rhs_out.extend([zero] * hei)
 
@@ -364,16 +333,16 @@ def section_exists(f: PresentationMap) -> SectionResult:
             at = slices[k]
             fm = f.slice_matrix(at)
             block = blank_rows(fm.nrows)
-            add_block(block, 0, fm, offs[k])
+            add_block(block, fm, offs[k])
             rows_out.extend(block)
-            rhs_out.extend(tgt_gen_vector(k, at))
+            rhs_out.extend(tgt._slice_coords(at, [(k, fld.one)]))
 
     # (ii) the two assignments agree in the corner localization
     corner_dim = src.dim_at(e)
     for k in range(len(gen_deg)):
         block = blank_rows(corner_dim)
-        add_block(block, 0, src.transition(ax1_slices[k], e), off1[k], sign=1)
-        add_block(block, 0, src.transition(ax2_slices[k], e), off2[k], sign=-1)
+        add_block(block, src.transition(ax1_slices[k], e), off1[k])
+        add_block(block, src.transition(ax2_slices[k], e), off2[k], -1)
         rows_compat.extend(block)
         rhs_compat.extend([zero] * corner_dim)
 

@@ -194,10 +194,6 @@ CHECKS: tuple[tuple[str, str, Callable], ...] = (
 )
 
 
-def check_ids() -> list[str]:
-    return [cid for cid, _, _ in CHECKS]
-
-
 def run_all(fld: Field = DEFAULT_FIELD, overrides: dict | None = None) -> list[dict]:
     """Run every check; `overrides` substitutes objects for named examples."""
     overrides = overrides or {}

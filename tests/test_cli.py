@@ -70,10 +70,21 @@ def test_exit_2_on_bad_literals(capsys):
 
 
 def test_exit_2_on_usage_parse_failures(capsys):
-    assert cli.main(["nosuchcommand"]) == 2
-    assert cli.main(["rank", "samerank_m", "0,0"]) == 2
-    assert cli.main([]) == 2
-    capsys.readouterr()
+    for argv in (
+        ["nosuchcommand"],
+        ["rank", "samerank_m", "0,0"],
+        [],
+        ["rank", "samerank_m", "-1,0", "0,0"],
+        ["dims", "samerank_m", "--char", "x"],
+        ["barcode", "samerank_m"],
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2, argv
+        assert out.count("\n") == 1, argv
+        report = json.loads(out)
+        assert report["command"] == ["persloc", *argv]
+        assert report["error"]["kind"] == "usage"
+        assert report["error"]["type"] == "UsageError"
 
 
 def test_exit_1_on_missing_or_malformed_file(tmp_path, capsys):
@@ -85,6 +96,18 @@ def test_exit_1_on_missing_or_malformed_file(tmp_path, capsys):
     code, report, _ = run_json(capsys, "dims", str(bad))
     assert code == 1
     assert "line 1" in report["error"]["message"]
+
+
+def test_deeply_nested_json_is_one_domain_envelope(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    code, out, err = run(capsys, "dims", str(deep))
+    assert code == 1
+    assert out.count("\n") == 1
+    report = json.loads(out)
+    assert report["error"]["kind"] == "domain"
+    assert report["error"]["type"] == "ParseError"
+    assert "Traceback" not in err
 
 
 def test_exit_1_on_domain_violations(capsys, tmp_path):

@@ -7,11 +7,14 @@ else in the package leans on.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from persloc.fields import DEFAULT_FIELD, Field, Matrix, Subspace, sum_and_intersection
+from persloc.fields import DEFAULT_FIELD, Echelon, Field, Matrix, Subspace, _is_prime, _rref
 
 
 F2 = Field(2)
@@ -133,8 +136,6 @@ def test_subspace_dims_against_enumeration():
         assert plus.dim + meet.dim == u.dim + w.dim
         both = [v for v in all_vectors(F2, dim) if u.contains_vector(v) and w.contains_vector(v)]
         assert 2 ** meet.dim == len(both)
-        s, i = sum_and_intersection(u, w)
-        assert s == plus and i == meet
 
 
 def test_subspace_membership_brute_force():
@@ -172,3 +173,48 @@ def test_rational_exactness():
     mat = Matrix.from_rows(Q, rows)
     assert mat.rank() == 4
     assert mat.kernel().dim == 0
+
+
+def test_primality_is_exact_and_fast():
+    naive = [n for n in range(2000) if n > 1 and all(n % f for f in range(2, int(n**0.5) + 1))]
+    assert [n for n in range(2000) if _is_prime(n)] == naive
+    start = time.perf_counter()
+    assert Field(1000000000000000003).char == 1000000000000000003
+    assert time.perf_counter() - start < 0.5
+    # strong pseudoprime to the bases 2, 3, 5 and 7
+    with pytest.raises(ValueError, match="must be 0 or a prime"):
+        Field(3215031751)
+    # a prime past the range where the test is exact
+    with pytest.raises(ValueError, match="too large"):
+        Field(2**89 - 1)
+
+
+@st.composite
+def _rows_and_probe(draw):
+    fld = draw(st.sampled_from([F2, F5, Q]))
+    ncols = draw(st.integers(1, 5))
+    if fld.char:
+        scalar = st.integers(0, fld.char - 1)
+    else:
+        scalar = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    vec = st.lists(st.one_of(st.just(fld.zero), scalar), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(vec, max_size=6))
+    probe = draw(vec)
+    if rows and draw(st.booleans()):  # make membership likely half the time
+        probe = [fld.zero] * ncols
+        for row in rows:
+            probe = fld.axpy(probe, draw(scalar), row)
+    return fld, ncols, rows, probe
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_rows_and_probe())
+def test_echelon_agrees_with_rref_and_subspace(case):
+    fld, ncols, rows, probe = case
+    echelon = Echelon(fld)
+    inserted = sum(echelon.insert(row) for row in rows)
+    _, pivots = _rref(fld, [list(r) for r in rows], ncols)
+    assert inserted == len(pivots) == len(echelon.rows)
+    red = echelon.reduce(probe)
+    assert all(red[p] == 0 for p in echelon.pivots)
+    assert all(x == 0 for x in red) == Subspace.span(fld, ncols, rows).contains_vector(probe)

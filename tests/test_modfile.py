@@ -9,10 +9,8 @@ from persloc.complexes import full_simplex, skeleton
 from persloc.errors import ParseError
 from persloc.examples import named_example
 from persloc.fields import Field
-from persloc.localization import localized_barcode
 from persloc.presentation import random_presentation
 from persloc.quiver import random_rep, to_quiver_rep
-from persloc.twoparam import decompose
 
 
 def test_canonical_json_is_sorted_and_compact():
@@ -65,21 +63,6 @@ def test_rep_roundtrip():
         rep = random_rep(seed, n=2, max_dim=2)
         obj = modfile.rep_to_obj(rep)
         assert modfile.rep_from_obj(obj) == rep
-
-
-def test_barcode_roundtrip():
-    mod = random_presentation(5, m=2, max_gens=5, max_rels=8, max_degree=6)
-    bc = localized_barcode(mod, 1)
-    obj = modfile.barcode_to_obj(bc)
-    assert modfile.barcode_from_obj(obj) == bc
-
-
-def test_decomposition_roundtrip():
-    for seed in range(20):
-        mod = random_presentation(seed, m=2, max_gens=4, max_rels=6, max_degree=5)
-        deco = decompose(mod)
-        obj = modfile.decomposition_to_obj(deco)
-        assert modfile.decomposition_from_obj(obj) == deco
 
 
 def test_envelope_unwrap():

@@ -211,8 +211,8 @@ def test_try_split_finds_summands():
     a, b = split
     assert a.total_dim() + b.total_dim() == combo.total_dim()
     assert a.total_dim() > 0 and b.total_dim() > 0
-    assert sorted([a.dims_signature(), b.dims_signature()]) == sorted(
-        [rep.dims_signature(), other.dims_signature()]
+    assert sorted([(x.sink_dim, x.leg_dims) for x in (a, b)]) == sorted(
+        [(x.sink_dim, x.leg_dims) for x in (rep, other)]
     )
 
 

@@ -2,7 +2,7 @@
 
 from persloc.fields import DEFAULT_FIELD, Field
 from persloc.presentation import GradedPresentation
-from persloc.verify import CHECKS, check_ids, run_all
+from persloc.verify import CHECKS, run_all
 
 
 def test_all_checks_pass_default_field():
@@ -11,7 +11,7 @@ def test_all_checks_pass_default_field():
     for entry in report:
         assert entry["ok"], (entry["id"], entry["detail"])
     # ordering is fixed by registry index, not completion order
-    assert [e["id"] for e in report] == check_ids()
+    assert [e["id"] for e in report] == [cid for cid, _, _ in CHECKS]
 
 
 def test_all_checks_pass_other_fields():
