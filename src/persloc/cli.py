@@ -378,19 +378,7 @@ def _cmd_quiverize(args, fld: Field, inputs: list) -> dict:
     rep = to_quiver_rep(module, args.n)
     return {
         "rep": modfile.rep_to_obj(rep),
-        "shape": _shape_obj(args.n),
-    }
-
-
-def _shape_obj(n: int) -> dict:
-    shape = quiver_shape(n)
-    return {
-        "n": shape["n"],
-        "vertices": shape["vertices"],
-        "arrows": [list(a) for a in shape["arrows"]],
-        "num_vertices": shape["num_vertices"],
-        "num_arrows": shape["num_arrows"],
-        "classification": shape["classification"],
+        "shape": quiver_shape(args.n),
     }
 
 
@@ -411,9 +399,7 @@ def _cmd_endo(args, fld: Field, inputs: list) -> dict:
 
 def _cmd_indec(args, fld: Field, inputs: list) -> dict:
     rep = _resolve_rep(args.input, fld, inputs, args.n)
-    res = is_indecomposable(
-        rep, max_end_dim=args.max_end_dim, trials=args.trials, seed=args.seed
-    )
+    res = is_indecomposable(rep)
     witness = None
     if res.witness is not None:
         witness = [modfile.rep_to_obj(part) for part in res.witness]
@@ -623,9 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("indec", parents=[common], help="certified indecomposability check")
     p.add_argument("input", help="quiver-rep file, or module (then -n is required)")
     p.add_argument("-n", type=int, default=None, help="leg length for module input")
-    p.add_argument("--max-end-dim", type=int, default=6)
-    p.add_argument("--trials", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_indec)
 
     p = sub.add_parser(

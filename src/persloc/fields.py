@@ -259,14 +259,6 @@ class Matrix:
         ent = tuple(a + b for a, b in zip(self.entries, other.entries))
         return Matrix(self.field, self.nrows, self.ncols + other.ncols, ent)
 
-    def submatrix(self, row_idx, col_idx) -> "Matrix":
-        row_idx = list(row_idx)
-        col_idx = list(col_idx)
-        ent = tuple(
-            tuple(self.entries[i][j] for j in col_idx) for i in row_idx
-        )
-        return Matrix(self.field, len(row_idx), len(col_idx), ent)
-
     def mul(self, other: "Matrix") -> "Matrix":
         if other.field != self.field or self.ncols != other.nrows:
             raise AmbientMismatchError("matmul shape or field mismatch")
@@ -304,14 +296,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
-
-    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        rows = [list(r) for r in self.entries]
-        rows, pivots = _rref(self.field, rows, self.ncols)
-        return (
-            Matrix(self.field, self.nrows, self.ncols, tuple(tuple(r) for r in rows)),
-            tuple(pivots),
-        )
 
     def rank(self) -> int:
         rows = [list(r) for r in self.entries]

@@ -43,6 +43,8 @@ def loads(text: str, source: str = "input") -> object:
         raise ParseError(
             f"{source}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # integer literal over the interpreter's digit limit
+        raise ParseError(f"{source}: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"{source}: JSON nested too deeply") from exc
 

@@ -10,20 +10,26 @@ from 0 to n-1, the sink is the stable corner, and all maps are transitions.
 On top of the conversion: endomorphism algebras by solving the commutation
 system, splitting searches via Fitting decompositions, certified
 indecomposability by exhaustive idempotent enumeration when the endomorphism
-dimension is small, and interval decompositions of the legs when the sink
-vanishes (pure torsion).
+dimension is at most 6 over F_p, and interval decompositions of the legs when
+the sink vanishes (pure torsion).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
 from . import degrees as dg
 from .errors import DecompositionError, PreconditionError
 from .fields import DEFAULT_FIELD, Echelon, Field, Matrix, Subspace
-from .localization import Interval, bars_from_rank_fn
+from .localization import Barcode, Interval, intervals_by_reduction
 from .presentation import GradedPresentation
+
+# certified verdicts enumerate all p^dim elements of End up to this dimension
+_MAX_END_DIM = 6
+# seeded random combinations tried by try_split after the basis itself
+_TRIALS = 64
 
 
 def quiver_shape(n: int) -> dict:
@@ -221,6 +227,15 @@ def _endo_to_vector(rep: QuiverRep, endo: Endo) -> list:
     return vec
 
 
+def _combine(fld: Field, coeffs, vectors: list[list]) -> list:
+    """The linear combination sum c_i v_i of equal-length flat vectors."""
+    vec = [fld.zero] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        if c:
+            vec = fld.axpy(vec, c, v)
+    return vec
+
+
 def endomorphism_basis(rep: QuiverRep) -> list[Endo]:
     """Basis of the endomorphism algebra, with the identity placed first.
 
@@ -297,12 +312,16 @@ def _restrict_arrow(a: Matrix, src: Subspace, tgt: Subspace) -> Matrix:
     return Matrix.from_cols(fld, tgt.dim, cols)
 
 
-def _split_along(rep: QuiverRep, endo: Endo, power: int) -> tuple["QuiverRep", "QuiverRep"] | None:
-    """Fitting decomposition along endo^power; None when one side is zero."""
+def _split_along(rep: QuiverRep, endo: Endo) -> tuple["QuiverRep", "QuiverRep"] | None:
+    """Fitting decomposition along endo; None when one side is zero.
+
+    At a vertex of dimension d, kernel and image of X^d are the generalized
+    kernel and the stable image of X (both chains settle within d steps).
+    """
     fld = rep.field
 
     def fitting(mat: Matrix) -> tuple[Subspace, Subspace]:
-        p = _mat_power(mat, power)
+        p = _mat_power(mat, mat.nrows)
         return p.kernel(), p.image()
 
     sink_k, sink_i = fitting(endo.sink)
@@ -334,35 +353,32 @@ def _split_along(rep: QuiverRep, endo: Endo, power: int) -> tuple["QuiverRep", "
     return build(sink_k, legs_k), build(sink_i, legs_i)
 
 
-def try_split(rep: QuiverRep, trials: int = 64, seed: int = 0) -> tuple[QuiverRep, QuiverRep] | None:
+def try_split(rep: QuiverRep, basis: list[Endo]) -> tuple[QuiverRep, QuiverRep] | None:
     """Search for a direct-sum splitting via Fitting decompositions.
 
-    Basis endomorphisms are tried first, then seeded random combinations.
-    Returns (generalized kernel, generalized image) or None if everything
-    found was nilpotent or invertible.
+    `basis` is `endomorphism_basis(rep)`.  Its elements are tried first, then
+    64 seeded random combinations, drawn one at a time; the search stops at
+    the first split.  Returns (generalized kernel, generalized image) or None
+    if everything tried was nilpotent or invertible.
     """
     total = rep.total_dim()
     if total == 0:
         return None
-    basis = endomorphism_basis(rep)
     fld = rep.field
-    rng = random.Random(("split", seed, total, fld.char).__repr__())
-    candidates = list(basis)
-    for _ in range(trials):
-        if fld.char:
-            coeffs = [rng.randrange(fld.char) for _ in basis]
-        else:
-            coeffs = [rng.randint(-3, 3) for _ in basis]
-        vec = [fld.zero] * len(_endo_to_vector(rep, basis[0]))
-        for c, b in zip(coeffs, basis):
-            if c:
-                vec = fld.axpy(vec, c, _endo_to_vector(rep, b))
-        candidates.append(_endo_from_vector(rep, vec))
-    for endo in candidates:
-        split = _split_along(rep, endo, total)
-        if split is not None:
-            return split
-    return None
+    vectors = [_endo_to_vector(rep, b) for b in basis]
+    rng = random.Random(("split", 0, total, fld.char).__repr__())
+
+    def candidates():
+        yield from basis
+        for _ in range(_TRIALS):
+            if fld.char:
+                coeffs = [rng.randrange(fld.char) for _ in basis]
+            else:
+                coeffs = [rng.randint(-3, 3) for _ in basis]
+            yield _endo_from_vector(rep, _combine(fld, coeffs, vectors))
+
+    splits = (_split_along(rep, endo) for endo in candidates())
+    return next((split for split in splits if split is not None), None)
 
 
 @dataclass(frozen=True)
@@ -372,22 +388,20 @@ class IndecResult:
     witness: tuple[QuiverRep, QuiverRep] | None = None
 
 
-def is_indecomposable(
-    rep: QuiverRep, max_end_dim: int = 6, trials: int = 64, seed: int = 0
-) -> IndecResult:
+def is_indecomposable(rep: QuiverRep) -> IndecResult:
     """Certified decision when feasible, honest "unknown" otherwise.
 
+    The endomorphism algebra is solved once and shared with `try_split`.
     "no" comes with a verified splitting.  "yes" is certified by exhausting
     all endomorphism-algebra elements e with e^2 = e when the algebra
-    dimension is at most `max_end_dim` (requires a finite field; over the
-    rationals only a one-dimensional algebra certifies).  Anything else is
-    "unknown".
+    dimension is at most 6 (requires a finite field; over the rationals only
+    a one-dimensional algebra certifies).  Anything else is "unknown".
     """
     basis = endomorphism_basis(rep)
     dim = len(basis)
     if rep.total_dim() == 0:
         return IndecResult("yes", dim)
-    split = try_split(rep, trials=trials, seed=seed)
+    split = try_split(rep, basis)
     if split is not None:
         return IndecResult("no", dim, split)
     fld = rep.field
@@ -395,30 +409,16 @@ def is_indecomposable(
         if dim == 1:
             return IndecResult("yes", dim)  # End = Q, local, no idempotents
         return IndecResult("unknown", dim)
-    if dim > max_end_dim:
+    if dim > _MAX_END_DIM:
         return IndecResult("unknown", dim)
     vectors = [_endo_to_vector(rep, b) for b in basis]
-    total_len = len(vectors[0])
-
-    def all_coeff_tuples(k: int):
-        if k == 0:
-            yield ()
-            return
-        for rest in all_coeff_tuples(k - 1):
-            for c in range(fld.char):
-                yield rest + (c,)
-
-    for coeffs in all_coeff_tuples(dim):
-        vec = [fld.zero] * total_len
-        for c, bv in zip(coeffs, vectors):
-            if c:
-                vec = fld.axpy(vec, c, bv)
-        endo = _endo_from_vector(rep, vec)
+    for coeffs in itertools.product(range(fld.char), repeat=dim):
+        endo = _endo_from_vector(rep, _combine(fld, coeffs, vectors))
         if endo.is_zero() or endo.is_identity():
             continue
         if not _is_idempotent(endo):
             continue
-        split = _split_along(rep, endo, rep.total_dim())
+        split = _split_along(rep, endo)
         if split is None:
             raise DecompositionError("nontrivial idempotent produced a trivial splitting")
         return IndecResult("no", dim, split)
@@ -434,22 +434,22 @@ def torsion_leg_split(rep: QuiverRep) -> tuple[tuple[tuple[Interval, int], ...],
     """Interval decomposition of each leg when the sink vanishes.
 
     With a zero sink each leg is an independent linear chain; its interval
-    multiset comes from the same rank-function inversion as axis barcodes.
-    Bars are half-open with end at most n.  Returns None when the sink is
+    multiset comes from the same sequential column reduction as the barcode
+    oracle, run on the leg's maps.  Bars are half-open with end at most n,
+    sorted and merged as in a `Barcode`.  Returns None when the sink is
     nonzero (legs are then coupled through it).
     """
     if rep.sink_dim != 0:
         return None
-    out = []
-    for leg in range(3):
-        rank = lambda a, b, leg=leg: rep.leg_composite(leg, a, b).rank()
-        bars = bars_from_rank_fn(rank, rep.n - 1)
-        closed = [
-            (Interval(iv.start, rep.n if iv.end is None else iv.end), mult)
-            for iv, mult in bars
-        ]
-        out.append(tuple(sorted(closed, key=lambda im: im[0].sort_key())))
-    return tuple(out)
+    return tuple(
+        Barcode.make(
+            leg + 1,
+            intervals_by_reduction(
+                rep.field, rep.leg_dims[leg], rep.arrows[leg][:-1], stabilized=False
+            ),
+        ).bars
+        for leg in range(3)
+    )
 
 
 def random_rep(

@@ -77,6 +77,7 @@ def test_exit_2_on_usage_parse_failures(capsys):
         ["rank", "samerank_m", "-1,0", "0,0"],
         ["dims", "samerank_m", "--char", "x"],
         ["barcode", "samerank_m"],
+        ["indec", "m3_indecomposable", "-n", "2", "--trials", "3"],
     ):
         code, out, _ = run(capsys, *argv)
         assert code == 2, argv
@@ -102,6 +103,19 @@ def test_deeply_nested_json_is_one_domain_envelope(tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200000)
     code, out, err = run(capsys, "dims", str(deep))
+    assert code == 1
+    assert out.count("\n") == 1
+    report = json.loads(out)
+    assert report["error"]["kind"] == "domain"
+    assert report["error"]["type"] == "ParseError"
+    assert "Traceback" not in err
+
+
+def test_overlong_integer_literal_is_one_domain_envelope(tmp_path, capsys):
+    # json.loads raises a plain ValueError past the interpreter's digit limit
+    big = tmp_path / "big.json"
+    big.write_text('{"characteristic": ' + "1" * 5000 + ', "m": 2, "generators": [], "relations": []}')
+    code, out, err = run(capsys, "dims", str(big))
     assert code == 1
     assert out.count("\n") == 1
     report = json.loads(out)

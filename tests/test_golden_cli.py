@@ -24,7 +24,9 @@ from pathlib import Path
 
 import pytest
 
-from persloc import cli
+from persloc import cli, modfile
+from persloc.fields import Field, Matrix
+from persloc.quiver import QuiverRep, random_rep
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -33,6 +35,47 @@ GENERATED = {
     "rand2.json": "random --seeds 3,4 --params m=2,max_gens=6,max_rels=9,max_degree=5",
     "rand2q.json": "random --seeds 5 --params m=2,max_gens=5,max_rels=8,max_degree=4 --char 0",
     "rand3.json": "random --seeds 2 --params m=3,max_gens=4,max_rels=5,max_degree=2",
+}
+
+
+
+def _tube(char: int, level: int) -> QuiverRep:
+    """Level-L homogeneous tube of the affine E6 star: End = k[N]/(N^L), local."""
+    fld = Field(char)
+    eye = [[int(i == j) for j in range(level)] for i in range(level)]
+    eye_plus_shift = [[int(j in (i, i + 1)) for j in range(level)] for i in range(level)]
+
+    def first(a):
+        return Matrix.from_rows(fld, eye + a)
+
+    def second(b1, b2):
+        rows = [[0] * (2 * level) for _ in range(3 * level)]
+        for k in range(level):
+            rows[b1 * level + k][k] = 1
+            rows[b2 * level + k][level + k] = 1
+        return Matrix.from_rows(fld, rows)
+
+    arrows = (
+        (first(eye_plus_shift), second(0, 1)),
+        (first(eye), second(1, 2)),
+        (first(eye), second(2, 0)),
+    )
+    return QuiverRep(fld, 2, 3 * level, ((level, 2 * level),) * 3, arrows)
+
+
+# quiver-rep files written from the library before the pinned invocations run:
+# random reps that split (witness bytes), tubes certified "yes" with End of
+# dimension 2 or left "unknown" (End over the gate, or over Q), and zero-sink
+# reps whose legs carry bars
+REPS = {
+    "rep_f2.json": lambda: random_rep(0, n=3, fld=Field(2)),
+    "rep_f5.json": lambda: random_rep(0, n=3, fld=Field(5)),
+    "rep_q.json": lambda: random_rep(0, n=3, fld=Field(0)),
+    "tube2_f5.json": lambda: _tube(5, 2),
+    "tube7_f5.json": lambda: _tube(5, 7),
+    "tube2_q.json": lambda: _tube(0, 2),
+    "legs_f5.json": lambda: random_rep(1, n=3, sink_zero=True, fld=Field(5)),
+    "legs_q.json": lambda: random_rep(2, n=3, sink_zero=True, fld=Field(0)),
 }
 
 _M2 = ["fixtures/samerank_M.json", "fixtures/samerank_N.json", "fixtures/coordinate_cross.json",
@@ -78,6 +121,10 @@ def _invocations() -> list[str]:
             f"split-legs {mod} -n 2",
         ]
     out += ["quiverize rand3.json -n 1", "split-legs rand3.json -n 1"]
+    for rep in ("rep_f2.json", "rep_f5.json", "rep_q.json"):
+        out += [f"endo {rep}", f"indec {rep}"]
+    out += ["indec tube2_f5.json", "indec tube7_f5.json", "indec tube2_q.json",
+            "split-legs legs_f5.json", "split-legs legs_q.json"]
     for pmap in _MAPS:
         out.append(f"section-exists {pmap}")
     for k in _COMPLEXES:
@@ -123,6 +170,8 @@ def _prepare(workdir: Path) -> None:
         code, out = _run(line)
         assert code == 0, (line, out)
         (workdir / name).write_text(out, encoding="utf-8")
+    for name, make in REPS.items():
+        (workdir / name).write_text(modfile.canonical_json(modfile.rep_to_obj(make())), encoding="utf-8")
 
 
 def _record(line: str) -> str:
@@ -356,6 +405,17 @@ GOLDEN: dict[str, str] = {
     'split-legs rand3.json -n 2': '0:ac5aae03d4ae54e499db1b0ad3d26e651b1328f9d662e0a3735d1922fd1b65c0',
     'quiverize rand3.json -n 1': '1:f1fbe05a969cc06525d612f4c097f746cd3d0703451d3dd81321782d173b5536',
     'split-legs rand3.json -n 1': '1:2747fc391ab96254b2027a0204e298733dfb4ef9d2be7292100197ef963f8eb4',
+    'endo rep_f2.json': '0:b6f41e8e3525d62569845159346955dc2fc28302d5e05220093d2dc214013e0e',
+    'indec rep_f2.json': '0:06170384e9e61ed59ad18288eebbeefc408ebe08007c820434dd4759b1a96106',
+    'endo rep_f5.json': '0:8b9f5e3f4f499e7b682f885db7692ba62ffd4b61da68f13f906dcbc2e811e8bc',
+    'indec rep_f5.json': '0:de6c007f25d6b90678ef55d79841bab576db0dfc1935697dc91f7ae1f05fec4d',
+    'endo rep_q.json': '0:f3aca2d3f0a46a59e5aceb2c8fdae446fa7e672f572585ec3e4b9dac1a8ad421',
+    'indec rep_q.json': '0:86a4089048a9203a359d2d392d2ccbf777c0aa8121f8d2b9aac68c3dc4ff07c6',
+    'indec tube2_f5.json': '0:bb4b2144ed7d5c3e9df76f35f77e586b9fd3820a0e05b15e44e86d4e116e8a2d',
+    'indec tube7_f5.json': '0:677e9edd6c8a74f8e6c8a624406efd46a2d88793b8df322d139f96140f1618fc',
+    'indec tube2_q.json': '0:20db49ce3eb90798161d7e0487986ef5951dd0b10dfcefc82577594df875d1cb',
+    'split-legs legs_f5.json': '0:21cddc47067e09093748411d32d00db80d24d2fdd6e0d41727e8edb38feea529',
+    'split-legs legs_q.json': '0:ffe38147fcea90c7750bdc7788f71cdca1070b90251ddd92f1b4e49d345c36e0',
     'section-exists fixtures/notsplit_map.json': '0:c25b84aa54f301486ed05800192da083a00a8508024f22de77a70c6259c01e67',
     'section-exists fixtures/split_projection_map.json': '0:0d22ddf0c37bbc0f85b93e9b9d513eb9d12b3854d651cb78fe111f1ae5ff7857',
     'section-exists notsplit_map': '0:7be1467ba77ec44a580f08cc0300d3fdb8a3fdfedd42cb5ef927dd982ca60882',

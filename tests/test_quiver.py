@@ -9,11 +9,13 @@ example, witnessed no on direct sums).
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persloc.degrees import box
 from persloc.errors import PreconditionError
 from persloc.fields import DEFAULT_FIELD, Field, Matrix
-from persloc.localization import Interval
+from persloc.localization import Interval, bars_from_rank_fn
 from persloc.presentation import GradedPresentation, direct_sum, free_module, random_presentation
 from persloc.examples import named_example, strip_presentation
 from persloc.quiver import (
@@ -206,7 +208,7 @@ def test_try_split_finds_summands():
     rep = to_quiver_rep(free_module(3, (0, 0, 0), F5), 1)
     other = to_quiver_rep(free_module(3, (1, 1, 1), F5), 1)
     combo = rep.direct_sum(other)
-    split = try_split(combo)
+    split = try_split(combo, endomorphism_basis(combo))
     assert split is not None
     a, b = split
     assert a.total_dim() + b.total_dim() == combo.total_dim()
@@ -218,7 +220,7 @@ def test_try_split_finds_summands():
 
 def test_try_split_none_on_brick():
     m3 = to_quiver_rep(named_example("m3_indecomposable"), 2)
-    assert try_split(m3) is None
+    assert try_split(m3, endomorphism_basis(m3)) is None
 
 
 def test_is_indecomposable_verdicts():
@@ -304,6 +306,25 @@ def test_torsion_leg_split_reconstructs_ranks():
                     )
                     got = rep.leg_composite(leg, a, b).rank()
                     assert got == expect, (seed, leg, a, b)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 4),
+    st.sampled_from([Field(2), F5, Field(0)]),
+)
+def test_torsion_leg_split_agrees_with_rank_inversion(seed, n, fld):
+    # two routes: column reduction of each leg against Moebius inversion of
+    # the leg-composite ranks, unbounded bars closed at n
+    rep = random_rep(seed, n=n, sink_zero=True, fld=fld)
+    for leg, bars in enumerate(torsion_leg_split(rep)):
+        rank = lambda a, b: rep.leg_composite(leg, a, b).rank()
+        expect = sorted(
+            (Interval(iv.start, n if iv.end is None else iv.end), mult)
+            for iv, mult in bars_from_rank_fn(rank, n - 1)
+        )
+        assert list(bars) == expect, (seed, n, fld, leg)
 
 
 def test_rep_serialization_additivity():
