@@ -20,6 +20,7 @@ files by the next.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -81,57 +82,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-# Which subcommand exposes each public operation.  The dispatch-coverage test
-# checks this table against the argument parser and the package namespace, so
-# the mapping cannot silently rot.  Input-layer constructors (skeleton
-# shorthands, complex validation) are shared by many subcommands and listed
-# separately; exact linear algebra is internal substrate with no CLI surface.
-OPERATION_SURFACE: dict[str, str] = {
-    "dim_at": "dims",
-    "stabilization_bound": "dims",
-    "localized_dim": "dims",
-    "rank_invariant": "rank",
-    "transition": "rank",
-    "localized_rank": "rank",
-    "intersection_rank": "ibar",
-    "localized_barcode": "barcode",
-    "decompose": "decompose",
-    "torsion_strips": "decompose",
-    "quadrant_corners": "decompose",
-    "bifiltration": "decompose",
-    "reconstruct": "decompose",
-    "equivalent_after_localization": "decompose",
-    "render_svg": "decompose",
-    "delocalize_dim": "delocalize",
-    "supp_complex": "support",
-    "in_kernel": "in-kernel",
-    "in_kernel_by_nilpotence": "in-kernel",
-    "face_ring": "face-ring",
-    "simples": "simples",
-    "kdim": "kdim",
-    "serre_step": "serre-step",
-    "serre_chain": "serre-step",
-    "minimal_missing_faces": "serre-step",
-    "in_leq_n": "quiverize",
-    "to_quiver_rep": "quiverize",
-    "quiver_shape": "quiverize",
-    "endomorphism_basis": "endo",
-    "is_indecomposable": "indec",
-    "try_split": "indec",
-    "torsion_leg_split": "split-legs",
-    "section_exists": "section-exists",
-    "random_presentation": "random",
-    "direct_sum": "random",
-    "shift": "random",
-    "run_all": "verify-paper",
-    "named_example": "verify-paper",
-}
-
-# shared input machinery, reachable from every subcommand that takes the
-# matching argument kind rather than from exactly one
-INPUT_LAYER = frozenset({"skeleton", "full_simplex", "empty_complex", "SimplicialComplex"})
-
-
 # -- argument parsing helpers ----------------------------------------------
 
 
@@ -147,6 +97,23 @@ def _parse_degree(text: str, m: int, what: str) -> tuple[int, ...]:
     if len(d) != m:
         raise UsageError(f"{what} {text!r} has {len(d)} components, module has {m}")
     return d
+
+
+# most degrees a `dims` or `delocalize` table may hold
+_MAX_BOX_DEGREES = 100_000
+
+
+def _box_limit(text: str | None, m: int, default: tuple[int, ...]) -> tuple[int, ...]:
+    """The box limit a table iterates: --box if given, else the default."""
+    limit = _parse_degree(text, m, "--box") if text else default
+    if min(limit) < 0:
+        raise UsageError(f"--box {text!r} has a negative component")
+    size = math.prod(x + 1 for x in limit)
+    if size > _MAX_BOX_DEGREES:
+        raise PreconditionError(
+            f"box {list(limit)} holds {size} degrees, more than {_MAX_BOX_DEGREES}"
+        )
+    return limit
 
 
 def _read_json(path: str):
@@ -240,9 +207,7 @@ def _mat_obj(mat) -> list:
 def _cmd_dims(args, fld: Field, inputs: list) -> dict:
     module = _resolve_module(args.module, fld, inputs)
     bound = module.stabilization_bound()
-    limit = (
-        _parse_degree(args.box, module.m, "--box") if args.box else bound
-    )
+    limit = _box_limit(args.box, module.m, bound)
     sigma = list(_parse_ints(args.sigma, "--sigma")) if args.sigma else None
     table = []
     for d in degree_box(limit):
@@ -306,10 +271,8 @@ def _cmd_decompose(args, fld: Field, inputs: list) -> dict:
 
 def _cmd_delocalize(args, fld: Field, inputs: list) -> dict:
     module = _resolve_module(args.module, fld, inputs)
-    if args.box:
-        limit = _parse_degree(args.box, module.m, "--box")
-    else:
-        limit = degree_join(module.stabilization_bound(), (3,) * module.m)
+    default = degree_join(module.stabilization_bound(), (3,) * module.m)
+    limit = _box_limit(args.box, module.m, default)
     table = [
         {"degree": list(d), "dim": delocalize_dim(module, d)} for d in degree_box(limit)
     ]

@@ -2,8 +2,8 @@
 
 Everything downstream (graded slices, transition matrices, subspace lattices)
 reduces to the primitives here: reduced echelon forms with deterministic
-first-nonzero pivoting, kernels, and sums/intersections of subspaces held in a
-canonical basis.  All values are exact: integers in [0, p) for characteristic
+first-nonzero pivoting, kernels, and sums of subspaces held in a canonical
+basis.  All values are exact: integers in [0, p) for characteristic
 p, `fractions.Fraction` for characteristic 0.  Matrices and subspaces are
 immutable; operations return fresh objects, so sharing them between threads is
 safe.
@@ -349,10 +349,6 @@ class Subspace:
         return cls(ambient, basis, tuple(pivots))
 
     @classmethod
-    def zero(cls, field: Field, ambient: int) -> "Subspace":
-        return cls.span(field, ambient, [])
-
-    @classmethod
     def full(cls, field: Field, ambient: int) -> "Subspace":
         return cls.span(field, ambient, Matrix.identity(field, ambient).columns())
 
@@ -394,20 +390,6 @@ class Subspace:
         return Subspace.span(
             self.field, self.ambient, self.basis.columns() + other.basis.columns()
         )
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Kernel construction: solve U x = W y, read off the common vectors."""
-        if other.ambient != self.ambient or other.field != self.field:
-            raise AmbientMismatchError("ambient mismatch")
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.field, self.ambient)
-        concat = self.basis.hstack(other.basis)
-        ker = concat.kernel()
-        vecs = []
-        for kv in ker.basis.columns():
-            x = kv[: self.dim]
-            vecs.append(self.basis.apply(x))
-        return Subspace.span(self.field, self.ambient, vecs)
 
     def image_under(self, a: Matrix) -> "Subspace":
         if a.ncols != self.ambient:

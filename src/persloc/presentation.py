@@ -152,27 +152,8 @@ class GradedPresentation:
         return mat
 
     def rank_invariant(self, a, b) -> int:
-        """Rank of M(a) -> M(b), computed without a basis at the source.
-
-        Reduces every generator eligible at `a` into the canonical coset form
-        at `b` and takes the dimension of the span; this equals the rank of
-        `transition(a, b)` (adding the relation span eligible at `a` changes
-        nothing after reduction at `b`).
-        """
-        a = dg.as_degree(a, self.m)
-        b = dg.as_degree(b, self.m)
-        if not dg.is_nonnegative(a):
-            raise PreconditionError(f"degree {a} not in N^{self.m}")
-        if not dg.leq(a, b):
-            raise DegreeOrderError(f"{a} is not <= {b}")
-        one = self.field.one
-        rows = [
-            self._slice_coords(b, [(i, one)])
-            for i, gd in enumerate(self.gen_degrees)
-            if dg.leq(gd, a)
-        ]
-        _, pivots = _rref(self.field, rows, self._slice(b).dim)
-        return len(pivots)
+        """Rank of M(a) -> M(b): the rank of the cached `transition(a, b)`."""
+        return self.transition(a, b).rank()
 
     def slice_image(self, a, b) -> Subspace:
         """Image of M(a) -> M(b) as a subspace of the canonical slice at b."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import degrees as dg
+from .complexes import supp_complex
 from .degrees import Degree
 from .errors import (
     AmbientMismatchError,
@@ -211,7 +212,7 @@ def intersection_rank(module: GradedPresentation, a, b, c) -> int:
         raise DegreeOrderError(f"{a} and {b} must both be <= {c}")
     u = module.slice_image(a, c)
     w = module.slice_image(b, c)
-    return u.intersect(w).dim
+    return u.dim + w.dim - u.plus(w).dim
 
 
 # -- sections of localized epimorphisms ---------------------------------
@@ -248,16 +249,6 @@ def _solve(fld: Field, rows: list[list], rhs: list, ncols: int) -> tuple | None:
     return tuple(sol)
 
 
-def _is_finite_module(module: GradedPresentation) -> bool:
-    """True iff every single-variable localization vanishes."""
-    bound = module.stabilization_bound()
-    for axis in range(1, module.m + 1):
-        for c in range(bound[axis - 1] + 1):
-            if module.dim_at(dg.with_axis(bound, axis, c)):
-                return False
-    return True
-
-
 def section_exists(f: PresentationMap) -> SectionResult:
     """Decide whether the localized map admits a compatible section pair.
 
@@ -272,7 +263,9 @@ def section_exists(f: PresentationMap) -> SectionResult:
     if src.m != 2:
         raise PreconditionError("section solver works over m = 2")
     fld = f.field
-    if not _is_finite_module(f.cokernel()):
+    # locally epic: no vertex in the cokernel's support, so inverting any one
+    # variable kills the cokernel
+    if not supp_complex(f.cokernel()).faces <= {frozenset()}:
         raise NotLocallyEpicError(
             "the map does not become surjective after inverting either variable"
         )

@@ -88,6 +88,18 @@ def test_exit_2_on_usage_parse_failures(capsys):
         assert report["error"]["type"] == "UsageError"
 
 
+def test_box_limits_of_dims_and_delocalize(capsys):
+    # a negative limit used to print an empty table and a huge one ran unbounded
+    for argv in (["dims", "samerank_m", "--box=-1,-1", "--sigma", "1"], ["delocalize", "samerank_m", "--box=0,-1"]):
+        code, report, _ = run_json(capsys, *argv)
+        assert code == 2, argv
+        assert report["error"]["type"] == "UsageError"
+    for argv in (["dims", "samerank_m", "--box", "3000,3000"], ["delocalize", "samerank_m", "--box", "100000,0"]):
+        code, report, _ = run_json(capsys, *argv)
+        assert code == 1, argv
+        assert report["error"]["type"] == "PreconditionError"
+
+
 def test_exit_1_on_missing_or_malformed_file(tmp_path, capsys):
     code, report, _ = run_json(capsys, "dims", str(tmp_path / "absent.json"))
     assert code == 1
@@ -328,59 +340,6 @@ def test_barcode_and_sigma_options(capsys):
         capsys, "rank", "coordinate_cross", "0,0", "0,3", "--sigma", "1"
     )
     assert report["result"]["rank"] == 0
-
-
-def test_dispatch_coverage():
-    """Every subcommand hosts at least one operation; every listed operation
-    resolves to a real callable; input-layer names stay disjoint."""
-    import persloc.complexes
-    import persloc.examples
-    import persloc.localization
-    import persloc.presentation
-    import persloc.quiver
-    import persloc.svgplot
-    import persloc.twoparam
-    import persloc.verify
-    from persloc.presentation import GradedPresentation
-
-    modules = [
-        persloc.complexes,
-        persloc.examples,
-        persloc.localization,
-        persloc.presentation,
-        persloc.quiver,
-        persloc.svgplot,
-        persloc.twoparam,
-        persloc.verify,
-    ]
-
-    def resolve(name):
-        for mod in modules:
-            if hasattr(mod, name):
-                return getattr(mod, name)
-        if hasattr(GradedPresentation, name):
-            return getattr(GradedPresentation, name)
-        return None
-
-    parser = cli.build_parser()
-    sub_action = next(
-        a for a in parser._actions if isinstance(a, type(parser._actions[-1])) and hasattr(a, "choices") and a.choices
-    )
-    subcommands = set(sub_action.choices)
-
-    # every operation maps to exactly one existing subcommand (dict keys are
-    # unique, so "exactly one" is structural; the target must exist)
-    for op, sub in cli.OPERATION_SURFACE.items():
-        assert sub in subcommands, (op, sub)
-        assert callable(resolve(op)), op
-
-    # every subcommand exposes at least one operation
-    assert set(cli.OPERATION_SURFACE.values()) == subcommands
-
-    # the input layer is real and disjoint from the per-subcommand table
-    for name in cli.INPUT_LAYER:
-        assert callable(resolve(name)), name
-    assert not (cli.INPUT_LAYER & set(cli.OPERATION_SURFACE))
 
 
 def test_simples_and_serre_step_cli(capsys):

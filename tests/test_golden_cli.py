@@ -1,11 +1,12 @@
 """CLI standard output pinned byte for byte.
 
 Each invocation runs ``persloc.cli.main`` in process, from a scratch
-directory holding a copy of ``fixtures/`` and three generated module files,
-and compares the exit code and the SHA-256 of standard output with the values
-stored in ``GOLDEN``.  Any change to a report's bytes (key order, scalar
-spelling, pivot choices, basis vectors, error messages) fails here.  When a
-report is meant to change, regenerate the table with
+directory holding a copy of ``fixtures/`` and the module, quiver-rep and map
+files written by ``_prepare``, and compares the exit code and the SHA-256 of
+standard output with the values stored in ``GOLDEN``.  Any change to a
+report's bytes (key order, scalar spelling, pivot choices, basis vectors,
+error messages) fails here.  When a report is meant to change, regenerate the
+table with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
@@ -78,6 +79,13 @@ REPS = {
     "legs_q.json": lambda: random_rep(2, n=3, sink_zero=True, fld=Field(0)),
 }
 
+# a map that never becomes surjective: zero source, target free at (0, 0)
+NOMAP = {
+    "source": {"characteristic": 5, "m": 2, "generators": [], "relations": []},
+    "target": {"characteristic": 5, "m": 2, "generators": [[0, 0]], "relations": []},
+    "coeffs": [[]],
+}
+
 _M2 = ["fixtures/samerank_M.json", "fixtures/samerank_N.json", "fixtures/coordinate_cross.json",
        "samerank_m", "samerank_n", "coordinate_cross", "quadrant:1,1", "vstrip:0,2", "hstrip:1,3",
        "rand2.json", "rand2q.json"]
@@ -139,7 +147,8 @@ def _invocations() -> list[str]:
         # the rationals and F_2 through the exact kernels
         *(f"{cmd} --char {p}" for p in (0, 2) for cmd in (
             "decompose samerank_m", "decompose samerank_n", "decompose coordinate_cross",
-            "decompose vstrip:0,2", "endo m3_indecomposable -n 2", "endo m3_indecomposable -n 1",
+            "decompose vstrip:0,2", "rank samerank_m 0,0 2,2", "ibar samerank_m 1,0 0,1 2,2",
+            "endo m3_indecomposable -n 2", "endo m3_indecomposable -n 1",
             "indec m3_indecomposable -n 2", "indec m3_indecomposable -n 1",
             "section-exists notsplit_map", "section-exists split_projection",
         )),
@@ -150,6 +159,7 @@ def _invocations() -> list[str]:
         "in-kernel samerank_m full:3",
         "random --seed 1 --params bogus=3",
         "endo samerank_m",
+        "section-exists nomap.json",
     ]
     return out
 
@@ -172,6 +182,7 @@ def _prepare(workdir: Path) -> None:
         (workdir / name).write_text(out, encoding="utf-8")
     for name, make in REPS.items():
         (workdir / name).write_text(modfile.canonical_json(modfile.rep_to_obj(make())), encoding="utf-8")
+    (workdir / "nomap.json").write_text(modfile.canonical_json(NOMAP), encoding="utf-8")
 
 
 def _record(line: str) -> str:
@@ -459,6 +470,8 @@ GOLDEN: dict[str, str] = {
     'decompose samerank_n --char 0': '0:7d494b899c469aebef7a3f1b33e30eb968def52b0a514b7b4d9fce41148e4dd3',
     'decompose coordinate_cross --char 0': '0:ebf4728b902ba6131fd2c833327d3edf63e0a4fc37cb7711a148d35553f153ed',
     'decompose vstrip:0,2 --char 0': '0:8758ea2d04b048c18cd8c1cdfdeef0bfd759d04a165b4ce89dbec28f9fad8440',
+    'rank samerank_m 0,0 2,2 --char 0': '0:a4626a131068e6cdbd259e6f04bdc6dbdcd7bb899c06c5e506eee9016a7b0336',
+    'ibar samerank_m 1,0 0,1 2,2 --char 0': '0:acd9247b6094b8be3568567686a36e9e7979129967ebeb4ed9c9c35351306f58',
     'endo m3_indecomposable -n 2 --char 0': '0:f7763c01003e09617461e872997cc8af04ff577e7838ef13af0d6df5f9a28e80',
     'endo m3_indecomposable -n 1 --char 0': '0:920e88e0ea0bb9be8e243242413b736005b5070448c4d747f5ac39759f2cb906',
     'indec m3_indecomposable -n 2 --char 0': '0:f508f7ecd58ce4b9c204fb8418b4b2e928b12ea39caec6c9fd994ceb7f52f312',
@@ -469,6 +482,8 @@ GOLDEN: dict[str, str] = {
     'decompose samerank_n --char 2': '0:e174dd310313c3b4efbb28c6a94f2e625064a5887592fab4844f38cd1ba813b9',
     'decompose coordinate_cross --char 2': '0:5c384031c0d6cd649a300092cedc7cc45617ac27ba42a44fb175b48e981feb15',
     'decompose vstrip:0,2 --char 2': '0:286b360b19215afae9964b3a65370eb5a77b1dcad7ca33a54e12bf0120152691',
+    'rank samerank_m 0,0 2,2 --char 2': '0:140f4998316672be65a11f48e93ce85adf86da260ea7e2196e480ca576132ace',
+    'ibar samerank_m 1,0 0,1 2,2 --char 2': '0:ff8075e28b8c7ad8f5c4b18aae89dfd05d6d0153fc3ae847a9b14b6f45c5a0a0',
     'endo m3_indecomposable -n 2 --char 2': '0:20175834a7b51312a1819b5818e7b103fe22962d53d06d723c6293f0d01b0da3',
     'endo m3_indecomposable -n 1 --char 2': '0:9e3990aa280b8c91044680b8cf8f18ad0035162213cea240a47b0e43da260403',
     'indec m3_indecomposable -n 2 --char 2': '0:d9e87d9e86a9db5f0a741ddd4c3309f3ca4c348ce7cb5b46e146aaa24f8fef58',
@@ -481,6 +496,7 @@ GOLDEN: dict[str, str] = {
     'in-kernel samerank_m full:3': '1:658539de88fa37c2aa5089b42f8694ea1e4ea96f1925972b0344b333d1171afe',
     'random --seed 1 --params bogus=3': '2:06c9c9a21da5a7da5ea4c35ce3ff32a059b1f61757af73d2b9e4e9dc947bac74',
     'endo samerank_m': '2:d76020bd53b74b1423730e380fc218d6084340741b1d5f37a2b5bba698296ad3',
+    'section-exists nomap.json': '1:d8fd998563f6ca6b3a7db3e29944e39991a913d53359366568b2eba638db4867',
 }
 
 

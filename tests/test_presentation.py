@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persloc.degrees import box, join, leq
 from persloc.errors import DegreeOrderError, HomogeneityError
-from persloc.fields import DEFAULT_FIELD, Field, Matrix
+from persloc.fields import DEFAULT_FIELD, Field, Matrix, Subspace
 from persloc.presentation import (
     GradedPresentation,
     PresentationMap,
@@ -177,3 +179,25 @@ def test_cokernel_dims():
     proj = PresentationMap(src, tgt, Matrix.from_rows(F5, [[1, 0]]))
     coker = proj.cokernel()
     assert all(coker.dim_at(d) == 0 for d in box((3, 3)))
+
+
+@st.composite
+def _module_and_pair(draw):
+    fld = draw(st.sampled_from([Field(2), F5, Field(0)]))
+    m = draw(st.integers(1, 3))
+    mod = random_presentation(draw(st.integers(0, 10**6)), m=m, max_gens=5, max_rels=5, max_degree=2, fld=fld)
+    a = tuple(draw(st.integers(0, 4)) for _ in range(m))
+    b = tuple(x + draw(st.integers(0, 3)) for x in a)
+    return mod, a, b
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_module_and_pair())
+def test_rank_is_span_of_generators_eligible_at_source(case):
+    # the span at b of every generator present at a: no basis at the source
+    mod, a, b = case
+    one = mod.field.one
+    images = [mod._slice_coords(b, [(i, one)]) for i, gd in enumerate(mod.gen_degrees) if leq(gd, a)]
+    rank = mod.rank_invariant(a, b)
+    assert rank == Subspace.span(mod.field, mod.dim_at(b), images).dim
+    assert rank <= min(mod.dim_at(a), mod.dim_at(b))

@@ -1,8 +1,11 @@
 """Two-parameter invariants: strips, quadrants, gluing, sections."""
 
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persloc.degrees import box, leq
 from persloc.errors import DecompositionError, NotLocallyEpicError, PreconditionError
@@ -154,6 +157,26 @@ def test_intersection_rank_on_equal_degrees():
         a = (1, 1)
         c = (3, 3)
         assert intersection_rank(mod, a, a, c) == mod.rank_invariant(a, c)
+
+
+@st.composite
+def _f2_module_and_triple(draw):
+    m = draw(st.integers(1, 3))
+    mod = random_presentation(draw(st.integers(0, 10**6)), m=m, max_gens=5, max_rels=5, max_degree=2, fld=Field(2))
+    c = tuple(draw(st.integers(0, 4)) for _ in range(m))
+    a = tuple(draw(st.integers(0, x)) for x in c)
+    b = tuple(draw(st.integers(0, x)) for x in c)
+    return mod, a, b, c
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_f2_module_and_triple())
+def test_intersection_rank_counts_common_vectors_over_f2(case):
+    mod, a, b, c = case
+    u = mod.slice_image(a, c)
+    w = mod.slice_image(b, c)
+    both = [v for v in product(range(2), repeat=mod.dim_at(c)) if u.contains_vector(v) and w.contains_vector(v)]
+    assert 2 ** intersection_rank(mod, a, b, c) == len(both)
 
 
 def test_intersection_rank_requires_order():
