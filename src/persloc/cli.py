@@ -27,6 +27,7 @@ from pathlib import Path
 
 from . import modfile
 from .complexes import (
+    MAX_VARIABLES,
     in_kernel,
     in_kernel_by_nilpotence,
     face_ring,
@@ -407,7 +408,9 @@ def _cmd_section_exists(args, fld: Field, inputs: list) -> dict:
     }
 
 
-_PARAM_KEYS = ("m", "max_gens", "max_rels", "max_degree")
+# largest value each --params key may take: m as for complexes, and the draw
+# sizes so that one sample stays about a second of work
+_PARAM_BUDGET = {"m": MAX_VARIABLES, "max_gens": 1_000, "max_rels": 1_000, "max_degree": 1_000}
 
 
 def _cmd_random(args, fld: Field, inputs: list) -> dict:
@@ -416,14 +419,18 @@ def _cmd_random(args, fld: Field, inputs: list) -> dict:
         for piece in args.params.split(","):
             key, sep, value = piece.partition("=")
             key = key.strip()
-            if not sep or key not in _PARAM_KEYS:
+            if not sep or key not in _PARAM_BUDGET:
                 raise UsageError(
-                    f"bad --params entry {piece!r}: expected key=value with key in {_PARAM_KEYS}"
+                    f"bad --params entry {piece!r}: expected key=value with key in {tuple(_PARAM_BUDGET)}"
                 )
             try:
                 params[key] = int(value)
             except ValueError as exc:
                 raise UsageError(f"bad --params value in {piece!r}") from exc
+            if params[key] > _PARAM_BUDGET[key]:
+                raise PreconditionError(
+                    f"--params {key}={params[key]} is more than {_PARAM_BUDGET[key]}"
+                )
     if args.seeds:
         seeds = list(_parse_ints(args.seeds, "--seeds"))
     elif args.seed is not None:

@@ -26,6 +26,17 @@ from .presentation import GradedPresentation
 
 Face = frozenset[int]
 
+# most variables a complex or a support computation may have: both visit all
+# 2^m subsets of the variables
+MAX_VARIABLES = 12
+
+
+def _require_variable_budget(m: int) -> None:
+    if m > MAX_VARIABLES:
+        raise PreconditionError(
+            f"m = {m} is more than {MAX_VARIABLES} variables; the 2^m subsets are out of budget"
+        )
+
 
 def _face(vertices: Iterable[int]) -> Face:
     return frozenset(int(v) for v in vertices)
@@ -50,6 +61,7 @@ class SimplicialComplex:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise PreconditionError("need at least one vertex slot")
+        _require_variable_budget(self.m)
         for f in self.faces:
             if any(v < 1 or v > self.m for v in f):
                 raise PreconditionError(f"face {sorted(f)} outside 1..{self.m}")
@@ -99,6 +111,7 @@ def skeleton(m: int, i: int) -> SimplicialComplex:
     """
     if not -2 <= i <= m - 1:
         raise PreconditionError(f"skeleton index {i} outside [-2, {m - 1}]")
+    _require_variable_budget(m)
     if i == -2:
         return empty_complex(m)
     faces = [
@@ -180,6 +193,7 @@ def supp_complex(module: GradedPresentation) -> SimplicialComplex:
     each single coordinate, so the box is exhaustive).
     """
     m = module.m
+    _require_variable_budget(m)
     bound = module.stabilization_bound()
     faces = []
     for r in range(m + 1):

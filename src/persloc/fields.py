@@ -3,10 +3,16 @@
 Everything downstream (graded slices, transition matrices, subspace lattices)
 reduces to the primitives here: reduced echelon forms with deterministic
 first-nonzero pivoting, kernels, and sums of subspaces held in a canonical
-basis.  All values are exact: integers in [0, p) for characteristic
-p, `fractions.Fraction` for characteristic 0.  Matrices and subspaces are
-immutable; operations return fresh objects, so sharing them between threads is
-safe.
+basis.  Matrices and subspaces are immutable; operations return fresh
+objects, so sharing them between threads is safe.
+
+Entries are canonical: an `int` in [0, p) for characteristic p, a
+`fractions.Fraction` for characteristic 0.  The contract is enforced once,
+where values enter the program: `Field.coerce` runs only in
+`Matrix.from_rows`, `presentation.GradedPresentation.build` and
+`modfile._scalar`.  Everything else (`Matrix.from_cols`, `Subspace.span`,
+`Subspace.reduce`, the row operations) trusts its input to be canonical and
+keeps it so.
 
 The only row-reduction code in the package is here: the two row operations
 `Field.axpy` and `Field.scale`, the full reduction `_rref`, and `Echelon`,
@@ -17,7 +23,6 @@ reduces rows through them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 from .errors import AmbientMismatchError
@@ -218,14 +223,13 @@ class Matrix:
         return cls(field, len(rows), ncols, ent)
 
     @classmethod
-    def from_cols(cls, field: Field, ncols_ambient: int, cols) -> "Matrix":
-        cols = [list(c) for c in cols]
-        for c in cols:
-            if len(c) != ncols_ambient:
-                raise ValueError("column of wrong height")
-        rows = [[cols[j][i] for j in range(len(cols))] for i in range(ncols_ambient)]
-        ent = tuple(tuple(field.coerce(x) for x in r) for r in rows)
-        return cls(field, ncols_ambient, len(cols), ent)
+    def from_cols(cls, field: Field, nrows: int, cols) -> "Matrix":
+        """The matrix with the given (canonical) columns."""
+        cols = [tuple(c) for c in cols]
+        if any(len(c) != nrows for c in cols):
+            raise ValueError("column of wrong height")
+        ent = tuple(zip(*cols)) if cols else ((),) * nrows
+        return cls(field, nrows, len(cols), ent)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
@@ -249,9 +253,6 @@ class Matrix:
 
     def col(self, j: int) -> tuple:
         return tuple(self.entries[i][j] for i in range(self.nrows))
-
-    def columns(self) -> list[tuple]:
-        return [self.col(j) for j in range(self.ncols)]
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if other.field != self.field or other.nrows != self.nrows:
@@ -320,61 +321,44 @@ class Matrix:
 
     def image(self) -> "Subspace":
         """Column span as a canonical subspace of F^nrows."""
-        return Subspace.span(self.field, self.nrows, self.columns())
+        return Subspace.span(self.field, self.nrows, zip(*self.entries))
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of F^ambient in reduced column echelon basis.
+    """A subspace of F^ambient held as its reduced row echelon basis.
 
-    Basis columns have strictly increasing pivot rows, each pivot entry is 1,
-    and pivot rows vanish in every other basis column; the representation of a
+    `rows` have strictly increasing pivot columns `pivots`, each pivot entry
+    is 1, and every other row vanishes at a pivot; the representation of a
     given subspace is therefore unique, so `==` decides subspace equality.
     """
 
+    field: Field
     ambient: int
-    basis: Matrix
+    rows: tuple[tuple, ...]
     pivots: tuple[int, ...]
 
     @classmethod
     def span(cls, field: Field, ambient: int, vectors) -> "Subspace":
-        vectors = [list(v) for v in vectors]
-        for v in vectors:
-            if len(v) != ambient:
-                raise AmbientMismatchError("spanning vector of wrong height")
-        rows = [[field.coerce(x) for x in v] for v in vectors]
+        rows = [list(v) for v in vectors]
+        if any(len(v) != ambient for v in rows):
+            raise AmbientMismatchError("spanning vector of wrong height")
         rows, pivots = _rref(field, rows, ambient)
-        rows = rows[: len(pivots)]
-        basis = Matrix.from_cols(field, ambient, rows)
-        return cls(ambient, basis, tuple(pivots))
-
-    @classmethod
-    def full(cls, field: Field, ambient: int) -> "Subspace":
-        return cls.span(field, ambient, Matrix.identity(field, ambient).columns())
-
-    @property
-    def field(self) -> Field:
-        return self.basis.field
+        return cls(field, ambient, tuple(map(tuple, rows[: len(pivots)])), tuple(pivots))
 
     @property
     def dim(self) -> int:
-        return self.basis.ncols
-
-    @cached_property
-    def _echelon(self) -> Echelon:
-        return Echelon(self.field, self.basis.columns(), self.pivots)
+        return len(self.rows)
 
     def reduce(self, vec) -> tuple:
-        """Subtract the unique basis combination matching vec on pivot rows.
+        """Subtract the unique basis combination matching vec on the pivots.
 
-        The result vanishes on all pivot rows; it is zero iff vec lies in the
+        The result vanishes on all pivots; it is zero iff vec lies in the
         subspace.
         """
-        field = self.basis.field
-        v = [field.normalize(x) for x in vec]
-        if len(v) != self.ambient:
+        if len(vec) != self.ambient:
             raise AmbientMismatchError("vector length mismatch")
-        return tuple(self._echelon.reduce(v))
+        return tuple(Echelon(self.field, self.rows, self.pivots).reduce(vec))
 
     def contains_vector(self, vec) -> bool:
         return all(x == 0 for x in self.reduce(vec))
@@ -382,19 +366,9 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         if other.ambient != self.ambient:
             raise AmbientMismatchError("ambient mismatch")
-        return all(self.contains_vector(c) for c in other.basis.columns())
+        return all(self.contains_vector(r) for r in other.rows)
 
     def plus(self, other: "Subspace") -> "Subspace":
         if other.ambient != self.ambient or other.field != self.field:
             raise AmbientMismatchError("ambient mismatch")
-        return Subspace.span(
-            self.field, self.ambient, self.basis.columns() + other.basis.columns()
-        )
-
-    def image_under(self, a: Matrix) -> "Subspace":
-        if a.ncols != self.ambient:
-            raise AmbientMismatchError("map domain mismatch")
-        return Subspace.span(
-            a.field, a.nrows, [a.apply(c) for c in self.basis.columns()]
-        )
-
+        return Subspace.span(self.field, self.ambient, self.rows + other.rows)

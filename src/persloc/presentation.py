@@ -69,13 +69,15 @@ class GradedPresentation:
 
     @classmethod
     def build(cls, m, fld, gen_degrees, relations) -> "GradedPresentation":
-        """Construct from degree lists; relations are (degree, coeff row) pairs."""
+        """Construct from degree lists; relations are (degree, coeff row) pairs.
+
+        The coefficients are outside input: they are coerced into the field.
+        """
         gen_degrees = tuple(dg.as_degree(d, m) for d in gen_degrees)
         rel_degrees = tuple(dg.as_degree(d, m) for d, _ in relations)
-        cols = [list(c) for _, c in relations]
-        for c in cols:
-            if len(c) != len(gen_degrees):
-                raise AmbientMismatchError("relation coefficient vector length mismatch")
+        cols = [[fld.coerce(x) for x in c] for _, c in relations]
+        if any(len(c) != len(gen_degrees) for c in cols):
+            raise AmbientMismatchError("relation coefficient vector length mismatch")
         mat = Matrix.from_cols(fld, len(gen_degrees), cols)
         return cls(m, fld, gen_degrees, rel_degrees, mat)
 

@@ -278,7 +278,7 @@ def endomorphism_basis(rep: QuiverRep) -> list[Endo]:
         ),
     )
     id_vec = _endo_to_vector(rep, identity)
-    candidates = [id_vec] + [list(c) for c in kernel.basis.columns()]
+    candidates = [id_vec, *kernel.rows]
     echelon = Echelon(fld)
     return [_endo_from_vector(rep, v) for v in candidates if echelon.insert(v)]
 
@@ -297,19 +297,16 @@ def _mat_power(mat: Matrix, k: int) -> Matrix:
 def _restrict_arrow(a: Matrix, src: Subspace, tgt: Subspace) -> Matrix:
     """Matrix of A between invariant subspaces, in their echelon bases.
 
-    Coordinates in the target basis are read off the pivot rows; the residual
-    is checked so a non-invariant subspace cannot slip through.
+    Coordinates in the target basis are read off its pivots; membership is
+    checked so a non-invariant subspace cannot slip through.
     """
-    fld = a.field
     cols = []
-    for v in src.basis.columns():
+    for v in src.rows:
         img = a.apply(v)
-        coords = [img[p] for p in tgt.pivots]
-        recon = tgt.basis.apply(coords)
-        if tuple(recon) != tuple(img):
+        if not tgt.contains_vector(img):
             raise DecompositionError("subspace is not arrow-invariant")
-        cols.append(coords)
-    return Matrix.from_cols(fld, tgt.dim, cols)
+        cols.append([img[p] for p in tgt.pivots])
+    return Matrix.from_cols(a.field, tgt.dim, cols)
 
 
 def _split_along(rep: QuiverRep, endo: Endo) -> tuple["QuiverRep", "QuiverRep"] | None:

@@ -249,6 +249,40 @@ def _solve(fld: Field, rows: list[list], rhs: list, ncols: int) -> tuple | None:
     return tuple(sol)
 
 
+def _check_section(f: PresentationMap, w: SectionWitness, e: Degree) -> None:
+    """Raise DecompositionError unless w satisfies the three section conditions.
+
+    Each condition is evaluated on the witness vectors with the transition and
+    slice matrices themselves, independently of the linear system solved for w.
+    """
+    src, tgt, fld = f.source, f.target, f.field
+
+    def image(slices, vectors, k, at) -> tuple:
+        return src.transition(slices[k], at).apply(vectors[k])
+
+    for slices, vectors, pin in (
+        (w.axis1_slices, w.axis1_vectors, lambda d: (d[0], e[1])),
+        (w.axis2_slices, w.axis2_vectors, lambda d: (e[0], d[1])),
+    ):
+        # (i) target relations map to zero
+        for j, rd in enumerate(tgt.rel_degrees):
+            at = pin(rd)
+            total = [fld.zero] * src.dim_at(at)
+            for k, coeff in enumerate(tgt.rel_coeffs.col(j)):
+                if coeff != 0:
+                    total = fld.axpy(total, coeff, image(slices, vectors, k, at))
+            if any(x != 0 for x in total):
+                raise DecompositionError(f"section witness does not kill target relation {j}")
+        # (iii) composing with f returns each generator
+        for k, at in enumerate(slices):
+            if list(f.slice_matrix(at).apply(vectors[k])) != tgt._slice_coords(at, [(k, fld.one)]):
+                raise DecompositionError(f"section witness does not split generator {k}")
+    # (ii) the two assignments agree in the corner localization
+    for k in range(len(w.degrees)):
+        if image(w.axis1_slices, w.axis1_vectors, k, e) != image(w.axis2_slices, w.axis2_vectors, k, e):
+            raise DecompositionError(f"section witness disagrees at the corner on generator {k}")
+
+
 def section_exists(f: PresentationMap) -> SectionResult:
     """Decide whether the localized map admits a compatible section pair.
 
@@ -257,7 +291,8 @@ def section_exists(f: PresentationMap) -> SectionResult:
     relations map to zero (the assignment is a module map), the two
     assignments agree in the corner localization, and composing with f gives
     the identity.  All three are finite linear conditions; the full system and
-    the two single-axis subsystems are solved separately.
+    the two single-axis subsystems are solved separately.  A witness is
+    checked against the three conditions before it is returned.
     """
     src, tgt = f.source, f.target
     if src.m != 2:
@@ -357,6 +392,7 @@ def section_exists(f: PresentationMap) -> SectionResult:
                 tuple(full[off2[k] : off2[k] + n2[k]]) for k in range(len(gen_deg))
             ),
         )
+        _check_section(f, witness, e)
     return SectionResult(
         exists=full is not None,
         axis1_solvable=sol1 is not None,

@@ -1,6 +1,7 @@
 """Command-line behavior: envelopes, exit codes, determinism, coverage."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,37 @@ def test_box_limits_of_dims_and_delocalize(capsys):
         code, report, _ = run_json(capsys, *argv)
         assert code == 1, argv
         assert report["error"]["type"] == "PreconditionError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kdim", "empty:40"],
+        ["serre-step", "empty:30", "--iterate"],
+        ["support", "quadrant:" + ",".join(["0"] * 24)],
+    ],
+    ids=["kdim", "serre-step", "support"],
+)
+def test_variable_budget_of_complex_paths(capsys, argv):
+    # each visited all 2^m subsets of the variables and ran unbounded
+    start = time.perf_counter()
+    code, report, _ = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert report["error"]["kind"] == "domain"
+    assert "more than 12 variables" in report["error"]["message"]
+
+
+def test_random_params_budget(capsys):
+    # max_gens=100000000 drew up to 10^8 generator degrees
+    start = time.perf_counter()
+    code, report, _ = run_json(capsys, "random", "--seed", "1", "--params", "max_gens=100000000")
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert report["error"]["type"] == "PreconditionError"
+    for params in ("m=13", "max_rels=1001", "max_degree=1001"):
+        code, report, _ = run_json(capsys, "random", "--seed", "1", "--params", params)
+        assert (code, report["error"]["type"]) == (1, "PreconditionError"), params
 
 
 def test_exit_1_on_missing_or_malformed_file(tmp_path, capsys):

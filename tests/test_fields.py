@@ -14,7 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from persloc.degrees import leq
 from persloc.fields import DEFAULT_FIELD, Echelon, Field, Matrix, Subspace, _is_prime, _rref
+from persloc.presentation import GradedPresentation, PresentationMap, random_presentation
+from persloc.quiver import endomorphism_basis, is_indecomposable, random_rep
 
 
 F2 = Field(2)
@@ -116,7 +119,7 @@ def test_kernel_vectors_annihilate():
         mat = rand_matrix(rng, fld, rng.randint(1, 5), rng.randint(1, 5))
         ker = mat.kernel()
         for j in range(ker.dim):
-            v = ker.basis.col(j)
+            v = ker.rows[j]
             assert all(x == fld.zero for x in mat.apply(v))
 
 
@@ -153,13 +156,12 @@ def test_echelon_basis_is_canonical():
     u1 = Subspace.span(F5, 3, [(1, 2, 3), (0, 1, 1)])
     u2 = Subspace.span(F5, 3, [(1, 3, 4), (0, 2, 2), (1, 2, 3)])
     assert u1 == u2
-    assert u1.basis == u2.basis
+    assert u1.rows == u2.rows
 
 
 def test_image_under_and_reduce():
     mat = Matrix.from_rows(F5, [[1, 0], [0, 0]])
-    u = Subspace.full(F5, 2)
-    img = u.image_under(mat)
+    img = mat.image()
     assert img.dim == 1
     assert img.contains_vector((2, 0))
     assert img.reduce((2, 3)) == (0, 3)
@@ -216,3 +218,43 @@ def test_echelon_agrees_with_rref_and_subspace(case):
     red = echelon.reduce(probe)
     assert all(red[p] == 0 for p in echelon.pivots)
     assert all(x == 0 for x in red) == Subspace.span(fld, ncols, rows).contains_vector(probe)
+
+
+def _is_canonical(fld, x):
+    if fld.char:
+        return type(x) is int and 0 <= x < fld.char
+    return type(x) is Fraction
+
+
+@st.composite
+def _module_degrees_and_rep(draw):
+    fld = draw(st.sampled_from([F2, F5, Q]))
+    m = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 10**6))
+    a = tuple(draw(st.integers(0, 3)) for _ in range(m))
+    b = tuple(x + draw(st.integers(0, 2)) for x in a)
+    return fld, m, seed, a, b
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_module_degrees_and_rep())
+def test_entries_stay_canonical_through_every_layer(case):
+    # coerce runs only where values enter; everything built from them must
+    # still hold canonical entries
+    fld, m, seed, a, b = case
+    mod = random_presentation(seed, m=m, max_gens=5, max_rels=5, max_degree=3, fld=fld)
+    rng = random.Random(seed)
+    coeffs = [
+        [(rng.randrange(fld.char) if fld.char else rng.randint(-3, 3)) if leq(gi, gj) else 0 for gj in mod.gen_degrees]
+        for gi in mod.gen_degrees
+    ]
+    free = GradedPresentation.build(m, fld, mod.gen_degrees, [])
+    f = PresentationMap(free, mod, Matrix.from_rows(fld, coeffs) if coeffs else Matrix(fld, 0, 0, ()))
+    t = mod.transition(a, b)
+    rows = [*t.entries, *mod.slice_image(a, b).rows, *t.kernel().rows, *f.slice_matrix(b).entries]
+    rep = random_rep(seed, fld=fld)
+    for endo in endomorphism_basis(rep):
+        rows += [r for mat in (endo.sink, *(x for leg in endo.legs for x in leg)) for r in mat.entries]
+    for part in is_indecomposable(rep).witness or ():
+        rows += [r for leg in part.arrows for mat in leg for r in mat.entries]
+    assert [x for row in rows for x in row if not _is_canonical(fld, x)] == []

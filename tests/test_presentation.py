@@ -63,7 +63,8 @@ def test_transition_functoriality_seeded():
     # transition(a, c) == transition(b, c) . transition(a, b) on random chains
     rng = random.Random("functorial")
     for seed in range(100):
-        mod = random_presentation(seed, m=rng.choice([1, 2, 3]), max_gens=4, max_rels=5, max_degree=4)
+        fld = rng.choice([Field(2), F5, Field(0)])
+        mod = random_presentation(seed, m=rng.choice([1, 2, 3]), max_gens=4, max_rels=5, max_degree=4, fld=fld)
         m = mod.m
         a = tuple(rng.randint(0, 3) for _ in range(m))
         b = tuple(x + rng.randint(0, 2) for x in a)

@@ -19,6 +19,7 @@ from persloc.presentation import (
     random_presentation,
     zero_module,
 )
+from persloc import twoparam
 from persloc.twoparam import (
     Decomposition,
     bifiltration,
@@ -240,6 +241,19 @@ def test_section_split_control_with_witness():
         push1 = src.transition(w.axis1_slices[k], corner).apply(w.axis1_vectors[k])
         push2 = src.transition(w.axis2_slices[k], corner).apply(w.axis2_vectors[k])
         assert push1 == push2
+
+
+def test_section_witness_is_verified(monkeypatch):
+    # a solver answer that is not a section must not come back as a witness
+    solve = twoparam._solve
+
+    def corrupted(fld, rows, rhs, ncols):
+        sol = solve(fld, rows, rhs, ncols)
+        return None if sol is None else (fld.normalize(sol[0] + 1),) + sol[1:]
+
+    monkeypatch.setattr(twoparam, "_solve", corrupted)
+    with pytest.raises(DecompositionError, match="section witness"):
+        section_exists(named_example("split_projection"))
 
 
 def test_section_requires_locally_epic():
