@@ -20,7 +20,6 @@ files by the next.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from pathlib import Path
@@ -40,6 +39,7 @@ from .complexes import (
 )
 from .degrees import box as degree_box
 from .degrees import join as degree_join
+from .degrees import require_box_budget
 from .errors import (
     DecompositionError,
     DegreeOrderError,
@@ -54,6 +54,7 @@ from .localization import localized_barcode, localized_dim, localized_rank
 from .presentation import GradedPresentation, PresentationMap, direct_sum, random_presentation
 from .quiver import (
     QuiverRep,
+    _by_leg,
     endomorphism_basis,
     is_indecomposable,
     quiver_shape,
@@ -100,20 +101,12 @@ def _parse_degree(text: str, m: int, what: str) -> tuple[int, ...]:
     return d
 
 
-# most degrees a `dims` or `delocalize` table may hold
-_MAX_BOX_DEGREES = 100_000
-
-
 def _box_limit(text: str | None, m: int, default: tuple[int, ...]) -> tuple[int, ...]:
     """The box limit a table iterates: --box if given, else the default."""
     limit = _parse_degree(text, m, "--box") if text else default
     if min(limit) < 0:
         raise UsageError(f"--box {text!r} has a negative component")
-    size = math.prod(x + 1 for x in limit)
-    if size > _MAX_BOX_DEGREES:
-        raise PreconditionError(
-            f"box {list(limit)} holds {size} degrees, more than {_MAX_BOX_DEGREES}"
-        )
+    require_box_budget(limit)
     return limit
 
 
@@ -353,8 +346,8 @@ def _cmd_endo(args, fld: Field, inputs: list) -> dict:
         "dimension": len(basis),
         "basis": [
             {
-                "sink": _mat_obj(e.sink),
-                "legs": [[_mat_obj(m) for m in leg] for leg in e.legs],
+                "sink": _mat_obj(e[0]),
+                "legs": [[_mat_obj(m) for m in leg] for leg in _by_leg(rep.n, e[1:])],
             }
             for e in basis
         ],
@@ -409,7 +402,8 @@ def _cmd_section_exists(args, fld: Field, inputs: list) -> dict:
 
 
 # largest value each --params key may take: m as for complexes, and the draw
-# sizes so that one sample stays about a second of work
+# sizes so that one sample stays about a second of work; the generators and
+# relations drawn over all --seeds share the same budget
 _PARAM_BUDGET = {"m": MAX_VARIABLES, "max_gens": 1_000, "max_rels": 1_000, "max_degree": 1_000}
 
 
@@ -437,6 +431,11 @@ def _cmd_random(args, fld: Field, inputs: list) -> dict:
         seeds = [args.seed]
     else:
         raise UsageError("need --seed S or --seeds S1,S2,...")
+    for key in ("max_gens", "max_rels"):
+        if len(seeds) * params[key] > _PARAM_BUDGET[key]:
+            raise PreconditionError(
+                f"{len(seeds)} seeds at {key}={params[key]} draw more than {_PARAM_BUDGET[key]} in total"
+            )
     samples = [
         random_presentation(
             s,

@@ -190,11 +190,13 @@ def supp_complex(module: GradedPresentation) -> SimplicialComplex:
     Nonvanishing is decided by a finite box test: pin the sigma-coordinates at
     the stabilization bound and look for a nonzero slice with the remaining
     coordinates inside the bound box (slices are constant past the bound in
-    each single coordinate, so the box is exhaustive).
+    each single coordinate, so the box is exhaustive).  A bound box of more
+    than `degrees.MAX_BOX_DEGREES` degrees is refused.
     """
     m = module.m
     _require_variable_budget(m)
     bound = module.stabilization_bound()
+    dg.require_box_budget(bound)
     faces = []
     for r in range(m + 1):
         for comb in combinations(range(1, m + 1), r):
@@ -229,6 +231,7 @@ def annihilated_by_monomial_power(module: GradedPresentation, face: Iterable[int
     1 + max(stabilization bound) is the zero map from every slice in the
     bound box; if that power does not kill the module no power does.  The
     empty face's monomial is 1, which is nilpotent only on the zero module.
+    The bound box has the budget of `supp_complex`.
     """
     m = module.m
     face = frozenset(int(i) for i in face)
@@ -237,6 +240,7 @@ def annihilated_by_monomial_power(module: GradedPresentation, face: Iterable[int
     if not face:
         return module.is_zero()
     bound = module.stabilization_bound()
+    dg.require_box_budget(bound)
     power = 1 + max(bound)
     step = tuple(power if (i + 1) in face else 0 for i in range(m))
     for d in dg.box(bound):

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from itertools import product
 from typing import Iterable, Iterator
 
+from .errors import PreconditionError
+
 Degree = tuple[int, ...]
+
+# most degrees one walk over a box may visit
+MAX_BOX_DEGREES = 100_000
 
 
 def as_degree(values: Iterable[int], m: int | None = None) -> Degree:
@@ -43,6 +49,13 @@ def axis_unit(m: int, axis: int) -> Degree:
 def box(limit: Degree) -> Iterator[Degree]:
     """All degrees 0 <= d <= limit, in lexicographic order."""
     return product(*(range(b + 1) for b in limit))
+
+
+def require_box_budget(limit: Degree) -> None:
+    """Refuse a box(limit) walk over more than MAX_BOX_DEGREES degrees."""
+    size = math.prod(x + 1 for x in limit)
+    if size > MAX_BOX_DEGREES:
+        raise PreconditionError(f"box {list(limit)} holds {size} degrees, more than {MAX_BOX_DEGREES}")
 
 
 def with_axis(d: Degree, axis: int, value: int) -> Degree:

@@ -260,6 +260,21 @@ class Matrix:
         ent = tuple(a + b for a, b in zip(self.entries, other.entries))
         return Matrix(self.field, self.nrows, self.ncols + other.ncols, ent)
 
+    def direct_sum(self, *others: "Matrix") -> "Matrix":
+        """The block-diagonal matrix with self, then others, down the diagonal."""
+        if any(b.field != self.field for b in others):
+            raise AmbientMismatchError("direct sum field mismatch")
+        blocks = (self, *others)
+        zero = self.field.zero
+        ncols = sum(b.ncols for b in blocks)
+        ent = []
+        left = 0
+        for b in blocks:
+            pad_left, pad_right = (zero,) * left, (zero,) * (ncols - left - b.ncols)
+            ent.extend(pad_left + r + pad_right for r in b.entries)
+            left += b.ncols
+        return Matrix(self.field, len(ent), ncols, tuple(ent))
+
     def mul(self, other: "Matrix") -> "Matrix":
         if other.field != self.field or self.ncols != other.nrows:
             raise AmbientMismatchError("matmul shape or field mismatch")

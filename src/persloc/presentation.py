@@ -189,31 +189,21 @@ class GradedPresentation:
         )
 
     def direct_sum(self, other: "GradedPresentation") -> "GradedPresentation":
-        if other.m != self.m or other.field != self.field:
-            raise AmbientMismatchError("direct sum needs matching m and field")
-        g1, g2 = self.num_gens, other.num_gens
-        r1, r2 = self.num_rels, other.num_rels
-        zero = self.field.zero
-        rows = []
-        for i in range(g1):
-            rows.append(tuple(self.rel_coeffs.entries[i]) + (zero,) * r2)
-        for i in range(g2):
-            rows.append((zero,) * r1 + tuple(other.rel_coeffs.entries[i]))
-        mat = Matrix(self.field, g1 + g2, r1 + r2, tuple(rows))
-        return GradedPresentation(
-            self.m,
-            self.field,
-            self.gen_degrees + other.gen_degrees,
-            self.rel_degrees + other.rel_degrees,
-            mat,
-        )
+        return direct_sum(self, other)
 
 
 def direct_sum(first: GradedPresentation, *rest: GradedPresentation) -> GradedPresentation:
-    out = first
-    for nxt in rest:
-        out = out.direct_sum(nxt)
-    return out
+    """The direct sum of the presentations, built in one pass."""
+    if any(p.m != first.m or p.field != first.field for p in rest):
+        raise AmbientMismatchError("direct sum needs matching m and field")
+    parts = (first, *rest)
+    return GradedPresentation(
+        first.m,
+        first.field,
+        tuple(d for p in parts for d in p.gen_degrees),
+        tuple(d for p in parts for d in p.rel_degrees),
+        first.rel_coeffs.direct_sum(*(p.rel_coeffs for p in rest)),
+    )
 
 
 def zero_module(m: int, fld: Field = DEFAULT_FIELD) -> GradedPresentation:

@@ -6,6 +6,7 @@ representation of the quiver with one central sink and three incoming legs of
 length n (3n+1 vertices, 3n arrows; the n = 1 shape is D4, the n = 2 shape is
 affine E6).  Leg i carries the stabilized slices with coordinate i running
 from 0 to n-1, the sink is the stable corner, and all maps are transitions.
+The order of vertices and arrows is decided once, in `_star`.
 
 On top of the conversion: endomorphism algebras by solving the commutation
 system, splitting searches via Fitting decompositions, certified
@@ -32,18 +33,31 @@ _MAX_END_DIM = 6
 _TRIALS = 64
 
 
+def _star(n: int) -> list[tuple[int, int]]:
+    """The 3n arrows of the star as (source, target) vertex indices.
+
+    Vertex 0 is the sink and leg l holds vertices 1 + l*n ... (l+1)*n in
+    order; arrows are listed leg by leg, each leg ending in the sink.
+    """
+    return [
+        (1 + leg * n + j, 1 + leg * n + j + 1 if j + 1 < n else 0)
+        for leg in range(3)
+        for j in range(n)
+    ]
+
+
+def _by_leg(n: int, items) -> tuple[tuple, ...]:
+    """Regroup 3n flat leg items (vertices or arrows) into three legs of n."""
+    items = tuple(items)
+    return tuple(items[leg * n : (leg + 1) * n] for leg in range(3))
+
+
 def quiver_shape(n: int) -> dict:
     """Vertices and arrows of the three-legged star with legs of length n."""
     if n < 1:
         raise PreconditionError("leg length must be at least 1")
-    vertices = ["sink"]
-    arrows = []
-    for leg in (1, 2, 3):
-        for j in range(n):
-            vertices.append(f"leg{leg}.{j}")
-        for j in range(n - 1):
-            arrows.append((f"leg{leg}.{j}", f"leg{leg}.{j + 1}"))
-        arrows.append((f"leg{leg}.{n - 1}", "sink"))
+    vertices = ["sink", *(f"leg{leg}.{j}" for leg in (1, 2, 3) for j in range(n))]
+    arrows = [(vertices[s], vertices[t]) for s, t in _star(n)]
     classification = {1: "D4", 2: "E6_affine"}.get(n)
     return {
         "n": n,
@@ -60,7 +74,8 @@ class QuiverRep:
     """A representation: leg spaces, sink space, and the maps between them.
 
     `arrows[leg][j]` maps leg vertex j to vertex j+1 for j < n-1; the last
-    entry maps leg vertex n-1 into the sink.
+    entry maps leg vertex n-1 into the sink.  `dims` and `maps` list the same
+    data flat, in the vertex and arrow order of `_star`.
     """
 
     field: Field
@@ -74,44 +89,44 @@ class QuiverRep:
             raise PreconditionError("leg length must be at least 1")
         if len(self.leg_dims) != 3 or len(self.arrows) != 3:
             raise PreconditionError("exactly three legs")
-        for dims, maps in zip(self.leg_dims, self.arrows):
-            if len(dims) != self.n or len(maps) != self.n:
-                raise PreconditionError("leg length mismatch")
-            for j, mat in enumerate(maps):
-                src = dims[j]
-                tgt = dims[j + 1] if j + 1 < self.n else self.sink_dim
-                if mat.ncols != src or mat.nrows != tgt:
-                    raise PreconditionError(
-                        f"arrow leg{j} shape {mat.nrows}x{mat.ncols}, expected {tgt}x{src}"
-                    )
-                if mat.field != self.field:
-                    raise PreconditionError("arrow over wrong field")
+        if any(len(leg) != self.n for leg in (*self.leg_dims, *self.arrows)):
+            raise PreconditionError("leg length mismatch")
+        dims = self.dims
+        for (s, t), mat in zip(_star(self.n), self.maps):
+            if mat.ncols != dims[s] or mat.nrows != dims[t]:
+                names = quiver_shape(self.n)["vertices"]
+                raise PreconditionError(
+                    f"arrow {names[s]}->{names[t]} shape {mat.nrows}x{mat.ncols}, "
+                    f"expected {dims[t]}x{dims[s]}"
+                )
+            if mat.field != self.field:
+                raise PreconditionError("arrow over wrong field")
+
+    @classmethod
+    def from_flat(cls, field: Field, n: int, dims, maps) -> "QuiverRep":
+        """The representation with vertex `dims` and arrow `maps` in `_star` order."""
+        return cls(field, n, dims[0], _by_leg(n, dims[1:]), _by_leg(n, maps))
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return (self.sink_dim, *(d for leg in self.leg_dims for d in leg))
+
+    @property
+    def maps(self) -> tuple[Matrix, ...]:
+        return tuple(mat for leg in self.arrows for mat in leg)
 
     def total_dim(self) -> int:
-        return self.sink_dim + sum(sum(d) for d in self.leg_dims)
+        return sum(self.dims)
 
     def direct_sum(self, other: "QuiverRep") -> "QuiverRep":
         if other.field != self.field or other.n != self.n:
             raise PreconditionError("direct sum needs matching field and n")
-
-        def block(a: Matrix, b: Matrix) -> Matrix:
-            zero = self.field.zero
-            rows = []
-            for r in a.entries:
-                rows.append(tuple(r) + (zero,) * b.ncols)
-            for r in b.entries:
-                rows.append((zero,) * a.ncols + tuple(r))
-            return Matrix(self.field, a.nrows + b.nrows, a.ncols + b.ncols, tuple(rows))
-
-        dims = tuple(
-            tuple(x + y for x, y in zip(da, db))
-            for da, db in zip(self.leg_dims, other.leg_dims)
+        return QuiverRep.from_flat(
+            self.field,
+            self.n,
+            [a + b for a, b in zip(self.dims, other.dims)],
+            [a.direct_sum(b) for a, b in zip(self.maps, other.maps)],
         )
-        arrows = tuple(
-            tuple(block(ma, mb) for ma, mb in zip(la, lb))
-            for la, lb in zip(self.arrows, other.arrows)
-        )
-        return QuiverRep(self.field, self.n, self.sink_dim + other.sink_dim, dims, arrows)
 
     def leg_composite(self, leg: int, a: int, b: int) -> Matrix:
         """Composite map from leg vertex a to leg vertex b (0-based, a <= b)."""
@@ -157,74 +172,31 @@ def to_quiver_rep(module: GradedPresentation, n: int) -> QuiverRep:
         )
     bound = module.stabilization_bound()
     pin = tuple(max(n, b) for b in bound)
-    sink_dim = module.dim_at(pin)
-    leg_dims = []
-    arrows = []
-    for axis in (1, 2, 3):
-        at = [dg.with_axis(pin, axis, j) for j in range(n)] + [pin]
-        dims = tuple(module.dim_at(d) for d in at[:n])
-        maps = [module.transition(at[j], at[j + 1]) for j in range(n)]
-        leg_dims.append(dims)
-        arrows.append(tuple(maps))
-    return QuiverRep(module.field, n, sink_dim, tuple(leg_dims), tuple(arrows))
+    at = [pin, *(dg.with_axis(pin, axis, j) for axis in (1, 2, 3) for j in range(n))]
+    return QuiverRep.from_flat(
+        module.field,
+        n,
+        [module.dim_at(d) for d in at],
+        [module.transition(at[s], at[t]) for s, t in _star(n)],
+    )
 
 
 # -- endomorphisms and splittings ----------------------------------------
 
 
-@dataclass(frozen=True)
-class Endo:
-    """One endomorphism: a square matrix per vertex, commuting with arrows."""
-
-    sink: Matrix
-    legs: tuple[tuple[Matrix, ...], ...]
-
-    def is_identity(self) -> bool:
-        if not _is_identity(self.sink):
-            return False
-        return all(_is_identity(m) for leg in self.legs for m in leg)
-
-    def is_zero(self) -> bool:
-        return self.sink.is_zero() and all(m.is_zero() for leg in self.legs for m in leg)
-
-
-def _is_identity(mat: Matrix) -> bool:
-    return mat == Matrix.identity(mat.field, mat.nrows)
-
-
-def _vertex_dims(rep: QuiverRep) -> list[int]:
-    """Flattened vertex dimension list: sink first, then legs in order."""
-    dims = [rep.sink_dim]
-    for leg in rep.leg_dims:
-        dims.extend(leg)
-    return dims
-
-
-def _endo_from_vector(rep: QuiverRep, vec) -> Endo:
-    dims = _vertex_dims(rep)
+def _endo_from_vector(rep: QuiverRep, vec) -> tuple[Matrix, ...]:
+    """The per-vertex matrices, in vertex order, of a flat row-major vector."""
     mats = []
     pos = 0
-    for d in dims:
-        rows = []
-        for i in range(d):
-            rows.append(tuple(vec[pos + i * d : pos + (i + 1) * d]))
-        mats.append(Matrix(rep.field, d, d, tuple(rows)))
+    for d in rep.dims:
+        rows = tuple(tuple(vec[pos + i * d : pos + (i + 1) * d]) for i in range(d))
+        mats.append(Matrix(rep.field, d, d, rows))
         pos += d * d
-    sink = mats[0]
-    legs = []
-    k = 1
-    for leg in range(3):
-        legs.append(tuple(mats[k : k + rep.n]))
-        k += rep.n
-    return Endo(sink, tuple(legs))
+    return tuple(mats)
 
 
-def _endo_to_vector(rep: QuiverRep, endo: Endo) -> list:
-    vec = []
-    for mat in [endo.sink] + [m for leg in endo.legs for m in leg]:
-        for row in mat.entries:
-            vec.extend(row)
-    return vec
+def _endo_to_vector(endo: tuple[Matrix, ...]) -> list:
+    return [x for mat in endo for row in mat.entries for x in row]
 
 
 def _combine(fld: Field, coeffs, vectors: list[list]) -> list:
@@ -236,48 +208,36 @@ def _combine(fld: Field, coeffs, vectors: list[list]) -> list:
     return vec
 
 
-def endomorphism_basis(rep: QuiverRep) -> list[Endo]:
+def endomorphism_basis(rep: QuiverRep) -> list[tuple[Matrix, ...]]:
     """Basis of the endomorphism algebra, with the identity placed first.
 
-    Solves the commutation system X_target A = A X_source over all arrows.
+    An endomorphism is one square matrix per vertex, in `_star` vertex
+    order.  Solves the commutation system X_target A = A X_source over all
+    arrows.
     """
     fld = rep.field
-    dims = _vertex_dims(rep)
+    dims = rep.dims
     offsets = [0]
     for d in dims:
         offsets.append(offsets[-1] + d * d)
     total = offsets[-1]
-
-    def vertex_index(leg: int, j: int) -> int:
-        return 1 + leg * rep.n + j if j < rep.n else 0
-
     rows: list[list] = []
     zero = fld.zero
-    for leg in range(3):
-        for j in range(rep.n):
-            a = rep.arrows[leg][j]
-            u = vertex_index(leg, j)
-            w = vertex_index(leg, j + 1)
-            du, dw = dims[u], dims[w]
-            # X_w A - A X_u = 0, entrywise over (r, c) in dw x du; u != w,
-            # so each unknown appears at most once per equation
-            for r in range(dw):
-                for c in range(du):
-                    row = [zero] * total
-                    for k in range(dw):
-                        row[offsets[w] + r * dw + k] = a.entries[k][c]
-                    for k in range(du):
-                        row[offsets[u] + k * du + c] = fld.neg(a.entries[r][k])
-                    rows.append(row)
+    for (u, w), a in zip(_star(rep.n), rep.maps):
+        du, dw = dims[u], dims[w]
+        # X_w A - A X_u = 0, entrywise over (r, c) in dw x du; u != w,
+        # so each unknown appears at most once per equation
+        for r in range(dw):
+            for c in range(du):
+                row = [zero] * total
+                for k in range(dw):
+                    row[offsets[w] + r * dw + k] = a.entries[k][c]
+                for k in range(du):
+                    row[offsets[u] + k * du + c] = fld.neg(a.entries[r][k])
+                rows.append(row)
     mat = Matrix(fld, len(rows), total, tuple(tuple(r) for r in rows))
     kernel = mat.kernel()
-    identity = Endo(
-        Matrix.identity(fld, rep.sink_dim),
-        tuple(
-            tuple(Matrix.identity(fld, d) for d in leg) for leg in rep.leg_dims
-        ),
-    )
-    id_vec = _endo_to_vector(rep, identity)
+    id_vec = _endo_to_vector(tuple(Matrix.identity(fld, d) for d in dims))
     candidates = [id_vec, *kernel.rows]
     echelon = Echelon(fld)
     return [_endo_from_vector(rep, v) for v in candidates if echelon.insert(v)]
@@ -309,48 +269,33 @@ def _restrict_arrow(a: Matrix, src: Subspace, tgt: Subspace) -> Matrix:
     return Matrix.from_cols(a.field, tgt.dim, cols)
 
 
-def _split_along(rep: QuiverRep, endo: Endo) -> tuple["QuiverRep", "QuiverRep"] | None:
+def _split_along(rep: QuiverRep, endo: tuple[Matrix, ...]) -> tuple[QuiverRep, QuiverRep] | None:
     """Fitting decomposition along endo; None when one side is zero.
 
     At a vertex of dimension d, kernel and image of X^d are the generalized
     kernel and the stable image of X (both chains settle within d steps).
     """
-    fld = rep.field
-
-    def fitting(mat: Matrix) -> tuple[Subspace, Subspace]:
-        p = _mat_power(mat, mat.nrows)
-        return p.kernel(), p.image()
-
-    sink_k, sink_i = fitting(endo.sink)
-    legs_k = []
-    legs_i = []
-    for leg in range(3):
-        pair = [fitting(m) for m in endo.legs[leg]]
-        legs_k.append([k for k, _ in pair])
-        legs_i.append([i for _, i in pair])
-    total_k = sink_k.dim + sum(s.dim for leg in legs_k for s in leg)
-    total_i = sink_i.dim + sum(s.dim for leg in legs_i for s in leg)
+    powers = [_mat_power(x, x.nrows) for x in endo]
+    kernels = [x.kernel() for x in powers]
+    images = [x.image() for x in powers]
+    total_k = sum(s.dim for s in kernels)
+    total_i = sum(s.dim for s in images)
     if total_k == 0 or total_i == 0:
         return None
     if total_k + total_i != rep.total_dim():
         raise DecompositionError("generalized kernel and image do not fill the space")
-
-    def build(sink_s: Subspace, legs_s: list[list[Subspace]]) -> QuiverRep:
-        dims = tuple(tuple(s.dim for s in leg) for leg in legs_s)
-        arrows = []
-        for leg in range(3):
-            maps = []
-            for j in range(rep.n):
-                src = legs_s[leg][j]
-                tgt = legs_s[leg][j + 1] if j + 1 < rep.n else sink_s
-                maps.append(_restrict_arrow(rep.arrows[leg][j], src, tgt))
-            arrows.append(tuple(maps))
-        return QuiverRep(fld, rep.n, sink_s.dim, dims, tuple(arrows))
-
-    return build(sink_k, legs_k), build(sink_i, legs_i)
+    return tuple(
+        QuiverRep.from_flat(
+            rep.field,
+            rep.n,
+            [space.dim for space in spaces],
+            [_restrict_arrow(a, spaces[u], spaces[w]) for (u, w), a in zip(_star(rep.n), rep.maps)],
+        )
+        for spaces in (kernels, images)
+    )
 
 
-def try_split(rep: QuiverRep, basis: list[Endo]) -> tuple[QuiverRep, QuiverRep] | None:
+def try_split(rep: QuiverRep, basis: list[tuple[Matrix, ...]]) -> tuple[QuiverRep, QuiverRep] | None:
     """Search for a direct-sum splitting via Fitting decompositions.
 
     `basis` is `endomorphism_basis(rep)`.  Its elements are tried first, then
@@ -362,7 +307,7 @@ def try_split(rep: QuiverRep, basis: list[Endo]) -> tuple[QuiverRep, QuiverRep] 
     if total == 0:
         return None
     fld = rep.field
-    vectors = [_endo_to_vector(rep, b) for b in basis]
+    vectors = [_endo_to_vector(b) for b in basis]
     rng = random.Random(("split", 0, total, fld.char).__repr__())
 
     def candidates():
@@ -408,23 +353,20 @@ def is_indecomposable(rep: QuiverRep) -> IndecResult:
         return IndecResult("unknown", dim)
     if dim > _MAX_END_DIM:
         return IndecResult("unknown", dim)
-    vectors = [_endo_to_vector(rep, b) for b in basis]
+    vectors = [_endo_to_vector(b) for b in basis]
+    identity = vectors[0]
     for coeffs in itertools.product(range(fld.char), repeat=dim):
-        endo = _endo_from_vector(rep, _combine(fld, coeffs, vectors))
-        if endo.is_zero() or endo.is_identity():
+        vec = _combine(fld, coeffs, vectors)
+        if vec == identity or not any(vec):
             continue
-        if not _is_idempotent(endo):
+        endo = _endo_from_vector(rep, vec)
+        if any(x.mul(x) != x for x in endo):
             continue
         split = _split_along(rep, endo)
         if split is None:
             raise DecompositionError("nontrivial idempotent produced a trivial splitting")
         return IndecResult("no", dim, split)
     return IndecResult("yes", dim)
-
-
-def _is_idempotent(endo: Endo) -> bool:
-    mats = [endo.sink] + [m for leg in endo.legs for m in leg]
-    return all(m.mul(m) == m for m in mats)
 
 
 def torsion_leg_split(rep: QuiverRep) -> tuple[tuple[tuple[Interval, int], ...], ...] | None:
@@ -461,9 +403,7 @@ def random_rep(
     if n is None:
         n = rng.randint(1, 4)
     sink = 0 if sink_zero else rng.randint(0, max_dim)
-    leg_dims = tuple(
-        tuple(rng.randint(0, max_dim) for _ in range(n)) for _ in range(3)
-    )
+    dims = (sink, *(rng.randint(0, max_dim) for _ in range(3 * n)))
 
     def rand_matrix(nrows: int, ncols: int) -> Matrix:
         if fld.char:
@@ -472,12 +412,5 @@ def random_rep(
             rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
         return Matrix.from_rows(fld, rows) if nrows else Matrix(fld, 0, ncols, ())
 
-    arrows = []
-    for leg in range(3):
-        maps = []
-        for j in range(n):
-            src = leg_dims[leg][j]
-            tgt = leg_dims[leg][j + 1] if j + 1 < n else sink
-            maps.append(rand_matrix(tgt, src))
-        arrows.append(tuple(maps))
-    return QuiverRep(fld, n, sink, leg_dims, tuple(arrows))
+    maps = [rand_matrix(dims[t], dims[s]) for s, t in _star(n)]
+    return QuiverRep.from_flat(fld, n, dims, maps)

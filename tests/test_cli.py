@@ -95,8 +95,17 @@ def test_box_limits_of_dims_and_delocalize(capsys):
         code, report, _ = run_json(capsys, *argv)
         assert code == 2, argv
         assert report["error"]["type"] == "UsageError"
-    for argv in (["dims", "samerank_m", "--box", "3000,3000"], ["delocalize", "samerank_m", "--box", "100000,0"]):
+    # support and in-kernel walked the 61^4 stabilization box of this module
+    big = "quadrant:60,60,60,60"
+    for argv in (
+        ["dims", "samerank_m", "--box", "3000,3000"],
+        ["delocalize", "samerank_m", "--box", "100000,0"],
+        ["support", big],
+        ["in-kernel", big, "full:4"],
+    ):
+        start = time.perf_counter()
         code, report, _ = run_json(capsys, *argv)
+        assert time.perf_counter() - start < 2, argv
         assert code == 1, argv
         assert report["error"]["type"] == "PreconditionError"
 
@@ -130,6 +139,15 @@ def test_random_params_budget(capsys):
     for params in ("m=13", "max_rels=1001", "max_degree=1001"):
         code, report, _ = run_json(capsys, "random", "--seed", "1", "--params", params)
         assert (code, report["error"]["type"]) == (1, "PreconditionError"), params
+    # the draws of all --seeds share the budget of one sample: 1,600 seeds at
+    # the default max_rels=8 ran past 120 s
+    many = ",".join(str(s) for s in range(1600))
+    for extra in ([], ["--params", "max_gens=501"], ["--params", "max_rels=501"]):
+        seeds = many if not extra else "1,2"
+        start = time.perf_counter()
+        code, report, _ = run_json(capsys, "random", "--seeds", seeds, *extra)
+        assert time.perf_counter() - start < 2, extra
+        assert (code, report["error"]["type"]) == (1, "PreconditionError"), extra
 
 
 def test_exit_1_on_missing_or_malformed_file(tmp_path, capsys):

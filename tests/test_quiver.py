@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 
 from persloc.degrees import box
 from persloc.errors import PreconditionError
-from persloc.fields import DEFAULT_FIELD, Field, Matrix
+from persloc.fields import DEFAULT_FIELD, Field, Matrix, Subspace
 from persloc.localization import Interval, bars_from_rank_fn
 from persloc.presentation import GradedPresentation, direct_sum, free_module, random_presentation
 from persloc.examples import named_example, strip_presentation
 from persloc.quiver import (
     QuiverRep,
+    _endo_to_vector,
+    _star,
     endomorphism_basis,
     in_leq_n,
     is_indecomposable,
@@ -106,40 +108,54 @@ def test_to_quiver_rep_free_module():
 
 
 def test_endomorphisms_contain_identity_and_compose():
-    rng = random.Random("endo-compose")
     for seed in range(12):
         rep = random_rep(seed, n=2, max_dim=2)
         basis = endomorphism_basis(rep)
         if rep.total_dim():
-            first = basis[0]
-            assert first.is_identity()
+            assert basis[0] == tuple(Matrix.identity(rep.field, d) for d in rep.dims)
         # closure under composition: the product of two basis elements solves
         # the same commutation system, so it reduces into the span
-        from persloc.quiver import _endo_to_vector, _vertex_dims
-        from persloc.fields import Subspace
-
-        dims = _vertex_dims(rep)
-        total = sum(a * a for a in dims)
+        total = sum(d * d for d in rep.dims)
         if total == 0:
             continue
-        span = Subspace.span(
-            rep.field, total, [_endo_to_vector(rep, e) for e in basis]
-        )
+        span = Subspace.span(rep.field, total, [_endo_to_vector(e) for e in basis])
         for a in basis[: min(3, len(basis))]:
             for b in basis[: min(3, len(basis))]:
-                comp = _compose_endos(rep, a, b)
-                assert span.contains_vector(_endo_to_vector(rep, comp))
+                comp = tuple(x.mul(y) for x, y in zip(a, b))
+                assert span.contains_vector(_endo_to_vector(comp))
 
 
-def _compose_endos(rep, a, b):
-    from persloc.quiver import Endo
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 4),
+    st.sampled_from([F2, F5, Field(0)]),
+)
+def test_flat_layout_and_endomorphisms_commute_with_every_arrow(seed, n, fld):
+    rep = random_rep(seed, n=n, fld=fld)
+    star = _star(n)
+    assert list(rep.maps) == [mat for leg in rep.arrows for mat in leg]
+    for (u, w), a in zip(star, rep.maps):
+        assert (a.nrows, a.ncols) == (rep.dims[w], rep.dims[u])
+    for x in endomorphism_basis(rep):
+        assert [(m.nrows, m.ncols) for m in x] == [(d, d) for d in rep.dims]
+        for (u, w), a in zip(star, rep.maps):
+            assert x[w].mul(a) == a.mul(x[u]), (seed, n, fld, u, w)
+    assert QuiverRep.from_flat(fld, n, rep.dims, rep.maps) == rep
+    # vertex v > 0 is position (v - 1) % n of leg (v - 1) // n + 1
+    name = lambda v: "sink" if v == 0 else f"leg{(v - 1) // n + 1}.{(v - 1) % n}"
+    assert quiver_shape(n)["arrows"] == [(name(u), name(w)) for u, w in star]
 
-    sink = a.sink.mul(b.sink)
-    legs = tuple(
-        tuple(a.legs[leg][j].mul(b.legs[leg][j]) for j in range(rep.n))
-        for leg in range(3)
-    )
-    return Endo(sink=sink, legs=legs)
+
+def test_bad_arrow_shape_names_the_arrow():
+    def rep(n, sink_dim, leg_dims, shapes):
+        arrows = tuple(tuple(Matrix.zeros(F5, r, c) for r, c in leg) for leg in shapes)
+        return QuiverRep(F5, n, sink_dim, leg_dims, arrows)
+
+    with pytest.raises(PreconditionError, match=r"^arrow leg3\.0->sink shape 1x2, expected 1x3$"):
+        rep(1, 1, ((2,), (2,), (3,)), (((1, 2),), ((1, 2),), ((1, 2),)))
+    with pytest.raises(PreconditionError, match=r"^arrow leg2\.0->leg2\.1 shape 2x1, expected 1x1$"):
+        rep(2, 1, ((1, 1),) * 3, (((1, 1), (1, 1)), ((2, 1), (1, 1)), ((1, 1), (1, 1))))
 
 
 def test_endomorphism_basis_brute_force_f2():
