@@ -121,38 +121,33 @@ def _looks_like_path(spec: str) -> bool:
     return spec.endswith(".json") or "/" in spec or Path(spec).is_file()
 
 
-def _resolve_module(spec: str, fld: Field, inputs: list) -> GradedPresentation:
+# expected type -> (file loader, serializer, its noun, the other noun)
+_KINDS = {
+    GradedPresentation: (modfile.module_from_obj, modfile.module_to_obj, "module", "map"),
+    PresentationMap: (modfile.map_from_obj, modfile.map_to_obj, "map", "module"),
+}
+
+
+def _resolve(spec: str, fld: Field, inputs: list, kind: type):
+    """A module or map (as `kind` says) from a file or a built-in example name.
+
+    Each resolved input is recorded in `inputs` with its field.
+    """
+    load, dump, noun, other = _KINDS[kind]
     if _looks_like_path(spec):
-        module = modfile.module_from_obj(_read_json(spec), where=spec)
+        value = load(_read_json(spec), where=spec)
     else:
         try:
-            module = named_example(spec, fld)
+            value = named_example(spec, fld)
         except UnknownNameError as exc:
             raise ParseError(
                 f"{spec}: not a file and not a built-in example "
                 f"(available: {', '.join(example_names())})"
             ) from exc
-        if not isinstance(module, GradedPresentation):
-            raise ParseError(f"{spec}: names a map, expected a module")
-    inputs.append(modfile.module_to_obj(module))
-    return module
-
-
-def _resolve_map(spec: str, fld: Field, inputs: list) -> PresentationMap:
-    if _looks_like_path(spec):
-        pmap = modfile.map_from_obj(_read_json(spec), where=spec)
-    else:
-        try:
-            pmap = named_example(spec, fld)
-        except UnknownNameError as exc:
-            raise ParseError(
-                f"{spec}: not a file and not a built-in example "
-                f"(available: {', '.join(example_names())})"
-            ) from exc
-        if not isinstance(pmap, PresentationMap):
-            raise ParseError(f"{spec}: names a module, expected a map")
-    inputs.append(modfile.map_to_obj(pmap))
-    return pmap
+        if not isinstance(value, kind):
+            raise ParseError(f"{spec}: names a {other}, expected a {noun}")
+    inputs.append((dump(value), value.field))
+    return value
 
 
 def _resolve_complex(spec: str, inputs: list):
@@ -166,7 +161,7 @@ def _resolve_complex(spec: str, inputs: list):
                 "and not a file"
             )
         k = modfile.complex_from_obj(_read_json(spec), where=spec)
-    inputs.append(modfile.complex_to_obj(k))
+    inputs.append((modfile.complex_to_obj(k), None))
     return k
 
 
@@ -180,12 +175,12 @@ def _resolve_rep(spec: str, fld: Field, inputs: list, n: int | None) -> QuiverRe
             rep = modfile.rep_from_obj(obj, where=spec)
             if n is not None and n != rep.n:
                 raise UsageError(f"-n {n} conflicts with the file's leg length {rep.n}")
-            inputs.append(modfile.rep_to_obj(rep))
+            inputs.append((modfile.rep_to_obj(rep), rep.field))
             return rep
         module = modfile.module_from_obj(obj, where=spec)
-        inputs.append(modfile.module_to_obj(module))
+        inputs.append((modfile.module_to_obj(module), module.field))
     else:
-        module = _resolve_module(spec, fld, inputs)
+        module = _resolve(spec, fld, inputs, GradedPresentation)
     if n is None:
         raise UsageError("converting a module needs -n LEG_LENGTH")
     return to_quiver_rep(module, n)
@@ -199,7 +194,7 @@ def _mat_obj(mat) -> list:
 
 
 def _cmd_dims(args, fld: Field, inputs: list) -> dict:
-    module = _resolve_module(args.module, fld, inputs)
+    module = _resolve(args.module, fld, inputs, GradedPresentation)
     bound = module.stabilization_bound()
     limit = _box_limit(args.box, module.m, bound)
     sigma = list(_parse_ints(args.sigma, "--sigma")) if args.sigma else None
@@ -218,7 +213,7 @@ def _cmd_dims(args, fld: Field, inputs: list) -> dict:
 
 
 def _cmd_rank(args, fld: Field, inputs: list) -> dict:
-    module = _resolve_module(args.module, fld, inputs)
+    module = _resolve(args.module, fld, inputs, GradedPresentation)
     a = _parse_degree(args.a, module.m, "degree a")
     b = _parse_degree(args.b, module.m, "degree b")
     if args.sigma:
@@ -231,7 +226,7 @@ def _cmd_rank(args, fld: Field, inputs: list) -> dict:
 
 
 def _cmd_ibar(args, fld: Field, inputs: list) -> dict:
-    module = _resolve_module(args.module, fld, inputs)
+    module = _resolve(args.module, fld, inputs, GradedPresentation)
     a = _parse_degree(args.a, module.m, "degree a")
     b = _parse_degree(args.b, module.m, "degree b")
     c = _parse_degree(args.c, module.m, "degree c")
@@ -244,16 +239,16 @@ def _cmd_ibar(args, fld: Field, inputs: list) -> dict:
 
 
 def _cmd_barcode(args, fld: Field, inputs: list) -> dict:
-    module = _resolve_module(args.module, fld, inputs)
+    module = _resolve(args.module, fld, inputs, GradedPresentation)
     return modfile.barcode_to_obj(localized_barcode(module, args.axis))
 
 
 def _cmd_decompose(args, fld: Field, inputs: list) -> dict:
-    module = _resolve_module(args.module, fld, inputs)
+    module = _resolve(args.module, fld, inputs, GradedPresentation)
     deco = decompose(module)
     result = modfile.decomposition_to_obj(deco)
     if args.same_as:
-        other = _resolve_module(args.same_as, fld, inputs)
+        other = _resolve(args.same_as, fld, inputs, GradedPresentation)
         result["equivalent"] = equivalent_after_localization(module, other)
     if args.reconstruct:
         result["reconstruction"] = modfile.module_to_obj(reconstruct(deco, module.field))
@@ -264,7 +259,7 @@ def _cmd_decompose(args, fld: Field, inputs: list) -> dict:
 
 
 def _cmd_delocalize(args, fld: Field, inputs: list) -> dict:
-    module = _resolve_module(args.module, fld, inputs)
+    module = _resolve(args.module, fld, inputs, GradedPresentation)
     default = degree_join(module.stabilization_bound(), (3,) * module.m)
     limit = _box_limit(args.box, module.m, default)
     table = [
@@ -274,12 +269,12 @@ def _cmd_delocalize(args, fld: Field, inputs: list) -> dict:
 
 
 def _cmd_support(args, fld: Field, inputs: list) -> dict:
-    module = _resolve_module(args.module, fld, inputs)
+    module = _resolve(args.module, fld, inputs, GradedPresentation)
     return modfile.complex_to_obj(supp_complex(module))
 
 
 def _cmd_in_kernel(args, fld: Field, inputs: list) -> dict:
-    module = _resolve_module(args.module, fld, inputs)
+    module = _resolve(args.module, fld, inputs, GradedPresentation)
     k = _resolve_complex(args.complex, inputs)
     by_support = in_kernel(module, k)
     by_nilpotence = in_kernel_by_nilpotence(module, k)
@@ -331,7 +326,7 @@ def _cmd_serre_step(args, fld: Field, inputs: list) -> dict:
 
 
 def _cmd_quiverize(args, fld: Field, inputs: list) -> dict:
-    module = _resolve_module(args.module, fld, inputs)
+    module = _resolve(args.module, fld, inputs, GradedPresentation)
     rep = to_quiver_rep(module, args.n)
     return {
         "rep": modfile.rep_to_obj(rep),
@@ -377,7 +372,7 @@ def _cmd_split_legs(args, fld: Field, inputs: list) -> dict:
 
 
 def _cmd_section_exists(args, fld: Field, inputs: list) -> dict:
-    pmap = _resolve_map(args.map, fld, inputs)
+    pmap = _resolve(args.map, fld, inputs, PresentationMap)
     res = section_exists(pmap)
     witness = None
     if res.witness is not None:
@@ -632,16 +627,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.subcommand == "verify-paper" and not args.list and not result["all_ok"]:
             exit_code = 1
         # file inputs carry their own field; report the one actually used
-        used = fld
-        for obj in inputs:
-            if isinstance(obj, dict) and "characteristic" in obj:
-                used = Field(obj["characteristic"])
-                break
+        used = next((f for _, f in inputs if f is not None), fld)
         report = {
             "format": 1,
             "command": echo,
             "field": str(used),
-            "input_digest": modfile.digest(inputs) if inputs else None,
+            "input_digest": modfile.digest([obj for obj, _ in inputs]) if inputs else None,
             "result": result,
         }
     except (UsageError, DegreeOrderError) as exc:

@@ -165,9 +165,14 @@ def bars_from_rank_fn(rank: Callable[[int, int], int], bound: int) -> list[tuple
 
 
 def localized_barcode(module: GradedPresentation, axis: int) -> Barcode:
-    """Barcode of the one-parameter module left after inverting the other axes."""
+    """Barcode of the one-parameter module left after inverting the other axes.
+
+    The Möbius route walks the (bound + 1)^2 grid of the axis, so that grid
+    is held to the box budget.
+    """
     rank = axis_rank_function(module, axis)
     bound = module.stabilization_bound()[axis - 1]
+    dg.require_box_budget((bound, bound))
     return Barcode.make(axis, bars_from_rank_fn(rank, bound))
 
 

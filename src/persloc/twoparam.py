@@ -17,6 +17,7 @@ a localized epimorphism admits a compatible pair of sections.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import degrees as dg
 from .complexes import supp_complex
@@ -28,8 +29,8 @@ from .errors import (
     NotLocallyEpicError,
     PreconditionError,
 )
-from .fields import Field, Matrix, Subspace, _rref
-from .localization import Barcode, Interval, localized_barcode
+from .fields import Field, _rref
+from .localization import Interval, localized_barcode
 from .presentation import GradedPresentation, PresentationMap, direct_sum, zero_module
 from .examples import quadrant_presentation, strip_presentation
 
@@ -61,44 +62,11 @@ class Decomposition:
         return cls(vert, horiz, quads)
 
 
-def torsion_strips(module: GradedPresentation) -> tuple[Barcode, Barcode]:
-    """Finite bars of the two axis barcodes (the strip parts)."""
-    _require_two_params(module)
-    b1 = localized_barcode(module, 1)
-    b2 = localized_barcode(module, 2)
-    return Barcode.make(1, b1.finite()), Barcode.make(2, b2.finite())
-
-
-@dataclass(frozen=True)
-class Bifiltration:
-    """Images of the two axis directions inside the stable corner slice."""
-
-    corner: Degree
-    ambient_dim: int
-    v1: tuple[Subspace, ...]  # v1[d] = image of M(d, B2) -> M(B1, B2)
-    v2: tuple[Subspace, ...]  # v2[e] = image of M(B1, e) -> M(B1, B2)
-
-    def __post_init__(self) -> None:
-        for chain in (self.v1, self.v2):
-            for prev, nxt in zip(chain, chain[1:]):
-                if not nxt.contains(prev):
-                    raise DecompositionError("bifiltration images fail to increase")
-            if chain and chain[-1].dim != self.ambient_dim:
-                raise DecompositionError("bifiltration does not exhaust the corner")
-
-
-def bifiltration(module: GradedPresentation) -> Bifiltration:
-    _require_two_params(module)
-    b1, b2 = module.stabilization_bound()
-    ambient = module.dim_at((b1, b2))
-    v1 = tuple(module.slice_image((d, b2), (b1, b2)) for d in range(b1 + 1))
-    v2 = tuple(module.slice_image((b1, e), (b1, b2)) for e in range(b2 + 1))
-    return Bifiltration((b1, b2), ambient, v1, v2)
-
-
 def intersection_table(module: GradedPresentation, dmax: int | None = None, emax: int | None = None) -> list[list[int]]:
     """I[d][e] = dim of the intersection of the two bifiltration images.
 
+    The bifiltration is v1[d] = im M(d, B2) -> M(B1, B2) and v2[e] = im
+    M(B1, e) -> M(B1, B2); both chains must increase to the whole corner.
     Entries beyond the stabilization bound repeat the boundary row/column
     (the images are already everything), so tables of two modules can be
     compared on a common grid.
@@ -109,13 +77,22 @@ def intersection_table(module: GradedPresentation, dmax: int | None = None, emax
         dmax = b1
     if emax is None:
         emax = b2
-    bif = bifiltration(module)
+    dg.require_box_budget((dmax, emax))
+    corner = (b1, b2)
+    ambient = module.dim_at(corner)
+    v1 = [module.slice_image((d, b2), corner) for d in range(b1 + 1)]
+    v2 = [module.slice_image((b1, e), corner) for e in range(b2 + 1)]
+    for chain in (v1, v2):
+        if not all(later.contains(earlier) for earlier, later in zip(chain, chain[1:])):
+            raise DecompositionError("bifiltration images fail to increase")
+        if chain[-1].dim != ambient:
+            raise DecompositionError("bifiltration does not exhaust the corner")
     table = []
     for d in range(dmax + 1):
-        u = bif.v1[min(d, b1)]
+        u = v1[min(d, b1)]
         row = []
         for e in range(emax + 1):
-            w = bif.v2[min(e, b2)]
+            w = v2[min(e, b2)]
             # dim(U cap W) via the lattice identity; cheaper than a basis.
             row.append(u.dim + w.dim - u.plus(w).dim)
         table.append(row)
@@ -154,9 +131,12 @@ def quadrant_corners(module: GradedPresentation) -> Corners:
 
 def decompose(module: GradedPresentation) -> Decomposition:
     """Full strip/quadrant data of the module after inverting variables."""
-    strips1, strips2 = torsion_strips(module)
-    corners = quadrant_corners(module)
-    return Decomposition.make(strips1.bars, strips2.bars, corners)
+    _require_two_params(module)
+    return Decomposition.make(
+        localized_barcode(module, 1).finite(),
+        localized_barcode(module, 2).finite(),
+        quadrant_corners(module),
+    )
 
 
 def reconstruct(deco: Decomposition, fld: Field) -> GradedPresentation:
@@ -290,9 +270,11 @@ def section_exists(f: PresentationMap) -> SectionResult:
     stabilized slice of the source, per axis localization, subject to: target
     relations map to zero (the assignment is a module map), the two
     assignments agree in the corner localization, and composing with f gives
-    the identity.  All three are finite linear conditions; the full system and
-    the two single-axis subsystems are solved separately.  A witness is
-    checked against the three conditions before it is returned.
+    the identity.  All three are finite linear conditions.  Each axis's
+    conditions (i) and (iii) form a system A1, A2 over that axis's unknowns,
+    solved alone for the axis flags; the full system is [A1 0; 0 A2] plus
+    the corner rows [C1 | -C2].  A witness is checked against the three
+    conditions before it is returned.
     """
     src, tgt = f.source, f.target
     if src.m != 2:
@@ -306,96 +288,72 @@ def section_exists(f: PresentationMap) -> SectionResult:
         )
     e = dg.join(src.stabilization_bound(), tgt.stabilization_bound())
     gen_deg = tgt.gen_degrees
-    ax1_slices = tuple((d[0], e[1]) for d in gen_deg)  # axis-2 variable inverted
-    ax2_slices = tuple((e[0], d[1]) for d in gen_deg)
-    n1 = [src.dim_at(s) for s in ax1_slices]
-    n2 = [src.dim_at(s) for s in ax2_slices]
-    off1 = [0]
-    for n in n1:
-        off1.append(off1[-1] + n)
-    off2 = [off1[-1]]
-    for n in n2:
-        off2.append(off2[-1] + n)
-    total = off2[-1]
     zero = fld.zero
 
-    def blank_rows(count: int) -> list[list]:
-        return [[zero] * total for _ in range(count)]
+    def block_row(widths, height: int, terms) -> list[list]:
+        """Rows of height `height` over unknowns of the given widths, holding
+        coeff * mat at the columns of unknown k for each (k, coeff, mat)."""
+        cols = list(accumulate(widths, initial=0))
+        rows = [[zero] * cols[-1] for _ in range(height)]
+        for k, coeff, mat in terms:
+            for row, mat_row in zip(rows, mat.entries):
+                row[cols[k] : cols[k + 1]] = fld.scale(mat_row, coeff)
+        return rows
 
-    def add_block(rows, mat: Matrix, col0, coeff=1) -> None:
-        """Add coeff * mat into rows, at columns col0 onwards."""
-        end = col0 + mat.ncols
-        for row, mat_row in zip(rows, mat.entries):
-            row[col0:end] = fld.axpy(row[col0:end], coeff, mat_row)
-
-    rows_ax1: list[list] = []
-    rhs_ax1: list = []
-    rows_ax2: list[list] = []
-    rhs_ax2: list = []
-    rows_compat: list[list] = []
-    rhs_compat: list = []
-
-    # (i) target relations map to zero in each localization
-    for j, rd in enumerate(tgt.rel_degrees):
-        col = tgt.rel_coeffs.col(j)
-        for axis, (slices, offs, rows_out, rhs_out) in (
-            (1, (ax1_slices, off1, rows_ax1, rhs_ax1)),
-            (2, (ax2_slices, off2, rows_ax2, rhs_ax2)),
-        ):
-            at = (rd[0], e[1]) if axis == 1 else (e[0], rd[1])
-            hei = src.dim_at(at)
-            block = blank_rows(hei)
-            for k, coeff in enumerate(col):
-                if coeff == 0:
-                    continue
-                add_block(block, src.transition(slices[k], at), offs[k], coeff)
-            rows_out.extend(block)
-            rhs_out.extend([zero] * hei)
-
-    # (iii) composing with f returns each generator
-    for k, d in enumerate(gen_deg):
-        for axis, (slices, offs, rows_out, rhs_out) in (
-            (1, (ax1_slices, off1, rows_ax1, rhs_ax1)),
-            (2, (ax2_slices, off2, rows_ax2, rhs_ax2)),
-        ):
-            at = slices[k]
+    def axis_system(pin) -> tuple[tuple, list[int], list[list], list]:
+        """Conditions (i) and (iii) over one axis's unknowns: per target
+        generator of degree d, one vector of the source slice at pin(d)."""
+        slices = tuple(map(pin, gen_deg))
+        widths = [src.dim_at(s) for s in slices]
+        rows: list[list] = []
+        # (i) target relations map to zero
+        for j, rd in enumerate(tgt.rel_degrees):
+            at = pin(rd)
+            terms = [
+                (k, coeff, src.transition(slices[k], at))
+                for k, coeff in enumerate(tgt.rel_coeffs.col(j))
+                if coeff != 0
+            ]
+            rows += block_row(widths, src.dim_at(at), terms)
+        rhs = [zero] * len(rows)
+        # (iii) composing with f returns each generator
+        for k, at in enumerate(slices):
             fm = f.slice_matrix(at)
-            block = blank_rows(fm.nrows)
-            add_block(block, fm, offs[k])
-            rows_out.extend(block)
-            rhs_out.extend(tgt._slice_coords(at, [(k, fld.one)]))
+            rows += block_row(widths, fm.nrows, [(k, 1, fm)])
+            rhs += tgt._slice_coords(at, [(k, fld.one)])
+        return slices, widths, rows, rhs
 
-    # (ii) the two assignments agree in the corner localization
-    corner_dim = src.dim_at(e)
-    for k in range(len(gen_deg)):
-        block = blank_rows(corner_dim)
-        add_block(block, src.transition(ax1_slices[k], e), off1[k])
-        add_block(block, src.transition(ax2_slices[k], e), off2[k], -1)
-        rows_compat.extend(block)
-        rhs_compat.extend([zero] * corner_dim)
-
-    sol1 = _solve(fld, rows_ax1, rhs_ax1, total)
-    sol2 = _solve(fld, rows_ax2, rhs_ax2, total)
+    # axis 1 inverts the axis-2 variable and vice versa
+    slices1, n1, rows1, rhs1 = axis_system(lambda d: (d[0], e[1]))
+    slices2, n2, rows2, rhs2 = axis_system(lambda d: (e[0], d[1]))
+    # (ii) the two assignments agree in the corner localization: [C1 | -C2]
+    g = len(gen_deg)
+    compat: list[list] = []
+    for k in range(g):
+        terms = [(k, 1, src.transition(slices1[k], e)), (g + k, -1, src.transition(slices2[k], e))]
+        compat += block_row(n1 + n2, src.dim_at(e), terms)
+    w1, w2 = sum(n1), sum(n2)
     full = _solve(
-        fld, rows_ax1 + rows_ax2 + rows_compat, rhs_ax1 + rhs_ax2 + rhs_compat, total
+        fld,
+        [r + [zero] * w2 for r in rows1] + [[zero] * w1 + r for r in rows2] + compat,
+        rhs1 + rhs2 + [zero] * len(compat),
+        w1 + w2,
     )
     witness = None
     if full is not None:
+        cuts = list(accumulate(n1 + n2, initial=0))
+        vectors = tuple(tuple(full[a:b]) for a, b in zip(cuts, cuts[1:]))
         witness = SectionWitness(
             degrees=gen_deg,
-            axis1_slices=ax1_slices,
-            axis2_slices=ax2_slices,
-            axis1_vectors=tuple(
-                tuple(full[off1[k] : off1[k] + n1[k]]) for k in range(len(gen_deg))
-            ),
-            axis2_vectors=tuple(
-                tuple(full[off2[k] : off2[k] + n2[k]]) for k in range(len(gen_deg))
-            ),
+            axis1_slices=slices1,
+            axis2_slices=slices2,
+            axis1_vectors=vectors[:g],
+            axis2_vectors=vectors[g:],
         )
         _check_section(f, witness, e)
     return SectionResult(
         exists=full is not None,
-        axis1_solvable=sol1 is not None,
-        axis2_solvable=sol2 is not None,
+        axis1_solvable=_solve(fld, rows1, rhs1, w1) is not None,
+        axis2_solvable=_solve(fld, rows2, rhs2, w2) is not None,
         witness=witness,
     )

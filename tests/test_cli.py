@@ -9,6 +9,8 @@ import pytest
 import persloc
 from persloc import cli, modfile
 from persloc.examples import named_example
+from persloc.fields import Field
+from persloc.quiver import random_rep
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -95,13 +97,16 @@ def test_box_limits_of_dims_and_delocalize(capsys):
         code, report, _ = run_json(capsys, *argv)
         assert code == 2, argv
         assert report["error"]["type"] == "UsageError"
-    # support and in-kernel walked the 61^4 stabilization box of this module
+    # support and in-kernel walked the 61^4 stabilization box of this module;
+    # the Moebius barcode behind barcode and decompose walked a 3001^2 grid
     big = "quadrant:60,60,60,60"
     for argv in (
         ["dims", "samerank_m", "--box", "3000,3000"],
         ["delocalize", "samerank_m", "--box", "100000,0"],
         ["support", big],
         ["in-kernel", big, "full:4"],
+        ["decompose", "vstrip:0,3000"],
+        ["barcode", "quadrant:3000,0", "--axis", "1"],
     ):
         start = time.perf_counter()
         code, report, _ = run_json(capsys, *argv)
@@ -260,11 +265,20 @@ def test_char_option_changes_field(capsys):
     assert code == 2
 
 
-def test_file_characteristic_wins_over_flag(capsys):
+def test_file_characteristic_wins_over_flag(capsys, tmp_path):
     path = str(FIXTURES / "coordinate_cross.json")
     _, report, _ = run_json(capsys, "dims", path, "--char", "7")
     assert report["field"] == "F_5"
     assert report["result"]["characteristic"] == 5
+    # a map file has no top-level characteristic, only its two endpoints do
+    for char in ("3", "0"):
+        _, report, _ = run_json(capsys, "section-exists", str(FIXTURES / "notsplit_map.json"), "--char", char)
+        assert report["field"] == "F_5"
+    rep = tmp_path / "rep.json"
+    rep.write_text(modfile.canonical_json(modfile.rep_to_obj(random_rep(3, n=1, fld=Field(2)))))
+    code, report, _ = run_json(capsys, "endo", str(rep), "--char", "7")
+    assert code == 0
+    assert report["field"] == "F_2"
 
 
 def test_fixtures_match_named_examples(capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from persloc.degrees import box, leq
 from persloc.errors import DecompositionError, NotLocallyEpicError, PreconditionError
-from persloc.fields import DEFAULT_FIELD, Field, Matrix
+from persloc.fields import DEFAULT_FIELD, Field, Matrix, Subspace
 from persloc.localization import Interval, localized_barcode
 from persloc.presentation import (
     GradedPresentation,
@@ -22,7 +22,6 @@ from persloc.presentation import (
 from persloc import twoparam
 from persloc.twoparam import (
     Decomposition,
-    bifiltration,
     decompose,
     delocalize_dim,
     equivalent_after_localization,
@@ -31,7 +30,6 @@ from persloc.twoparam import (
     quadrant_corners,
     reconstruct,
     section_exists,
-    torsion_strips,
 )
 from persloc.examples import named_example, quadrant_presentation, strip_presentation
 
@@ -137,11 +135,13 @@ def test_intersection_table_nonnegative_and_monotone():
 def test_bifiltration_images_are_nested():
     for seed in range(15):
         mod = random_presentation(seed, m=2, max_gens=4, max_rels=6, max_degree=5)
-        bif = bifiltration(mod)
-        for spaces in (bif.v1, bif.v2):
+        b1, b2 = corner = mod.stabilization_bound()
+        v1 = [mod.slice_image((d, b2), corner) for d in range(b1 + 1)]
+        v2 = [mod.slice_image((b1, e), corner) for e in range(b2 + 1)]
+        for spaces in (v1, v2):
             for earlier, later in zip(spaces, spaces[1:]):
                 assert later.contains(earlier)
-            assert spaces[-1].dim == bif.ambient_dim
+            assert spaces[-1].dim == mod.dim_at(corner)
 
 
 def test_intersection_rank_distinguishes_samerank_pair():
@@ -263,6 +263,79 @@ def test_section_requires_locally_epic():
     f = PresentationMap(src, tgt, Matrix(F5, 1, 0, ((),)))
     with pytest.raises(NotLocallyEpicError):
         section_exists(f)
+
+
+_SECTION_FIELDS = (Field(2), Field(5), Field(0))
+
+
+@st.composite
+def _target_module(draw):
+    fld = draw(st.sampled_from(_SECTION_FIELDS))
+    tgt = random_presentation(draw(st.integers(0, 10**6)), m=2, max_gens=3, max_rels=4, max_degree=3, fld=fld)
+    return fld, tgt
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_target_module(), st.integers(0, 10**6))
+def test_projection_from_a_direct_sum_has_a_verified_section(case, other_seed):
+    fld, tgt = case
+    other = random_presentation(other_seed, m=2, max_gens=3, max_rels=4, max_degree=3, fld=fld)
+    g, width = tgt.num_gens, tgt.num_gens + other.num_gens
+    src = direct_sum(tgt, other)
+    f = PresentationMap(src, tgt, Matrix(fld, g, width, tuple(
+        tuple(fld.one if i == j else fld.zero for j in range(width)) for i in range(g)
+    )))
+    res = section_exists(f)
+    assert res.exists and res.axis1_solvable and res.axis2_solvable
+    w = res.witness
+    # criterion 4 written out: each image composes to its generator, and the
+    # two assignments agree at the stable corner
+    for slices, vectors in ((w.axis1_slices, w.axis1_vectors), (w.axis2_slices, w.axis2_vectors)):
+        for k, (d, vec) in enumerate(zip(slices, vectors)):
+            assert list(f.slice_matrix(d).apply(vec)) == tgt._slice_coords(d, [(k, fld.one)])
+    corner = tuple(max(a, b) for a, b in zip(src.stabilization_bound(), tgt.stabilization_bound()))
+    for k in range(g):
+        push1 = src.transition(w.axis1_slices[k], corner).apply(w.axis1_vectors[k])
+        push2 = src.transition(w.axis2_slices[k], corner).apply(w.axis2_vectors[k])
+        assert push1 == push2
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(_target_module(), st.data())
+def test_free_cover_sections_imply_both_axis_sections(case, data):
+    # the free module on the target's generators, plus shifted extra
+    # generators each sent to a multiple of one target generator
+    fld, tgt = case
+    g = tgt.num_gens
+    degrees, cols = list(tgt.gen_degrees), [[int(i == j) for i in range(g)] for j in range(g)]
+    if g:
+        for j, s1, s2, c in data.draw(
+            st.lists(st.tuples(st.integers(0, g - 1), st.integers(0, 2), st.integers(0, 2), st.integers(0, 4)), max_size=3)
+        ):
+            d = tgt.gen_degrees[j]
+            degrees.append((d[0] + s1, d[1] + s2))
+            cols.append([c if i == j else 0 for i in range(g)])
+    src = GradedPresentation.build(2, fld, degrees, [])
+    f = PresentationMap(src, tgt, Matrix.from_cols(fld, g, [[fld.coerce(x) for x in col] for col in cols]))
+    res = section_exists(f)
+    assert (res.witness is not None) == res.exists
+    if res.exists:
+        assert res.axis1_solvable and res.axis2_solvable
+
+
+def test_intersection_table_checks_the_bifiltration(monkeypatch):
+    # images that shrink, or that never fill the corner, are refused
+    mod = named_example("samerank_m")
+    corner = mod.stabilization_bound()
+    full = Subspace.span(F5, mod.dim_at(corner), mod.slice_image(corner, corner).rows)
+    zero = Subspace.span(F5, mod.dim_at(corner), [])
+    for image, message in (
+        (lambda self, a, b: full if a == (0, corner[1]) else zero, "fail to increase"),
+        (lambda self, a, b: zero, "does not exhaust the corner"),
+    ):
+        monkeypatch.setattr(GradedPresentation, "slice_image", image)
+        with pytest.raises(DecompositionError, match=message):
+            intersection_table(mod)
 
 
 def test_equivalence_is_localization_blind():
