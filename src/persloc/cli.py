@@ -186,10 +186,6 @@ def _resolve_rep(spec: str, fld: Field, inputs: list, n: int | None) -> QuiverRe
     return to_quiver_rep(module, n)
 
 
-def _mat_obj(mat) -> list:
-    return [[modfile.scalar_to_json(x) for x in row] for row in mat.entries]
-
-
 # -- subcommand handlers -----------------------------------------------------
 
 
@@ -341,8 +337,8 @@ def _cmd_endo(args, fld: Field, inputs: list) -> dict:
         "dimension": len(basis),
         "basis": [
             {
-                "sink": _mat_obj(e[0]),
-                "legs": [[_mat_obj(m) for m in leg] for leg in _by_leg(rep.n, e[1:])],
+                "sink": modfile.matrix_to_obj(e[0]),
+                "legs": [[modfile.matrix_to_obj(m) for m in leg] for leg in _by_leg(rep.n, e[1:])],
             }
             for e in basis
         ],
@@ -377,17 +373,15 @@ def _cmd_section_exists(args, fld: Field, inputs: list) -> dict:
     witness = None
     if res.witness is not None:
         w = res.witness
-        witness = {
-            "degrees": [list(d) for d in w.degrees],
-            "axis1": [
+        witness = {"degrees": [list(d) for d in w.degrees]}
+        for axis, slices, vectors in (
+            ("axis1", w.axis1_slices, w.axis1_vectors),
+            ("axis2", w.axis2_slices, w.axis2_vectors),
+        ):
+            witness[axis] = [
                 {"slice": list(s), "vector": [modfile.scalar_to_json(x) for x in v]}
-                for s, v in zip(w.axis1_slices, w.axis1_vectors)
-            ],
-            "axis2": [
-                {"slice": list(s), "vector": [modfile.scalar_to_json(x) for x in v]}
-                for s, v in zip(w.axis2_slices, w.axis2_vectors)
-            ],
-        }
+                for s, v in zip(slices, vectors)
+            ]
     return {
         "exists": res.exists,
         "axis1_solvable": res.axis1_solvable,
@@ -565,22 +559,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True, help="leg length")
     p.set_defaults(handler=_cmd_quiverize)
 
-    p = sub.add_parser("endo", parents=[common], help="endomorphism algebra basis")
-    p.add_argument("input", help="quiver-rep file, or module (then -n is required)")
-    p.add_argument("-n", type=int, default=None, help="leg length for module input")
-    p.set_defaults(handler=_cmd_endo)
-
-    p = sub.add_parser("indec", parents=[common], help="certified indecomposability check")
-    p.add_argument("input", help="quiver-rep file, or module (then -n is required)")
-    p.add_argument("-n", type=int, default=None, help="leg length for module input")
-    p.set_defaults(handler=_cmd_indec)
-
-    p = sub.add_parser(
-        "split-legs", parents=[common], help="per-leg intervals of a sink-zero rep"
-    )
-    p.add_argument("input", help="quiver-rep file, or module (then -n is required)")
-    p.add_argument("-n", type=int, default=None, help="leg length for module input")
-    p.set_defaults(handler=_cmd_split_legs)
+    for name, help_text, handler in (
+        ("endo", "endomorphism algebra basis", _cmd_endo),
+        ("indec", "certified indecomposability check", _cmd_indec),
+        ("split-legs", "per-leg intervals of a sink-zero rep", _cmd_split_legs),
+    ):
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.add_argument("input", help="quiver-rep file, or module (then -n is required)")
+        p.add_argument("-n", type=int, default=None, help="leg length for module input")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser(
         "section-exists", parents=[common], help="compatible section pair of a localized epi"

@@ -46,6 +46,15 @@ def face_sort_key(face: Face) -> tuple:
     return (len(face), tuple(sorted(face)))
 
 
+def _subsets(vertices: Iterable[int], max_size: int | None = None) -> Iterator[Face]:
+    """Subsets of `vertices` (of at most `max_size` elements) in `face_sort_key` order."""
+    vertices = sorted(vertices)
+    top = len(vertices) if max_size is None else max_size
+    for r in range(top + 1):
+        for comb in combinations(vertices, r):
+            yield frozenset(comb)
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Downward-closed family of subsets of {1..m}.
@@ -80,19 +89,10 @@ class SimplicialComplex:
         return sorted(self.faces, key=face_sort_key)
 
     def missing_faces(self) -> list[Face]:
-        out = []
-        for r in range(self.m + 1):
-            for comb in combinations(range(1, self.m + 1), r):
-                f = frozenset(comb)
-                if f not in self.faces:
-                    out.append(f)
-        return out
+        return [f for f in _subsets(range(1, self.m + 1)) if f not in self.faces]
 
     def is_full(self) -> bool:
         return len(self.faces) == 2 ** self.m
-
-    def __contains__(self, face) -> bool:
-        return _face(face) in self.faces
 
 
 def empty_complex(m: int) -> SimplicialComplex:
@@ -114,12 +114,7 @@ def skeleton(m: int, i: int) -> SimplicialComplex:
     _require_variable_budget(m)
     if i == -2:
         return empty_complex(m)
-    faces = [
-        frozenset(comb)
-        for r in range(0, i + 2)
-        for comb in combinations(range(1, m + 1), r)
-    ]
-    return SimplicialComplex(m, frozenset(faces))
+    return SimplicialComplex(m, frozenset(_subsets(range(1, m + 1), i + 1)))
 
 
 def kernel_complex(m: int) -> SimplicialComplex:
@@ -198,21 +193,16 @@ def supp_complex(module: GradedPresentation) -> SimplicialComplex:
     bound = module.stabilization_bound()
     dg.require_box_budget(bound)
     faces = []
-    for r in range(m + 1):
-        for comb in combinations(range(1, m + 1), r):
-            sigma = frozenset(comb)
-            free = [i for i in range(1, m + 1) if i not in sigma]
-            limit = tuple(bound[i - 1] for i in free)
-            hit = False
-            for point in dg.box(limit):
-                d = list(bound)
-                for pos, i in enumerate(free):
-                    d[i - 1] = point[pos]
-                if module.dim_at(tuple(d)):
-                    hit = True
-                    break
-            if hit:
+    for sigma in _subsets(range(1, m + 1)):
+        free = [i for i in range(1, m + 1) if i not in sigma]
+        limit = tuple(bound[i - 1] for i in free)
+        for point in dg.box(limit):
+            d = list(bound)
+            for pos, i in enumerate(free):
+                d[i - 1] = point[pos]
+            if module.dim_at(tuple(d)):
                 faces.append(sigma)
+                break
     return SimplicialComplex(m, frozenset(faces))
 
 
@@ -323,10 +313,7 @@ def random_complex(seed: int, m: int) -> SimplicialComplex:
     """Seeded random complex: sample faces, then close downward."""
     rng = random.Random(("complex", seed, m).__repr__())
     faces: set[Face] = set()
-    for r in range(m + 1):
-        for comb in combinations(range(1, m + 1), r):
-            if rng.random() < 0.5 / (1 + r):
-                face = frozenset(comb)
-                for size in range(len(face) + 1):
-                    faces.update(frozenset(s) for s in combinations(sorted(face), size))
+    for face in _subsets(range(1, m + 1)):
+        if rng.random() < 0.5 / (1 + len(face)):
+            faces.update(_subsets(face))
     return SimplicialComplex(m, frozenset(faces))

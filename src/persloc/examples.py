@@ -6,15 +6,9 @@ and comma-separated integers, e.g. ``quadrant:1,1`` or ``vstrip:0,2``.
 
 from __future__ import annotations
 
-from .degrees import as_degree
 from .errors import PreconditionError, UnknownNameError
 from .fields import DEFAULT_FIELD, Field, Matrix
-from .presentation import GradedPresentation, PresentationMap, free_module
-
-
-def quadrant_presentation(corner, fld: Field = DEFAULT_FIELD, m: int = 2) -> GradedPresentation:
-    """Free rank-one module generated at `corner`."""
-    return free_module(m, as_degree(corner, m), fld)
+from .presentation import GradedPresentation, PresentationMap, direct_sum, free_module
 
 
 def strip_presentation(axis: int, start: int, end: int, fld: Field = DEFAULT_FIELD) -> GradedPresentation:
@@ -70,15 +64,15 @@ def _notsplit_map(fld: Field) -> PresentationMap:
     # surjective after localizing, splits over each single inverted variable,
     # but admits no compatible pair of sections.
     source = _samerank_n(fld)
-    target = quadrant_presentation((0, 0), fld)
+    target = free_module(2, (0, 0), fld)
     return PresentationMap(source, target, Matrix.from_rows(fld, [[1, 1]]))
 
 
 def _split_projection(fld: Field) -> PresentationMap:
     # control case: projection of free (0,0) + free (1,1) onto the first
     # summand, which does split.
-    source = quadrant_presentation((0, 0), fld).direct_sum(quadrant_presentation((1, 1), fld))
-    target = quadrant_presentation((0, 0), fld)
+    source = direct_sum(free_module(2, (0, 0), fld), free_module(2, (1, 1), fld))
+    target = free_module(2, (0, 0), fld)
     return PresentationMap(source, target, Matrix.from_rows(fld, [[1, 0]]))
 
 
@@ -109,7 +103,7 @@ def named_example(name: str, fld: Field = DEFAULT_FIELD):
         except ValueError as exc:
             raise UnknownNameError(f"bad parameters in example name {name!r}") from exc
         if head == "quadrant" and len(params) >= 1:
-            return quadrant_presentation(tuple(params), fld, m=len(params))
+            return free_module(len(params), params, fld)
         if head == "vstrip" and len(params) == 2:
             return strip_presentation(1, params[0], params[1], fld)
         if head == "hstrip" and len(params) == 2:

@@ -213,9 +213,10 @@ class Matrix:
     entries: tuple[tuple, ...]
 
     @classmethod
-    def from_rows(cls, field: Field, rows) -> "Matrix":
+    def from_rows(cls, field: Field, rows, ncols: int | None = None) -> "Matrix":
+        """The matrix with the given rows; `ncols` is the width when there are none."""
         rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
+        ncols = len(rows[0]) if rows else ncols or 0
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
@@ -238,18 +239,6 @@ class Matrix:
             tuple(one if i == j else zero for j in range(n)) for i in range(n)
         )
         return cls(field, n, n, ent)
-
-    @classmethod
-    def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        zero = field.zero
-        return cls(field, nrows, ncols, tuple((zero,) * ncols for _ in range(nrows)))
-
-    def transpose(self) -> "Matrix":
-        ent = tuple(
-            tuple(self.entries[i][j] for i in range(self.nrows))
-            for j in range(self.ncols)
-        )
-        return Matrix(self.field, self.ncols, self.nrows, ent)
 
     def col(self, j: int) -> tuple:
         return tuple(self.entries[i][j] for i in range(self.nrows))

@@ -42,15 +42,12 @@ class Interval:
     def sort_key(self) -> tuple:
         return (self.start, _INF if self.end is None else self.end)
 
-    def __str__(self) -> str:
-        end = "inf" if self.end is None else str(self.end)
-        return f"[{self.start},{end})"
-
 
 Bars = tuple[tuple[Interval, int], ...]
 
 
-def _canonical_bars(bars: Iterable[tuple[Interval, int]]) -> Bars:
+def canonical_bars(bars: Iterable[tuple[Interval, int]]) -> Bars:
+    """The multiset with equal intervals merged, sorted by (start, end)."""
     merged: dict[Interval, int] = {}
     for iv, mult in bars:
         if mult < 0:
@@ -69,13 +66,10 @@ class Barcode:
 
     @classmethod
     def make(cls, axis: int, bars: Iterable[tuple[Interval, int]]) -> "Barcode":
-        return cls(axis, _canonical_bars(bars))
+        return cls(axis, canonical_bars(bars))
 
     def finite(self) -> Bars:
         return tuple((iv, m) for iv, m in self.bars if iv.end is not None)
-
-    def infinite(self) -> Bars:
-        return tuple((iv, m) for iv, m in self.bars if iv.end is None)
 
 
 def _check_sigma(m: int, sigma) -> frozenset[int]:
@@ -114,11 +108,7 @@ def localized_dim(module: GradedPresentation, sigma, d) -> int:
     d = dg.as_degree(d, m)
     if any(d[i - 1] < 0 for i in range(1, m + 1) if i not in sigma):
         raise PreconditionError(f"degree {d} negative outside sigma")
-    bound = module.stabilization_bound()
-    pinned = tuple(
-        max(d[i], bound[i]) if (i + 1) in sigma else d[i] for i in range(m)
-    )
-    return module.dim_at(pinned)
+    return module.dim_at(dg.pin(d, sigma, module.stabilization_bound()))
 
 
 def axis_rank_function(module: GradedPresentation, axis: int) -> Callable[[int, int], int]:

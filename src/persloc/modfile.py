@@ -98,6 +98,11 @@ def _scalar(field: Field, value, where: str):
         raise ParseError(f"{where}: {exc}") from exc
 
 
+def matrix_to_obj(mat: Matrix) -> list:
+    """A matrix as its list of rows of JSON scalars."""
+    return [[scalar_to_json(x) for x in row] for row in mat.entries]
+
+
 def field_from_obj(obj: dict, where: str) -> Field:
     char = _int(_get(obj, "characteristic", where), f"{where}.characteristic", minimum=0)
     try:
@@ -167,9 +172,7 @@ def map_to_obj(f: PresentationMap) -> dict:
     return {
         "source": module_to_obj(f.source),
         "target": module_to_obj(f.target),
-        "coeffs": [
-            [scalar_to_json(x) for x in row] for row in f.coeffs.entries
-        ],
+        "coeffs": matrix_to_obj(f.coeffs),
     }
 
 
@@ -200,13 +203,8 @@ def map_from_obj(obj: object, where: str = "map") -> PresentationMap:
             f"expected {source.num_gens} entries (one per source generator), got {len(row)}",
         )
         rows.append([_scalar(source.field, x, f"{rwhere}[{j}]") for j, x in enumerate(row)])
-    mat = (
-        Matrix.from_rows(source.field, rows)
-        if rows
-        else Matrix(source.field, 0, source.num_gens, ())
-    )
     try:
-        return PresentationMap(source, target, mat)
+        return PresentationMap(source, target, Matrix.from_rows(source.field, rows, source.num_gens))
     except (HomogeneityError, PreconditionError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
@@ -268,10 +266,7 @@ def rep_to_obj(rep: QuiverRep) -> dict:
         "legs": [
             {
                 "dims": list(rep.leg_dims[leg]),
-                "maps": [
-                    [[scalar_to_json(x) for x in row] for row in mat.entries]
-                    for mat in rep.arrows[leg]
-                ],
+                "maps": [matrix_to_obj(mat) for mat in rep.arrows[leg]],
             }
             for leg in range(3)
         ],
@@ -321,9 +316,7 @@ def rep_from_obj(obj: object, where: str = "rep") -> QuiverRep:
                     f"expected {src} entries",
                 )
                 rows.append([_scalar(fld, x, f"{mwhere}[{r}][{c}]") for c, x in enumerate(row)])
-            maps.append(
-                Matrix.from_rows(fld, rows) if rows else Matrix(fld, 0, src, ())
-            )
+            maps.append(Matrix.from_rows(fld, rows, src))
         leg_dims.append(dims)
         arrows.append(tuple(maps))
     try:

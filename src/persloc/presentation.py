@@ -188,9 +188,6 @@ class GradedPresentation:
             self.rel_coeffs,
         )
 
-    def direct_sum(self, other: "GradedPresentation") -> "GradedPresentation":
-        return direct_sum(self, other)
-
 
 def direct_sum(first: GradedPresentation, *rest: GradedPresentation) -> GradedPresentation:
     """The direct sum of the presentations, built in one pass."""

@@ -11,8 +11,8 @@ The order of vertices and arrows is decided once, in `_star`.
 On top of the conversion: endomorphism algebras by solving the commutation
 system, splitting searches via Fitting decompositions, certified
 indecomposability by exhaustive idempotent enumeration when the endomorphism
-dimension is at most 6 over F_p, and interval decompositions of the legs when
-the sink vanishes (pure torsion).
+algebra over F_p has dimension at most 6 and at most 5^6 elements, and
+interval decompositions of the legs when the sink vanishes (pure torsion).
 """
 
 from __future__ import annotations
@@ -24,11 +24,14 @@ from dataclasses import dataclass
 from . import degrees as dg
 from .errors import DecompositionError, PreconditionError
 from .fields import DEFAULT_FIELD, Echelon, Field, Matrix, Subspace
-from .localization import Barcode, Interval, intervals_by_reduction
+from .localization import Interval, canonical_bars, intervals_by_reduction
 from .presentation import GradedPresentation
 
 # certified verdicts enumerate all p^dim elements of End up to this dimension
+# and this many elements (all of End at dimension 6 over F_5); the dimension
+# gate stays because each candidate costs more on a bigger representation
 _MAX_END_DIM = 6
+_MAX_CANDIDATES = 5 ** _MAX_END_DIM
 # seeded random combinations tried by try_split after the basis itself
 _TRIALS = 64
 
@@ -334,10 +337,11 @@ def is_indecomposable(rep: QuiverRep) -> IndecResult:
     """Certified decision when feasible, honest "unknown" otherwise.
 
     The endomorphism algebra is solved once and shared with `try_split`.
-    "no" comes with a verified splitting.  "yes" is certified by exhausting
-    all endomorphism-algebra elements e with e^2 = e when the algebra
-    dimension is at most 6 (requires a finite field; over the rationals only
-    a one-dimensional algebra certifies).  Anything else is "unknown".
+    "no" comes with a verified splitting.  "yes" is certified when the
+    algebra is one-dimensional (it is then the field itself), or over F_p by
+    exhausting all its elements e with e^2 = e when its dimension is at most
+    `_MAX_END_DIM` and p^dim at most `_MAX_CANDIDATES`.  Anything else is
+    "unknown".
     """
     basis = endomorphism_basis(rep)
     dim = len(basis)
@@ -346,12 +350,10 @@ def is_indecomposable(rep: QuiverRep) -> IndecResult:
     split = try_split(rep, basis)
     if split is not None:
         return IndecResult("no", dim, split)
+    if dim == 1:
+        return IndecResult("yes", dim)  # End is the field: local, no idempotents
     fld = rep.field
-    if fld.char == 0:
-        if dim == 1:
-            return IndecResult("yes", dim)  # End = Q, local, no idempotents
-        return IndecResult("unknown", dim)
-    if dim > _MAX_END_DIM:
+    if not fld.char or dim > _MAX_END_DIM or fld.char ** dim > _MAX_CANDIDATES:
         return IndecResult("unknown", dim)
     vectors = [_endo_to_vector(b) for b in basis]
     identity = vectors[0]
@@ -381,12 +383,9 @@ def torsion_leg_split(rep: QuiverRep) -> tuple[tuple[tuple[Interval, int], ...],
     if rep.sink_dim != 0:
         return None
     return tuple(
-        Barcode.make(
-            leg + 1,
-            intervals_by_reduction(
-                rep.field, rep.leg_dims[leg], rep.arrows[leg][:-1], stabilized=False
-            ),
-        ).bars
+        canonical_bars(
+            intervals_by_reduction(rep.field, rep.leg_dims[leg], rep.arrows[leg][:-1], stabilized=False)
+        )
         for leg in range(3)
     )
 
@@ -410,7 +409,7 @@ def random_rep(
             rows = [[rng.randrange(fld.char) for _ in range(ncols)] for _ in range(nrows)]
         else:
             rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
-        return Matrix.from_rows(fld, rows) if nrows else Matrix(fld, 0, ncols, ())
+        return Matrix.from_rows(fld, rows, ncols)
 
     maps = [rand_matrix(dims[t], dims[s]) for s, t in _star(n)]
     return QuiverRep.from_flat(fld, n, dims, maps)

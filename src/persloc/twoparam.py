@@ -30,9 +30,9 @@ from .errors import (
     PreconditionError,
 )
 from .fields import Field, _rref
-from .localization import Interval, localized_barcode
-from .presentation import GradedPresentation, PresentationMap, direct_sum, zero_module
-from .examples import quadrant_presentation, strip_presentation
+from .localization import Interval, canonical_bars, localized_barcode
+from .presentation import GradedPresentation, PresentationMap, direct_sum, free_module, zero_module
+from .examples import strip_presentation
 
 Corners = tuple[tuple[Degree, int], ...]
 
@@ -52,10 +52,9 @@ class Decomposition:
 
     @classmethod
     def make(cls, vertical, horizontal, quadrants) -> "Decomposition":
-        vert = tuple(sorted(((iv, m) for iv, m in vertical if m), key=lambda im: im[0].sort_key()))
-        horiz = tuple(sorted(((iv, m) for iv, m in horizontal if m), key=lambda im: im[0].sort_key()))
+        vert, horiz = canonical_bars(vertical), canonical_bars(horizontal)
         quads = tuple(sorted(((tuple(c), m) for c, m in quadrants if m)))
-        if any(m < 0 for _, m in vert + horiz) or any(m < 0 for _, m in quads):
+        if any(m < 0 for _, m in quads):
             raise PreconditionError("negative multiplicity")
         if any(iv.end is None for iv, _ in vert + horiz):
             raise PreconditionError("strips are bounded intervals")
@@ -147,7 +146,7 @@ def reconstruct(deco: Decomposition, fld: Field) -> GradedPresentation:
     for iv, mult in deco.horizontal:
         parts.extend(strip_presentation(2, iv.start, iv.end, fld) for _ in range(mult))
     for corner, mult in deco.quadrants:
-        parts.extend(quadrant_presentation(corner, fld) for _ in range(mult))
+        parts.extend(free_module(2, corner, fld) for _ in range(mult))
     if not parts:
         return zero_module(2, fld)
     return direct_sum(*parts)

@@ -87,8 +87,6 @@ def _check_rank2_indecomposable(get: Getter, fld: Field) -> tuple[bool, str]:
             if mat.rank() != mat.ncols:
                 return False, "a leg map is not injective (torsion present)"
     verdict = is_indecomposable(rep)
-    if verdict.endo_dim > 6:
-        return False, f"endomorphism dimension {verdict.endo_dim} exceeds the certification gate"
     if verdict.verdict != "yes":
         return False, f"indecomposability verdict was {verdict.verdict!r}"
     return True, (

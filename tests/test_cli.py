@@ -11,6 +11,7 @@ from persloc import cli, modfile
 from persloc.examples import named_example
 from persloc.fields import Field
 from persloc.quiver import random_rep
+from test_golden_cli import _tube
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -384,6 +385,18 @@ def test_split_legs_on_sink_zero_module(capsys, tmp_path):
     assert report["result"]["legs"][0] == [{"start": 0, "end": 1, "mult": 1}]
     code, report, _ = run_json(capsys, "split-legs", "m3_indecomposable", "-n", "2")
     assert report["result"]["torsion"] is False
+
+
+def test_indec_over_a_large_prime_is_bounded(capsys, tmp_path):
+    # End of the level-3 tube is k[N]/(N^3): 101^3 elements over F_101, past the gate
+    f = tmp_path / "tube.json"
+    f.write_text(modfile.canonical_json(modfile.rep_to_obj(_tube(101, 3))))
+    start = time.perf_counter()
+    code, report, _ = run_json(capsys, "indec", str(f))
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert report["result"]["verdict"] == "unknown"
+    assert report["result"]["endo_dim"] == 3
 
 
 def test_barcode_and_sigma_options(capsys):

@@ -22,6 +22,7 @@ from persloc import cli, modfile
 from persloc.examples import named_example
 from persloc.fields import Field
 from persloc.quiver import random_rep, to_quiver_rep
+from test_golden_cli import _tube
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 _MODULE_FILES = ["samerank_M.json", "samerank_N.json", "coordinate_cross.json", "m3_indecomposable.json"]
@@ -36,7 +37,7 @@ _MODULES = [
 ]
 _MAPS = ["notsplit_map", "split_projection", "samerank_m", "missing.json",
          *(str(FIXTURES / f) for f in _MAP_FILES + _MODULE_FILES[:1])]
-_REPS = ["rep.json", "rep_f2.json", *_MODULES]
+_REPS = ["rep.json", "rep_f2.json", "tube3_f101.json", *_MODULES]
 _COMPLEXES = ["skeleton:2:0", "skeleton:3:1", "full:2", "full:3", "empty:2", "empty:0", "skeleton:2",
               "full:x", "empty:40", "skeleton:30:2", "cross", str(FIXTURES / _MODULE_FILES[0])]
 _DEGREES = ["0,0", "1,1", "2,2", "1,0", "0,1", "3,3", "0,0,0", "1,1,1", "1", "-1,0", "a,b", "", "1,,2",
@@ -117,6 +118,7 @@ def _write_reps(where: Path) -> None:
     reps = {
         "rep.json": to_quiver_rep(named_example("m3_indecomposable"), 2),
         "rep_f2.json": random_rep(5, n=1, fld=Field(2)),
+        "tube3_f101.json": _tube(101, 3),
     }
     for name, rep in reps.items():
         (where / name).write_text(modfile.canonical_json(modfile.rep_to_obj(rep)), encoding="utf-8")

@@ -76,12 +76,19 @@ def test_field_basics():
 
 def test_identity_and_zero():
     ident = Matrix.identity(F5, 3)
-    z = Matrix.zeros(F5, 3, 3)
+    z = Matrix.from_rows(F5, [[0] * 3 for _ in range(3)], 3)
     assert ident.rank() == 3
     assert z.rank() == 0
     assert ident.mul(ident) == ident
     assert ident.kernel().dim == 0
     assert z.kernel().dim == 3
+
+
+def test_matrix_with_no_rows_keeps_its_width():
+    empty = Matrix.from_rows(F5, [], 3)
+    assert (empty.nrows, empty.ncols) == (0, 3)
+    # the width argument is read only when there are no rows
+    assert Matrix.from_rows(F5, [[1, 2]], 5).ncols == 2
 
 
 def test_kernel_known_example():
@@ -100,7 +107,7 @@ def test_rank_equals_transpose_rank():
     for _ in range(60):
         fld = rng.choice([F2, F5, Q])
         mat = rand_matrix(rng, fld, rng.randint(0, 5), rng.randint(1, 5))
-        assert mat.rank() == mat.transpose().rank()
+        assert mat.rank() == Matrix.from_rows(fld, zip(*mat.entries), mat.nrows).rank()
 
 
 def test_rank_nullity():

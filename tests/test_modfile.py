@@ -8,8 +8,8 @@ from persloc import modfile
 from persloc.complexes import full_simplex, skeleton
 from persloc.errors import ParseError
 from persloc.examples import named_example
-from persloc.fields import Field
-from persloc.presentation import random_presentation
+from persloc.fields import DEFAULT_FIELD, Field, Matrix
+from persloc.presentation import PresentationMap, random_presentation, zero_module
 from persloc.quiver import random_rep, to_quiver_rep
 
 
@@ -42,8 +42,9 @@ def test_module_roundtrip_rationals():
 
 
 def test_map_roundtrip():
-    for name in ("notsplit_map", "split_projection"):
-        f = named_example(name)
+    # the last map has a target with no generators: its coefficient matrix has no rows
+    to_zero = PresentationMap(named_example("samerank_n"), zero_module(2), Matrix.from_rows(DEFAULT_FIELD, [], 2))
+    for f in (named_example("notsplit_map"), named_example("split_projection"), to_zero):
         obj = modfile.map_to_obj(f)
         assert modfile.map_from_obj(obj) == f
 

@@ -149,7 +149,7 @@ def test_flat_layout_and_endomorphisms_commute_with_every_arrow(seed, n, fld):
 
 def test_bad_arrow_shape_names_the_arrow():
     def rep(n, sink_dim, leg_dims, shapes):
-        arrows = tuple(tuple(Matrix.zeros(F5, r, c) for r, c in leg) for leg in shapes)
+        arrows = tuple(tuple(Matrix.from_rows(F5, [[0] * c for _ in range(r)], c) for r, c in leg) for leg in shapes)
         return QuiverRep(F5, n, sink_dim, leg_dims, arrows)
 
     with pytest.raises(PreconditionError, match=r"^arrow leg3\.0->sink shape 1x2, expected 1x3$"):

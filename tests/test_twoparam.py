@@ -31,7 +31,7 @@ from persloc.twoparam import (
     reconstruct,
     section_exists,
 )
-from persloc.examples import named_example, quadrant_presentation, strip_presentation
+from persloc.examples import named_example, strip_presentation
 
 
 F5 = DEFAULT_FIELD
@@ -72,7 +72,7 @@ def test_strip_modules_decompose_to_single_strips():
 
 
 def test_quadrant_module_decomposes_to_corner():
-    q = quadrant_presentation((2, 1))
+    q = free_module(2, (2, 1), F5)
     deco = decompose(q)
     assert deco.quadrants == (((2, 1), 1),)
     assert deco.vertical == () and deco.horizontal == ()
@@ -86,6 +86,11 @@ def test_decomposition_rejects_negative_multiplicity():
     with pytest.raises(PreconditionError):
         # an unbounded strip is not a strip
         Decomposition.make([(Interval(0, None), 1)], [], [])
+
+
+def test_decomposition_merges_equal_strips():
+    merged = Decomposition.make([(Interval(0, 2), 3)], [], [])
+    assert Decomposition.make([(Interval(0, 2), 1), (Interval(0, 2), 2)], [], []) == merged
 
 
 def test_quadrant_count_conservation():
@@ -340,9 +345,9 @@ def test_intersection_table_checks_the_bifiltration(monkeypatch):
 
 def test_equivalence_is_localization_blind():
     # modules differing by strip torsion are equivalent after localization
-    mod = quadrant_presentation((1, 1))
+    mod = free_module(2, (1, 1), F5)
     noisy = direct_sum(mod, strip_presentation(1, 0, 3))
     assert equivalent_after_localization(mod, noisy) is False  # strips do count
     # but two copies of the same strips on both sides do match
-    other = direct_sum(strip_presentation(1, 0, 3), quadrant_presentation((1, 1)))
+    other = direct_sum(strip_presentation(1, 0, 3), free_module(2, (1, 1), F5))
     assert equivalent_after_localization(noisy, other) is True
