@@ -129,12 +129,12 @@ def bars_from_rank_fn(rank: Callable[[int, int], int], bound: int) -> list[tuple
     `rank(a, b)` must be defined for 0 <= a <= b <= bound and constant once
     both arguments pass `bound`.  Inclusion-exclusion over the grid recovers
     finite bars; unbounded bars come from first differences at the bound.
+    Each rank on the grid is evaluated exactly once.
     """
+    table = [[rank(a, b) for b in range(a, bound + 1)] for a in range(bound + 1)]
 
     def r(a: int, b: int) -> int:
-        if a < 0:
-            return 0
-        return rank(a, b)
+        return table[a][b - a] if a >= 0 else 0
 
     bars: list[tuple[Interval, int]] = []
     for a in range(0, bound + 1):
@@ -146,7 +146,7 @@ def bars_from_rank_fn(rank: Callable[[int, int], int], bound: int) -> list[tuple
                 )
             if mult:
                 bars.append((Interval(a, b), mult))
-        inf_mult = r(a, max(a, bound)) - r(a - 1, max(a, bound))
+        inf_mult = r(a, bound) - r(a - 1, bound)
         if inf_mult < 0:
             raise PreconditionError(f"rank function drops at infinity at {a}")
         if inf_mult:

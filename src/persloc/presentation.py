@@ -10,6 +10,10 @@ columns of relations with degree <= d.  Slices carry a canonical coset basis:
 column-reduce the eligible relation submatrix and keep the non-pivot generator
 coordinates.  Transition maps between comparable degrees are written in those
 bases, which makes them strictly functorial (composition holds on the nose).
+
+Slices are the only cache: each is built once per degree and kept on the
+module.  A transition matrix is rebuilt from the two cached slices on every
+call, so callers that need one (a, b) repeatedly ask for it once.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ class GradedPresentation:
     rel_degrees: tuple[Degree, ...]
     rel_coeffs: Matrix
     _slices: dict = field(default_factory=dict, compare=False, repr=False)
-    _transitions: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -142,19 +145,13 @@ class GradedPresentation:
             raise PreconditionError(f"degree {a} not in N^{self.m}")
         if not dg.leq(a, b):
             raise DegreeOrderError(f"{a} is not <= {b}")
-        key = (a, b)
-        cached = self._transitions.get(key)
-        if cached is not None:
-            return cached
         sa = self._slice(a)
         one = self.field.one
         cols = [self._slice_coords(b, [(sa.gens[k], one)]) for k in sa.coords]
-        mat = Matrix.from_cols(self.field, self._slice(b).dim, cols)
-        self._transitions[key] = mat
-        return mat
+        return Matrix.from_cols(self.field, self._slice(b).dim, cols)
 
     def rank_invariant(self, a, b) -> int:
-        """Rank of M(a) -> M(b): the rank of the cached `transition(a, b)`."""
+        """Rank of M(a) -> M(b): the rank of `transition(a, b)`."""
         return self.transition(a, b).rank()
 
     def slice_image(self, a, b) -> Subspace:

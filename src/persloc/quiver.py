@@ -32,6 +32,8 @@ from .presentation import GradedPresentation
 # gate stays because each candidate costs more on a bigger representation
 _MAX_END_DIM = 6
 _MAX_CANDIDATES = 5 ** _MAX_END_DIM
+# most unknowns (the sum of d_v^2) of the dense commutation system behind End
+_MAX_END_UNKNOWNS = 1_500
 # seeded random combinations tried by try_split after the basis itself
 _TRIALS = 64
 
@@ -55,10 +57,19 @@ def _by_leg(n: int, items) -> tuple[tuple, ...]:
     return tuple(items[leg * n : (leg + 1) * n] for leg in range(3))
 
 
-def quiver_shape(n: int) -> dict:
-    """Vertices and arrows of the three-legged star with legs of length n."""
+def _require_leg_length(n: int) -> None:
+    """Refuse a leg length below 1 or one whose 3n+1 vertices exceed the box budget."""
     if n < 1:
         raise PreconditionError("leg length must be at least 1")
+    if 3 * n + 1 > dg.MAX_BOX_DEGREES:
+        raise PreconditionError(
+            f"leg length {n} gives {3 * n + 1} vertices, more than {dg.MAX_BOX_DEGREES}"
+        )
+
+
+def quiver_shape(n: int) -> dict:
+    """Vertices and arrows of the three-legged star with legs of length n."""
+    _require_leg_length(n)
     vertices = ["sink", *(f"leg{leg}.{j}" for leg in (1, 2, 3) for j in range(n))]
     arrows = [(vertices[s], vertices[t]) for s, t in _star(n)]
     classification = {1: "D4", 2: "E6_affine"}.get(n)
@@ -88,8 +99,7 @@ class QuiverRep:
     arrows: tuple[tuple[Matrix, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise PreconditionError("leg length must be at least 1")
+        _require_leg_length(self.n)
         if len(self.leg_dims) != 3 or len(self.arrows) != 3:
             raise PreconditionError("exactly three legs")
         if any(len(leg) != self.n for leg in (*self.leg_dims, *self.arrows)):
@@ -166,8 +176,7 @@ def to_quiver_rep(module: GradedPresentation, n: int) -> QuiverRep:
     """Stabilized slices along each axis, with the sink at the stable corner."""
     if module.m != 3:
         raise PreconditionError("quiver conversion works over m = 3")
-    if n < 1:
-        raise PreconditionError("leg length must be at least 1")
+    _require_leg_length(n)
     if not in_leq_n(module, n):
         raise PreconditionError(
             f"transitions are not isomorphisms past degree {n}; "
@@ -216,7 +225,7 @@ def endomorphism_basis(rep: QuiverRep) -> list[tuple[Matrix, ...]]:
 
     An endomorphism is one square matrix per vertex, in `_star` vertex
     order.  Solves the commutation system X_target A = A X_source over all
-    arrows.
+    arrows, refusing more than `_MAX_END_UNKNOWNS` unknowns.
     """
     fld = rep.field
     dims = rep.dims
@@ -224,6 +233,11 @@ def endomorphism_basis(rep: QuiverRep) -> list[tuple[Matrix, ...]]:
     for d in dims:
         offsets.append(offsets[-1] + d * d)
     total = offsets[-1]
+    if total > _MAX_END_UNKNOWNS:
+        raise PreconditionError(
+            f"End has {total} unknowns (the sum of squared vertex dimensions), "
+            f"more than {_MAX_END_UNKNOWNS}"
+        )
     rows: list[list] = []
     zero = fld.zero
     for (u, w), a in zip(_star(rep.n), rep.maps):

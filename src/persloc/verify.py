@@ -2,9 +2,7 @@
 
 Each check recomputes one of the library's flagship facts from scratch and
 compares against the expected value.  Checks are addressed by stable ids so
-the CLI can list and report them; `overrides` lets a caller substitute its
-own object for a named example (used to prove the suite actually detects
-corrupted inputs).
+the CLI can list and report them.
 """
 
 from __future__ import annotations
@@ -28,12 +26,10 @@ from .presentation import GradedPresentation
 from .quiver import in_leq_n, is_indecomposable, quiver_shape, to_quiver_rep
 from .twoparam import decompose, delocalize_dim, section_exists
 
-Getter = Callable[[str], object]
 
-
-def _check_same_rank_pair(get: Getter, fld: Field) -> tuple[bool, str]:
-    m = get("samerank_m")
-    n = get("samerank_n")
+def _check_same_rank_pair(fld: Field) -> tuple[bool, str]:
+    m = named_example("samerank_m", fld)
+    n = named_example("samerank_n", fld)
     for a1 in range(4):
         for a2 in range(4):
             for b1 in range(a1, 4):
@@ -60,8 +56,8 @@ def _check_same_rank_pair(get: Getter, fld: Field) -> tuple[bool, str]:
     )
 
 
-def _check_non_split_section(get: Getter, fld: Field) -> tuple[bool, str]:
-    res = section_exists(get("notsplit_map"))
+def _check_non_split_section(fld: Field) -> tuple[bool, str]:
+    res = section_exists(named_example("notsplit_map", fld))
     if res.exists:
         return False, "the non-split inclusion reported a section"
     if not (res.axis1_solvable and res.axis2_solvable):
@@ -69,14 +65,14 @@ def _check_non_split_section(get: Getter, fld: Field) -> tuple[bool, str]:
             "per-axis systems should be solvable, got "
             f"axis1={res.axis1_solvable} axis2={res.axis2_solvable}"
         )
-    control = section_exists(get("split_projection"))
+    control = section_exists(named_example("split_projection", fld))
     if not control.exists or control.witness is None:
         return False, "the split projection control failed to produce a section"
     return True, "no compatible section, though each single axis splits; control splits"
 
 
-def _check_rank2_indecomposable(get: Getter, fld: Field) -> tuple[bool, str]:
-    module = get("m3_indecomposable")
+def _check_rank2_indecomposable(fld: Field) -> tuple[bool, str]:
+    module = named_example("m3_indecomposable", fld)
     if not in_leq_n(module, 2):
         return False, "transitions do not stabilize past degree 2"
     rep = to_quiver_rep(module, 2)
@@ -94,8 +90,8 @@ def _check_rank2_indecomposable(get: Getter, fld: Field) -> tuple[bool, str]:
     )
 
 
-def _check_delocalization_gap(get: Getter, fld: Field) -> tuple[bool, str]:
-    cross = get("coordinate_cross")
+def _check_delocalization_gap(fld: Field) -> tuple[bool, str]:
+    cross = named_example("coordinate_cross", fld)
     two_axes = GradedPresentation.build(
         2, fld, [(0, 0), (0, 0)], [((1, 0), [1, 0]), ((0, 1), [0, 1])]
     )
@@ -115,7 +111,7 @@ def _check_delocalization_gap(get: Getter, fld: Field) -> tuple[bool, str]:
     return True, "gluing the axis localizations doubles the origin fiber of the cross"
 
 
-def _check_face_ring_support(get: Getter, fld: Field) -> tuple[bool, str]:
+def _check_face_ring_support(fld: Field) -> tuple[bool, str]:
     count = 0
     for k in enumerate_complexes(3):
         if supp_complex(face_ring(k, fld)) != k:
@@ -124,7 +120,7 @@ def _check_face_ring_support(get: Getter, fld: Field) -> tuple[bool, str]:
     return True, f"support(face ring) is the identity on all {count} complexes over 3 variables"
 
 
-def _check_skeleton_chain(get: Getter, fld: Field) -> tuple[bool, str]:
+def _check_skeleton_chain(fld: Field) -> tuple[bool, str]:
     for m in range(1, 5):
         for i in range(-2, m - 1):
             if serre_step(skeleton(m, i)) != skeleton(m, i + 1):
@@ -141,7 +137,7 @@ def _check_skeleton_chain(get: Getter, fld: Field) -> tuple[bool, str]:
     return True, "skeleta step one level per quotient; chain lengths match the invariant"
 
 
-def _check_quiver_shape(get: Getter, fld: Field) -> tuple[bool, str]:
+def _check_quiver_shape(fld: Field) -> tuple[bool, str]:
     for n in range(1, 11):
         shape = quiver_shape(n)
         if shape["num_vertices"] != 3 * n + 1 or shape["num_arrows"] != 3 * n:
@@ -192,19 +188,12 @@ CHECKS: tuple[tuple[str, str, Callable], ...] = (
 )
 
 
-def run_all(fld: Field = DEFAULT_FIELD, overrides: dict | None = None) -> list[dict]:
-    """Run every check; `overrides` substitutes objects for named examples."""
-    overrides = overrides or {}
-
-    def get(name: str):
-        if name in overrides:
-            return overrides[name]
-        return named_example(name, fld)
-
+def run_all(fld: Field = DEFAULT_FIELD) -> list[dict]:
+    """Run every check over `fld`, in registry order."""
     report = []
     for cid, description, fn in CHECKS:
         try:
-            ok, detail = fn(get, fld)
+            ok, detail = fn(fld)
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         report.append({"id": cid, "description": description, "ok": ok, "detail": detail})

@@ -99,7 +99,8 @@ def test_box_limits_of_dims_and_delocalize(capsys):
         assert code == 2, argv
         assert report["error"]["type"] == "UsageError"
     # support and in-kernel walked the 61^4 stabilization box of this module;
-    # the Moebius barcode behind barcode and decompose walked a 3001^2 grid
+    # the Moebius barcode behind barcode and decompose walked a 3001^2 grid;
+    # quiverize and indec built 3n+1 slices for any leg length n
     big = "quadrant:60,60,60,60"
     for argv in (
         ["dims", "samerank_m", "--box", "3000,3000"],
@@ -108,6 +109,8 @@ def test_box_limits_of_dims_and_delocalize(capsys):
         ["in-kernel", big, "full:4"],
         ["decompose", "vstrip:0,3000"],
         ["barcode", "quadrant:3000,0", "--axis", "1"],
+        ["quiverize", "quadrant:0,0,0", "-n", "100000000"],
+        ["indec", "quadrant:0,0,0", "-n", "100000000"],
     ):
         start = time.perf_counter()
         code, report, _ = run_json(capsys, *argv)
@@ -397,6 +400,19 @@ def test_indec_over_a_large_prime_is_bounded(capsys, tmp_path):
     assert code == 0
     assert report["result"]["verdict"] == "unknown"
     assert report["result"]["endo_dim"] == 3
+
+
+def test_endomorphism_budget(capsys, tmp_path):
+    # the level-13 tube has 4,056 End unknowns; solving them took 14 s
+    f = tmp_path / "tube.json"
+    f.write_text(modfile.canonical_json(modfile.rep_to_obj(_tube(2, 13))))
+    for command in ("indec", "endo"):
+        start = time.perf_counter()
+        code, report, _ = run_json(capsys, command, str(f))
+        assert time.perf_counter() - start < 2, command
+        assert code == 1, command
+        assert report["error"]["type"] == "PreconditionError"
+        assert "4056 unknowns" in report["error"]["message"]
 
 
 def test_barcode_and_sigma_options(capsys):

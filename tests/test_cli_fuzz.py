@@ -51,7 +51,7 @@ _POOLS = {
     "box": ["3,2", "0,0", "-1,-1", "3000,3000", "100000,0", "2,2,2", "x"],
     "sigma": ["1", "2", "1,2", "3", "0", "x", ""],
     "axis": ["1", "2", "3", "0", "-1", "x"],
-    "n": ["1", "2", "3", "0", "-1", "x"],
+    "n": ["1", "2", "3", "0", "-1", "x", "100000000"],
     "seed": ["0", "7", "-1", "x", "1" * 40],
     "seeds": ["1,2,3", "4", "1,x", ""],
     "params": ["m=2", "m=3,max_gens=3", "max_degree=3", "m=13", "max_gens=2000", "bogus=1", "m", "m=x",

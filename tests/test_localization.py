@@ -96,6 +96,22 @@ def test_bars_from_rank_fn_rejects_negative_multiplicity():
         bars_from_rank_fn(bogus, 3)
 
 
+def test_bars_from_rank_fn_evaluates_each_pair_once():
+    # the inclusion-exclusion stencil reads each r(a, b) up to four times;
+    # the rank function behind it must be asked once per grid pair
+    calls = {}
+
+    def counting(a, b):
+        calls[a, b] = calls.get((a, b), 0) + 1
+        return 1 if b < 3 else 0
+
+    for bound in (0, 1, 4):
+        calls.clear()
+        bars = bars_from_rank_fn(counting, bound)
+        assert calls == {(a, b): 1 for a in range(bound + 1) for b in range(a, bound + 1)}
+    assert bars == [(Interval(0, 3), 1)]
+
+
 def test_mobius_inversion_matches_reduction_oracle():
     # the acceptance-grade dual route, run over both axes of a seeded corpus
     for seed in range(50):
