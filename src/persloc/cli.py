@@ -20,10 +20,12 @@ files by the next.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
 
+from . import degrees as dg
 from . import modfile
 from .complexes import (
     MAX_VARIABLES,
@@ -37,9 +39,6 @@ from .complexes import (
     simples,
     supp_complex,
 )
-from .degrees import box as degree_box
-from .degrees import join as degree_join
-from .degrees import require_box_budget
 from .errors import (
     DecompositionError,
     DegreeOrderError,
@@ -50,7 +49,7 @@ from .errors import (
 )
 from .examples import named_example, names as example_names
 from .fields import Field
-from .localization import localized_barcode, localized_dim, localized_rank
+from .localization import localize, localized_barcode
 from .presentation import GradedPresentation, PresentationMap, direct_sum, random_presentation
 from .quiver import (
     QuiverRep,
@@ -106,7 +105,7 @@ def _box_limit(text: str | None, m: int, default: tuple[int, ...]) -> tuple[int,
     limit = _parse_degree(text, m, "--box") if text else default
     if min(limit) < 0:
         raise UsageError(f"--box {text!r} has a negative component")
-    require_box_budget(limit)
+    dg.require_box_budget(limit)
     return limit
 
 
@@ -189,15 +188,19 @@ def _resolve_rep(spec: str, fld: Field, inputs: list, n: int | None) -> QuiverRe
 # -- subcommand handlers -----------------------------------------------------
 
 
+def _invert(args, module: GradedPresentation):
+    """--sigma as given (None without it), the localized module, and M's degrees -> its degrees."""
+    sigma = list(_parse_ints(args.sigma, "--sigma")) if args.sigma else None
+    inverted = frozenset(sigma or ())
+    return sigma, localize(module, inverted), lambda d: dg.drop(d, inverted)
+
+
 def _cmd_dims(args, fld: Field, inputs: list) -> dict:
     module = _resolve(args.module, fld, inputs, GradedPresentation)
     bound = module.stabilization_bound()
     limit = _box_limit(args.box, module.m, bound)
-    sigma = list(_parse_ints(args.sigma, "--sigma")) if args.sigma else None
-    table = []
-    for d in degree_box(limit):
-        dim = localized_dim(module, sigma, d) if sigma else module.dim_at(d)
-        table.append({"degree": list(d), "dim": dim})
+    sigma, local, to_local = _invert(args, module)
+    table = [{"degree": list(d), "dim": local.dim_at(to_local(d))} for d in dg.box(limit)]
     return {
         "m": module.m,
         "characteristic": module.field.char,
@@ -212,13 +215,14 @@ def _cmd_rank(args, fld: Field, inputs: list) -> dict:
     module = _resolve(args.module, fld, inputs, GradedPresentation)
     a = _parse_degree(args.a, module.m, "degree a")
     b = _parse_degree(args.b, module.m, "degree b")
-    if args.sigma:
-        sigma = list(_parse_ints(args.sigma, "--sigma"))
-        value = localized_rank(module, sigma, a, b)
-    else:
-        sigma = None
-        value = module.rank_invariant(a, b)
-    return {"a": list(a), "b": list(b), "sigma": sigma, "rank": value}
+    sigma, local, to_local = _invert(args, module)
+    la, lb = to_local(a), to_local(b)
+    # with --sigma the degree checks name the module's own degrees
+    if sigma and not dg.is_nonnegative(la):
+        raise PreconditionError(f"degree {a} negative outside sigma")
+    if sigma and not dg.leq(la, lb):
+        raise DegreeOrderError(f"{a} not <= {b} outside sigma")
+    return {"a": list(a), "b": list(b), "sigma": sigma, "rank": local.rank_invariant(la, lb)}
 
 
 def _cmd_ibar(args, fld: Field, inputs: list) -> dict:
@@ -256,10 +260,10 @@ def _cmd_decompose(args, fld: Field, inputs: list) -> dict:
 
 def _cmd_delocalize(args, fld: Field, inputs: list) -> dict:
     module = _resolve(args.module, fld, inputs, GradedPresentation)
-    default = degree_join(module.stabilization_bound(), (3,) * module.m)
+    default = dg.join(module.stabilization_bound(), (3,) * module.m)
     limit = _box_limit(args.box, module.m, default)
     table = [
-        {"degree": list(d), "dim": delocalize_dim(module, d)} for d in degree_box(limit)
+        {"degree": list(d), "dim": delocalize_dim(module, d)} for d in dg.box(limit)
     ]
     return {"box": list(limit), "dims": table}
 
@@ -635,7 +639,12 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         report = _error_report(echo, "domain", exc)
         exit_code = 1
-    print(modfile.canonical_json(report))
+    try:
+        print(modfile.canonical_json(report))
+    except BrokenPipeError:
+        # the reader closed early: send what is left, and the exit flush, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     print(f"elapsed_ms={elapsed_ms}", file=sys.stderr)
     return exit_code

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .errors import PreconditionError
 
@@ -63,9 +63,6 @@ def with_axis(d: Degree, axis: int, value: int) -> Degree:
     return d[: axis - 1] + (value,) + d[axis:]
 
 
-def pin(d: Degree, coords: Iterable[int], values: Degree) -> Degree:
-    """Replace the 1-based coordinates in `coords` by the matching `values`."""
-    out = list(d)
-    for i in coords:
-        out[i - 1] = values[i - 1]
-    return tuple(out)
+def drop(d: Degree, coords: Collection[int]) -> Degree:
+    """d without its 1-based coordinates in `coords`."""
+    return tuple(x for i, x in enumerate(d, 1) if i not in coords)

@@ -1,16 +1,15 @@
 """Invariants of a module after inverting a subset of the variables.
 
-Inverting the variables indexed by `sigma` collapses those grading directions:
-every graded piece of the localized module equals the slice of M with the
-sigma-coordinates pushed to the stabilization bound (finite presentations
-stabilize there, so the colimit is attained).  That turns each localization
-into a finite computation on pinned slices of M.
+Every presentation degree is at most the stabilization bound, so inverting
+the variables in `sigma` leaves a finitely presented module: `localize`
+deletes the sigma-coordinates from every degree of M's presentation.  Its
+slice at d is M's slice with the sigma-coordinates pinned at the bound.
 
 Axis barcodes: inverting all variables except axis i leaves a one-parameter
-module; its interval multiset is recovered from the pinned rank function by
-inclusion-exclusion.  `intervals_by_reduction` recomputes the same multiset by
-sequential column reduction of the slice maps and serves as the independent
-cross-check.
+module.  `localized_barcode` recovers its interval multiset from M's rank
+function along axis i (others pinned) by inclusion-exclusion, sharing M's
+slice cache with the rest of `decompose`.  `barcode_by_reduction` reduces the
+localized slice sequence directly and serves as the independent cross-check.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import degrees as dg
-from .errors import DegreeOrderError, PreconditionError
+from .errors import PreconditionError
 from .fields import Echelon, Matrix
 from .presentation import GradedPresentation
 
@@ -72,43 +71,22 @@ class Barcode:
         return tuple((iv, m) for iv, m in self.bars if iv.end is not None)
 
 
-def _check_sigma(m: int, sigma) -> frozenset[int]:
-    sigma = frozenset(int(i) for i in sigma)
-    if any(i < 1 or i > m for i in sigma):
-        raise PreconditionError(f"sigma {sorted(sigma)} not inside 1..{m}")
-    return sigma
+def localize(module: GradedPresentation, sigma) -> GradedPresentation:
+    """M with the variables in `sigma` inverted: the sigma-coordinates deleted.
 
-
-def localized_rank(module: GradedPresentation, sigma, a, b) -> int:
-    """Rank of the degree a -> b map after inverting the sigma variables.
-
-    The limit over pushing the sigma-coordinates up is attained at the
-    stabilization bound, so both degrees are evaluated with those coordinates
-    pinned there.
+    The generators, relations and coefficient matrix are M's, in the same
+    order.  Inverting every variable leaves m = 0, one vector space.
     """
-    m = module.m
-    sigma = _check_sigma(m, sigma)
-    a = dg.as_degree(a, m)
-    b = dg.as_degree(b, m)
-    free = [i for i in range(1, m + 1) if i not in sigma]
-    if any(a[i - 1] < 0 for i in free):
-        raise PreconditionError(f"degree {a} negative outside sigma")
-    if any(a[i - 1] > b[i - 1] for i in free):
-        raise DegreeOrderError(f"{a} not <= {b} outside sigma")
-    bound = module.stabilization_bound()
-    ap = dg.pin(a, sigma, bound)
-    bp = dg.pin(b, sigma, bound)
-    return module.rank_invariant(ap, dg.join(ap, bp))
-
-
-def localized_dim(module: GradedPresentation, sigma, d) -> int:
-    """Dimension of the localized module at d (sigma-coordinates are free)."""
-    m = module.m
-    sigma = _check_sigma(m, sigma)
-    d = dg.as_degree(d, m)
-    if any(d[i - 1] < 0 for i in range(1, m + 1) if i not in sigma):
-        raise PreconditionError(f"degree {d} negative outside sigma")
-    return module.dim_at(dg.pin(d, sigma, module.stabilization_bound()))
+    sigma = frozenset(int(i) for i in sigma)
+    if any(i < 1 or i > module.m for i in sigma):
+        raise PreconditionError(f"sigma {sorted(sigma)} not inside 1..{module.m}")
+    return GradedPresentation(
+        module.m - len(sigma),
+        module.field,
+        tuple(dg.drop(d, sigma) for d in module.gen_degrees),
+        tuple(dg.drop(d, sigma) for d in module.rel_degrees),
+        module.rel_coeffs,
+    )
 
 
 def axis_rank_function(module: GradedPresentation, axis: int) -> Callable[[int, int], int]:
@@ -166,22 +144,6 @@ def localized_barcode(module: GradedPresentation, axis: int) -> Barcode:
     return Barcode.make(axis, bars_from_rank_fn(rank, bound))
 
 
-def pinned_slice_sequence(module: GradedPresentation, axis: int) -> tuple[list[int], list[Matrix]]:
-    """Slice dimensions and transition maps along `axis`, others pinned stable.
-
-    Returns spaces V_0..V_bound and the maps V_c -> V_{c+1}; past `bound`
-    every further map is an isomorphism.
-    """
-    if not 1 <= axis <= module.m:
-        raise PreconditionError(f"axis {axis} not inside 1..{module.m}")
-    bound_vec = module.stabilization_bound()
-    bound = bound_vec[axis - 1]
-    at = lambda c: dg.with_axis(bound_vec, axis, c)
-    dims = [module.dim_at(at(c)) for c in range(bound + 1)]
-    maps = [module.transition(at(c), at(c + 1)) for c in range(bound)]
-    return dims, maps
-
-
 def intervals_by_reduction(
     fld, dims: Sequence[int], maps: Sequence[Matrix], stabilized: bool
 ) -> list[tuple[Interval, int]]:
@@ -225,7 +187,12 @@ def intervals_by_reduction(
 
 
 def barcode_by_reduction(module: GradedPresentation, axis: int) -> Barcode:
-    """Oracle route: reduce the pinned slice sequence directly."""
-    dims, maps = pinned_slice_sequence(module, axis)
+    """Oracle route: reduce the slices 0..bound of M with the other axes inverted."""
+    if not 1 <= axis <= module.m:
+        raise PreconditionError(f"axis {axis} not inside 1..{module.m}")
+    line = localize(module, set(range(1, module.m + 1)) - {axis})
+    (bound,) = line.stabilization_bound()
+    dims = [line.dim_at((c,)) for c in range(bound + 1)]
+    maps = [line.transition((c,), (c + 1,)) for c in range(bound)]
     bars = intervals_by_reduction(module.field, dims, maps, stabilized=True)
     return Barcode.make(axis, bars)

@@ -11,6 +11,9 @@ column-reduce the eligible relation submatrix and keep the non-pivot generator
 coordinates.  Transition maps between comparable degrees are written in those
 bases, which makes them strictly functorial (composition holds on the nose).
 
+m may be 0 (every variable inverted, see `localization.localize`): one vector
+space at degree ().  Module files and `random_presentation` still need m >= 1.
+
 Slices are the only cache: each is built once per degree and kept on the
 module.  A transition matrix is rebuilt from the two cached slices on every
 call, so callers that need one (a, b) repeatedly ask for it once.
@@ -51,8 +54,8 @@ class GradedPresentation:
     _slices: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise PreconditionError("need at least one variable")
+        if self.m < 0:
+            raise PreconditionError("need a nonnegative number of variables")
         for d in self.gen_degrees + self.rel_degrees:
             if len(d) != self.m:
                 raise AmbientMismatchError(f"degree {d} has wrong length")

@@ -1,6 +1,9 @@
 """Command-line behavior: envelopes, exit codes, determinism, coverage."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -457,3 +460,21 @@ def test_delocalize_cli(capsys):
     dims = {tuple(r["degree"]): r["dim"] for r in report["result"]["dims"]}
     assert dims[(0, 0)] == 2
     assert dims[(1, 1)] == 0
+
+
+def test_reader_closing_early_prints_no_traceback():
+    # `persloc dims samerank_m --box 300,300 | head -c 10`: the report is far
+    # larger than a pipe holds, so the final print meets a closed pipe
+    src = str(Path(persloc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "persloc", "dims", "samerank_m", "--box", "300,300"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(10) == b'{"command"'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert b"Traceback" not in err and b"Exception ignored" not in err

@@ -25,10 +25,10 @@ from persloc.complexes import (
     skeleton,
     supp_complex,
 )
-from persloc.degrees import box
+from persloc.degrees import box, drop
 from persloc.errors import PreconditionError
 from persloc.fields import DEFAULT_FIELD
-from persloc.localization import localized_dim
+from persloc.localization import localize
 from persloc.presentation import GradedPresentation, direct_sum, free_module, random_presentation, zero_module
 
 
@@ -150,6 +150,11 @@ def test_kernel_complex_membership():
     assert not in_kernel(cross, kernel_complex(2))
 
 
+def _dim_at_origin(module, sigma):
+    # the localization at sigma, read at the origin of the remaining axes
+    return localize(module, sigma).dim_at(drop((0, 0, 0), sigma))
+
+
 def test_simples_realizations():
     # boundary of the triangle: one simple, supported on the open top face
     k = skeleton(3, 1)
@@ -158,15 +163,15 @@ def test_simples_realizations():
     desc, module = out[0]
     assert desc.sigma == (1, 2, 3)
     # the realization localizes to a line exactly on sigma
-    assert localized_dim(module, list(desc.sigma), (0, 0, 0)) == 1
+    assert _dim_at_origin(module, desc.sigma) == 1
     # for points-only, three simples, each living on one edge's pair
     out = simples(skeleton(3, 0), F5)
     assert sorted(d.sigma for d, _ in out) == [(1, 2), (1, 3), (2, 3)]
     for desc, module in out:
-        assert localized_dim(module, list(desc.sigma), (0, 0, 0)) == 1
+        assert _dim_at_origin(module, desc.sigma) == 1
         outside = [i for i in (1, 2, 3) if i not in desc.sigma]
         for i in outside:
-            assert localized_dim(module, [i], (0, 0, 0)) == 0
+            assert _dim_at_origin(module, [i]) == 0
 
 
 def test_simples_of_full_simplex_empty():

@@ -154,6 +154,10 @@ def _invocations() -> list[str]:
         )),
         # domain and usage envelopes (not argparse failures)
         "rank samerank_m 1,1 0,0",
+        "rank samerank_m 0,-1 2,2 --sigma 1",
+        "rank samerank_m 3,0 2,2 --sigma 2",
+        "rank m3_indecomposable 0,0,-2 1,1,1 --sigma 1",
+        "dims m3_indecomposable --sigma 1,2,3",
         "dims no_such_example",
         "quiverize samerank_m -n 1",
         "in-kernel samerank_m full:3",
@@ -491,6 +495,10 @@ GOLDEN: dict[str, str] = {
     'section-exists notsplit_map --char 2': '0:19a558ee6d821f4e71c428d34689fc03bb455fbe92c50a9ecbb860c56dfc2388',
     'section-exists split_projection --char 2': '0:dfcfd0aee1e2fb84dbb7c6ac2e7468fdc028f47fa719399b156d0439f035f508',
     'rank samerank_m 1,1 0,0': '2:4dade6969d8fb91fb88290ef69c2c8f91b333674bf66d31b2c46297df6e1e4ad',
+    'rank samerank_m 0,-1 2,2 --sigma 1': '1:2ef0cc47fb0107dbc89dfe86139468e32e1241634296dce992807af575fa1dd5',
+    'rank samerank_m 3,0 2,2 --sigma 2': '2:1c5e7aa57d8f98bdc0739c05e72d25242d1d21b337b563441c28ec96843150ed',
+    'rank m3_indecomposable 0,0,-2 1,1,1 --sigma 1': '1:906c0351ed6f679da3c4fe9e90dfe2a22814738b9ce4a73e7001b5eec2fbcad1',
+    'dims m3_indecomposable --sigma 1,2,3': '0:cf7c059bee75d232190290d95f26ee37bb89b7f1c3a9c9ac7400fb8037718656',
     'dims no_such_example': '1:f0f218c71a0c409c9d8c0372f7b2d4c7b14878144b92cc4e079d61728597a6da',
     'quiverize samerank_m -n 1': '1:efaef0d429f8c02b765253297e06f7deeee7e3549b034265dd58bb5d1a26dcf9',
     'in-kernel samerank_m full:3': '1:658539de88fa37c2aa5089b42f8694ea1e4ea96f1925972b0344b333d1171afe',

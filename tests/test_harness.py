@@ -5,7 +5,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from persloc.presentation import free_module
+from persloc.presentation import GradedPresentation, free_module, random_presentation
+from persloc.twoparam import decompose
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -39,3 +40,20 @@ def test_traced_counters_read_existing_state():
     module = free_module(2, (0, 0))
     module.dim_at((1, 1))
     assert len(module._slices) == 1
+
+
+def test_decompose_asks_its_input_for_ranks(monkeypatch):
+    # `after_job` in perfbench/run.py reads the traced rank_invariant calls of
+    # a large job's input module, keyed by the module itself, and fails when
+    # there are none: decompose must keep asking its input for ranks
+    seen = []
+    rank_invariant = GradedPresentation.rank_invariant
+
+    def recording(self, a, b):
+        seen.append(self)
+        return rank_invariant(self, a, b)
+
+    monkeypatch.setattr(GradedPresentation, "rank_invariant", recording)
+    module = random_presentation(11, m=2, max_gens=5, max_rels=8, max_degree=6)
+    decompose(module)
+    assert any(queried is module for queried in seen)

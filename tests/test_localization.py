@@ -1,15 +1,18 @@
-"""One-axis localization: ranks, dims, and interval decompositions.
+"""Localization: the localized presentation, and one-axis interval decompositions.
 
 The barcode computed by rank-function inversion is cross-checked against an
 independent reduction algorithm (birth-labeled bases carried through the
-pinned slice sequence), so neither route can silently drift.
+slice sequence of the localized module), so neither route can silently drift.
 """
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from persloc.degrees import box
+from persloc.degrees import box, drop, with_axis
 from persloc.errors import PreconditionError
 from persloc.fields import DEFAULT_FIELD, Field
 from persloc.localization import (
@@ -18,10 +21,8 @@ from persloc.localization import (
     barcode_by_reduction,
     bars_from_rank_fn,
     intervals_by_reduction,
+    localize,
     localized_barcode,
-    localized_dim,
-    localized_rank,
-    pinned_slice_sequence,
 )
 from persloc.presentation import (
     GradedPresentation,
@@ -46,22 +47,52 @@ def test_interval_ordering_and_keys():
 def test_localized_rank_on_axis_kill():
     # R/(t1): inverting t1 kills it, inverting t2 leaves a line
     mod = GradedPresentation.build(2, F5, [(0, 0)], [((1, 0), [1])])
-    assert localized_dim(mod, [1], (0, 0)) == 0
-    assert localized_dim(mod, [2], (0, 0)) == 1
-    # sigma-coordinates of the query may be negative: they are pinned anyway
-    assert localized_dim(mod, [2], (0, -3)) == 1
-    assert localized_rank(mod, [2], (0, 0), (0, 5)) == 1
-    assert localized_rank(mod, [1, 2], (0, 0), (0, 0)) == 0
+    assert localize(mod, [1]).dim_at((0,)) == 0
+    assert localize(mod, [2]).dim_at((0,)) == 1
+    # sigma-coordinates of a degree of M may be negative: they are dropped
+    assert localize(mod, [2]).dim_at(drop((0, -3), {2})) == 1
+    assert localize(mod, [2]).rank_invariant(drop((0, 0), {2}), drop((0, 5), {2})) == 1
+    assert localize(mod, [1, 2]).rank_invariant((), ()) == 0
 
 
 def test_localized_rank_rejects_bad_sigma():
     mod = free_module(2, (0, 0), F5)
-    with pytest.raises(PreconditionError):
-        localized_dim(mod, [3], (0, 0))
-    with pytest.raises(PreconditionError):
-        localized_dim(mod, [0], (0, 0))
+    with pytest.raises(PreconditionError, match=r"sigma \[3\] not inside 1\.\.2"):
+        localize(mod, [3])
+    with pytest.raises(PreconditionError, match=r"sigma \[0\] not inside 1\.\.2"):
+        localize(mod, [0])
     # empty sigma inverts nothing and reduces to the plain dimension
-    assert localized_dim(mod, [], (0, 0)) == mod.dim_at((0, 0))
+    assert localize(mod, []).dim_at((0, 0)) == mod.dim_at((0, 0))
+
+
+@st.composite
+def _module(draw):
+    fld = draw(st.sampled_from([Field(2), F5, Field(0)]))
+    m = draw(st.integers(1, 3))
+    return random_presentation(draw(st.integers(0, 10**6)), m=m, max_gens=5, max_rels=5, max_degree=2, fld=fld)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_module())
+def test_localize_slices_are_pinned_slices(mod):
+    # every sigma, empty and full included: the localized slice at d is M's
+    # slice at d with the sigma-coordinates pinned at the bound, same basis
+    bound = mod.stabilization_bound()
+    axes = range(1, mod.m + 1)
+    for size in range(mod.m + 1):
+        for sigma in combinations(axes, size):
+            local = localize(mod, sigma)
+            assert local.m == mod.m - size
+            assert local.stabilization_bound() == drop(bound, sigma)
+
+            def pin(d):
+                return tuple(bound[i - 1] if i in sigma else x for i, x in enumerate(d, 1))
+
+            for d in box(bound):
+                assert local.dim_at(drop(d, sigma)) == mod.dim_at(pin(d))
+                ups = [with_axis(d, i, d[i - 1] + 1) for i in axes if i not in sigma] + [bound]
+                for e in ups:
+                    assert local.transition(drop(d, sigma), drop(e, sigma)) == mod.transition(pin(d), pin(e))
 
 
 def test_barcode_of_torsion_plus_shifted_free():
@@ -136,7 +167,7 @@ def test_infinite_bar_count_is_stable_dim():
         for axis in (1, 2):
             bc = localized_barcode(mod, axis)
             inf_count = sum(mult for iv, mult in bc.bars if iv.end is None)
-            assert inf_count == localized_dim(mod, [axis], bound)
+            assert inf_count == localize(mod, [axis]).dim_at(drop(bound, {axis}))
 
 
 def test_barcode_rank_consistency():
@@ -167,7 +198,10 @@ def test_rank_function_memoization_is_pure():
 
 def test_pinned_slice_sequence_shapes():
     mod = GradedPresentation.build(2, F5, [(0, 0)], [((2, 0), [1])])
-    dims, maps = pinned_slice_sequence(mod, 1)
+    line = localize(mod, [2])
+    (bound,) = line.stabilization_bound()
+    dims = [line.dim_at((c,)) for c in range(bound + 1)]
+    maps = [line.transition((c,), (c + 1,)) for c in range(bound)]
     assert dims[0] == 1 and dims[2] == 0
     assert len(maps) == len(dims) - 1
     for j, step in enumerate(maps):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from persloc.degrees import box, leq
 from persloc.errors import DecompositionError, NotLocallyEpicError, PreconditionError
 from persloc.fields import DEFAULT_FIELD, Field, Matrix, Subspace
-from persloc.localization import Interval, localized_barcode
+from persloc.localization import Interval, localize, localized_barcode
 from persloc.presentation import (
     GradedPresentation,
     PresentationMap,
@@ -351,3 +351,18 @@ def test_equivalence_is_localization_blind():
     # but two copies of the same strips on both sides do match
     other = direct_sum(strip_presentation(1, 0, 3), free_module(2, (1, 1), F5))
     assert equivalent_after_localization(noisy, other) is True
+
+
+def test_planar_shadows_of_m3_modules():
+    # the planar shadow of an m = 3 module inverts one variable k and
+    # decomposes what is left; its strips are M's localized barcodes along
+    # the two remaining axes i < j, and reconstruct round-trips it
+    for fld in (Field(2), F5, Field(0)):
+        for seed in range(20):
+            mod = random_presentation(seed, m=3, max_gens=5, max_rels=8, max_degree=4, fld=fld)
+            for k in (1, 2, 3):
+                i, j = (axis for axis in (1, 2, 3) if axis != k)
+                shadow = decompose(localize(mod, [k]))
+                assert shadow.vertical == localized_barcode(mod, i).finite(), (fld, seed, k)
+                assert shadow.horizontal == localized_barcode(mod, j).finite(), (fld, seed, k)
+                assert decompose(reconstruct(shadow, fld)) == shadow, (fld, seed, k)
