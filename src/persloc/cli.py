@@ -54,6 +54,8 @@ from .presentation import GradedPresentation, PresentationMap, direct_sum, rando
 from .quiver import (
     QuiverRep,
     _by_leg,
+    _require_end_unknowns,
+    _star_degrees,
     endomorphism_basis,
     is_indecomposable,
     quiver_shape,
@@ -164,8 +166,9 @@ def _resolve_complex(spec: str, inputs: list):
     return k
 
 
-def _resolve_rep(spec: str, fld: Field, inputs: list, n: int | None) -> QuiverRep:
-    """A quiver-rep file, or a module (file or example name) converted at -n."""
+def _resolve_rep(spec: str, fld: Field, inputs: list, n: int | None, end_budget: bool = False) -> QuiverRep:
+    """A quiver-rep file, or a module (file or example name) converted at -n; with
+    `end_budget`, a module whose End is over budget is refused before any map is built."""
     if _looks_like_path(spec):
         obj = modfile.unwrap_envelope(_read_json(spec))
         if isinstance(obj, dict) and "legs" not in obj and isinstance(obj.get("rep"), dict):
@@ -182,6 +185,10 @@ def _resolve_rep(spec: str, fld: Field, inputs: list, n: int | None) -> QuiverRe
         module = _resolve(spec, fld, inputs, GradedPresentation)
     if n is None:
         raise UsageError("converting a module needs -n LEG_LENGTH")
+    if end_budget:
+        at = _star_degrees(module, n)
+        dims = {d: module.dim_at(d) for d in set(at)}
+        _require_end_unknowns(dims[d] for d in at)
     return to_quiver_rep(module, n)
 
 
@@ -335,7 +342,7 @@ def _cmd_quiverize(args, fld: Field, inputs: list) -> dict:
 
 
 def _cmd_endo(args, fld: Field, inputs: list) -> dict:
-    rep = _resolve_rep(args.input, fld, inputs, args.n)
+    rep = _resolve_rep(args.input, fld, inputs, args.n, end_budget=True)
     basis = endomorphism_basis(rep)
     return {
         "dimension": len(basis),
@@ -350,7 +357,7 @@ def _cmd_endo(args, fld: Field, inputs: list) -> dict:
 
 
 def _cmd_indec(args, fld: Field, inputs: list) -> dict:
-    rep = _resolve_rep(args.input, fld, inputs, args.n)
+    rep = _resolve_rep(args.input, fld, inputs, args.n, end_budget=True)
     res = is_indecomposable(rep)
     witness = None
     if res.witness is not None:

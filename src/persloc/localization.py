@@ -7,9 +7,9 @@ slice at d is M's slice with the sigma-coordinates pinned at the bound.
 
 Axis barcodes: inverting all variables except axis i leaves a one-parameter
 module.  `localized_barcode` recovers its interval multiset from M's rank
-function along axis i (others pinned) by inclusion-exclusion, sharing M's
-slice cache with the rest of `decompose`.  `barcode_by_reduction` reduces the
-localized slice sequence directly and serves as the independent cross-check.
+function along axis i (others pinned) by inclusion-exclusion.  The slice
+reduction of `barcode_by_reduction` is its independent cross-check, and
+`twoparam.decompose` reads the same finite bars off the presentation.
 """
 
 from __future__ import annotations

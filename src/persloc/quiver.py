@@ -172,8 +172,9 @@ def in_leq_n(module: GradedPresentation, n: int) -> bool:
     return True
 
 
-def to_quiver_rep(module: GradedPresentation, n: int) -> QuiverRep:
-    """Stabilized slices along each axis, with the sink at the stable corner."""
+def _star_degrees(module: GradedPresentation, n: int) -> list:
+    """`to_quiver_rep`'s vertex degrees in `_star` order, after its checks; leg
+    coordinates are clamped at the stabilization bound, past which slices repeat."""
     if module.m != 3:
         raise PreconditionError("quiver conversion works over m = 3")
     _require_leg_length(n)
@@ -184,13 +185,28 @@ def to_quiver_rep(module: GradedPresentation, n: int) -> QuiverRep:
         )
     bound = module.stabilization_bound()
     pin = tuple(max(n, b) for b in bound)
-    at = [pin, *(dg.with_axis(pin, axis, j) for axis in (1, 2, 3) for j in range(n))]
+    return [pin, *(dg.with_axis(pin, axis, min(j, bound[axis - 1])) for axis in (1, 2, 3) for j in range(n))]
+
+
+def to_quiver_rep(module: GradedPresentation, n: int) -> QuiverRep:
+    """Stabilized slices along each axis, with the sink at the stable corner."""
+    at = _star_degrees(module, n)
     return QuiverRep.from_flat(
         module.field,
         n,
         [module.dim_at(d) for d in at],
         [module.transition(at[s], at[t]) for s, t in _star(n)],
     )
+
+
+def _require_end_unknowns(dims) -> None:
+    """Refuse an End system with more than `_MAX_END_UNKNOWNS` unknowns."""
+    total = sum(d * d for d in dims)
+    if total > _MAX_END_UNKNOWNS:
+        raise PreconditionError(
+            f"End has {total} unknowns (the sum of squared vertex dimensions), "
+            f"more than {_MAX_END_UNKNOWNS}"
+        )
 
 
 # -- endomorphisms and splittings ----------------------------------------
@@ -229,15 +245,9 @@ def endomorphism_basis(rep: QuiverRep) -> list[tuple[Matrix, ...]]:
     """
     fld = rep.field
     dims = rep.dims
-    offsets = [0]
-    for d in dims:
-        offsets.append(offsets[-1] + d * d)
+    _require_end_unknowns(dims)
+    offsets = list(itertools.accumulate((d * d for d in dims), initial=0))
     total = offsets[-1]
-    if total > _MAX_END_UNKNOWNS:
-        raise PreconditionError(
-            f"End has {total} unknowns (the sum of squared vertex dimensions), "
-            f"more than {_MAX_END_UNKNOWNS}"
-        )
     rows: list[list] = []
     zero = fld.zero
     for (u, w), a in zip(_star(rep.n), rep.maps):

@@ -2,11 +2,10 @@
 
 After inverting variables, every finitely presented two-parameter module
 splits uniquely into vertical strips (born at a, killed at b along axis 1,
-free along axis 2), horizontal strips (the mirror), and free quadrants.  The
-strips are the finite bars of the two axis barcodes; the quadrant corners are
-recovered from the stable corner slice: the images of the two axis
-bifiltrations intersect there, and inclusion-exclusion of those intersection
-dimensions is exactly the corner-multiplicity count.
+free along axis 2), horizontal strips (the mirror), and free quadrants.
+`decompose` reads all three off the presentation.  `quadrant_corners` is the
+independent route to the corners: inclusion-exclusion over the intersections
+of the two bifiltration images in the stable corner slice.
 
 Also here: the fiber-product dimension of the two single-axis localizations
 over the corner (detects modules the decomposition glues differently), an
@@ -16,6 +15,7 @@ a localized epimorphism admits a compatible pair of sections.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -29,8 +29,8 @@ from .errors import (
     NotLocallyEpicError,
     PreconditionError,
 )
-from .fields import Field, _rref
-from .localization import Interval, canonical_bars, localized_barcode
+from .fields import Echelon, Field, _rref
+from .localization import Interval, canonical_bars
 from .presentation import GradedPresentation, PresentationMap, direct_sum, free_module, zero_module
 from .examples import strip_presentation
 
@@ -129,13 +129,46 @@ def quadrant_corners(module: GradedPresentation) -> Corners:
 
 
 def decompose(module: GradedPresentation) -> Decomposition:
-    """Full strip/quadrant data of the module after inverting variables."""
+    """Full strip/quadrant data of the module after inverting variables.
+
+    Three echelon passes over the presentation, generators latest-born first
+    so that a pivot is the persistence "low".  Axis i: relation columns in
+    (deg_i, index) order; one inserting with pivot g is the strip [deg_i g,
+    deg_i r), if not empty.  Corners: after all relation columns (in deg_2
+    order), unit vectors e_g in (deg_1, index) order; one inserting with pivot
+    h is a quadrant at (deg_1 g, deg_2 h).  The corner count is checked
+    against the stable corner's dimension, reached through the slices.
+    """
     _require_two_params(module)
-    return Decomposition.make(
-        localized_barcode(module, 1).finite(),
-        localized_barcode(module, 2).finite(),
-        quadrant_corners(module),
-    )
+    bound = module.stabilization_bound()
+    for limit in ((bound[0],) * 2, (bound[1],) * 2, bound):
+        dg.require_box_budget(limit)
+    fld, gens, rels = module.field, module.gen_degrees, module.rel_degrees
+    born = [sorted(range(len(gens)), key=lambda g: (gens[g][axis], g)) for axis in (0, 1)]
+
+    def pivots(axis: int, *parts) -> list:
+        """Insert each part's vectors into one Echelon: the pivot generator of each, or None."""
+        order, echelon = born[axis][::-1], Echelon(fld)
+        inserted = (echelon.insert([v[g] for g in order]) for vectors in parts for v in vectors)
+        return [order[echelon.pivots[-1]] if new else None for new in inserted]
+
+    def column(j: int) -> list:
+        # built when inserted: holding every column at once costs memory
+        return [row[j] for row in module.rel_coeffs.entries]
+
+    strips: tuple[list, list] = ([], [])
+    for axis, bars in enumerate(strips):
+        killed = sorted(range(len(rels)), key=lambda j: (rels[j][axis], j))
+        for j, g in zip(killed, pivots(axis, map(column, killed))):
+            if g is not None and gens[g][axis] < rels[j][axis]:
+                bars.append((Interval(gens[g][axis], rels[j][axis]), 1))
+    units = ([fld.one if h == g else fld.zero for h in range(len(gens))] for g in born[0])
+    heads = pivots(1, map(column, range(len(rels))), units)[len(rels):]
+    corners = [(gens[g][0], gens[h][1]) for g, h in zip(born[0], heads) if h is not None]
+    stable = module.rank_invariant(bound, bound)
+    if len(corners) != stable:
+        raise DecompositionError(f"{len(corners)} quadrant corners, stable corner has dimension {stable}")
+    return Decomposition.make(*strips, Counter(corners).items())
 
 
 def reconstruct(deco: Decomposition, fld: Field) -> GradedPresentation:

@@ -6,13 +6,16 @@ verdicts are checked on knowns from both sides (certified yes on the rank-two
 example, witnessed no on direct sums).
 """
 
+import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persloc.degrees import box
+from persloc import cli
+from persloc.degrees import box, with_axis
 from persloc.errors import PreconditionError
 from persloc.fields import DEFAULT_FIELD, Field, Matrix, Subspace
 from persloc.localization import Interval, bars_from_rank_fn
@@ -105,6 +108,34 @@ def test_to_quiver_rep_free_module():
     assert rep.leg_dims == ((1,), (1,), (1,))
     for leg in range(3):
         assert rep.arrows[leg][0] == Matrix.identity(F5, 1)
+
+
+def test_legs_past_the_bound_repeat_the_bound_slices():
+    # to_quiver_rep clamps leg coordinates at the stabilization bound; the
+    # rep is the one read off the unclamped degrees
+    n = 4
+    for fld in (F2, F5, Field(0)):
+        for seed in range(20):
+            mod = random_presentation(seed, m=3, max_gens=4, max_rels=5, max_degree=2, fld=fld)
+            pin = tuple(max(n, b) for b in mod.stabilization_bound())
+            at = [pin, *(with_axis(pin, axis, j) for axis in (1, 2, 3) for j in range(n))]
+            unclamped = QuiverRep.from_flat(
+                fld, n, [mod.dim_at(d) for d in at], [mod.transition(at[s], at[t]) for s, t in _star(n)]
+            )
+            assert to_quiver_rep(mod, n) == unclamped, (fld, seed)
+
+
+def test_end_budget_refuses_long_legs_before_their_maps(capsys):
+    # 100,001 vertices of dimension 1 are 100,000 End unknowns; the budget
+    # used to be checked after 100,000 leg maps were built (about 3 s)
+    for command in ("indec", "endo"):
+        start = time.perf_counter()
+        code = cli.main([command, "quadrant:0,0,0", "-n", "33333"])
+        elapsed = time.perf_counter() - start
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert code == 1 and error["type"] == "PreconditionError", command
+        assert "End has 100000 unknowns" in error["message"], command
+        assert elapsed < 0.5, (command, elapsed)
 
 
 def test_endomorphisms_contain_identity_and_compose():

@@ -4,13 +4,13 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from persloc.degrees import box, leq
 from persloc.errors import DecompositionError, NotLocallyEpicError, PreconditionError
 from persloc.fields import DEFAULT_FIELD, Field, Matrix, Subspace
-from persloc.localization import Interval, localize, localized_barcode
+from persloc.localization import Interval, barcode_by_reduction, localize, localized_barcode
 from persloc.presentation import (
     GradedPresentation,
     PresentationMap,
@@ -115,6 +115,51 @@ def test_strips_match_finite_bars():
         deco = decompose(mod)
         assert deco.vertical == localized_barcode(mod, 1).finite()
         assert deco.horizontal == localized_barcode(mod, 2).finite()
+
+
+@st.composite
+def _small_presentation(draw):
+    # degrees in a 4 x 4 box repeat often, and coefficients in -2..2 leave
+    # zero relation columns (over F_2 a column of 2s is zero too)
+    fld = draw(st.sampled_from((Field(2), F5, Field(0))))
+    degree = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    gens = draw(st.lists(degree, max_size=5))
+    relations = [
+        (rd, [draw(st.integers(-2, 2)) if leq(gd, rd) else 0 for gd in gens])
+        for rd in draw(st.lists(degree, max_size=7))
+    ]
+    return GradedPresentation.build(2, fld, gens, relations)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_small_presentation())
+@example(zero_module(2, Field(2)))
+@example(GradedPresentation.build(2, F5, [(1, 2), (1, 2), (0, 3)], []))
+@example(GradedPresentation.build(2, Field(0), [(0, 0), (0, 0)], [((1, 1), [0, 0]), ((1, 1), [1, -1]), ((1, 1), [2, -2])]))
+@example(GradedPresentation.build(2, Field(2), [(0, 1), (1, 0)], [((2, 2), [2, 4]), ((1, 1), [1, 1])]))
+def test_presentation_route_matches_the_slice_routes(mod):
+    # decompose reads strips and corners off the presentation; the slice
+    # routes (Moebius, slice reduction, intersection table) are independent
+    deco = decompose(mod)
+    for axis, strips in ((1, deco.vertical), (2, deco.horizontal)):
+        assert strips == localized_barcode(mod, axis).finite()
+        assert strips == barcode_by_reduction(mod, axis).finite()
+    assert deco.quadrants == quadrant_corners(mod)
+
+
+def test_decompose_checks_the_corner_count(monkeypatch):
+    # a stable corner one dimension larger than the corners found is refused
+    mod = named_example("samerank_m")
+    rank_invariant = GradedPresentation.rank_invariant
+
+    def one_more_at_the_bound(self, a, b):
+        bound = self.stabilization_bound()
+        return rank_invariant(self, a, b) + (tuple(a) == tuple(b) == bound)
+
+    decompose(mod)
+    monkeypatch.setattr(GradedPresentation, "rank_invariant", one_more_at_the_bound)
+    with pytest.raises(DecompositionError, match="stable corner has dimension 3"):
+        decompose(mod)
 
 
 def test_finite_summands_invisible_in_quadrants():
