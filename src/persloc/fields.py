@@ -241,7 +241,7 @@ class Matrix:
         return cls(field, n, n, ent)
 
     def col(self, j: int) -> tuple:
-        return tuple(self.entries[i][j] for i in range(self.nrows))
+        return tuple([row[j] for row in self.entries])
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if other.field != self.field or other.nrows != self.nrows:

@@ -7,19 +7,21 @@ slice at d is M's slice with the sigma-coordinates pinned at the bound.
 
 Axis barcodes: inverting all variables except axis i leaves a one-parameter
 module.  `localized_barcode` recovers its interval multiset from M's rank
-function along axis i (others pinned) by inclusion-exclusion.  The slice
-reduction of `barcode_by_reduction` is its independent cross-check, and
-`twoparam.decompose` reads the same finite bars off the presentation.
+function along axis i (others pinned) by inclusion-exclusion.  The one
+persistence column reduction, `presentation_bars`, reads the same bars off
+the presentation with no slice: `barcode_by_reduction` is that route, the
+independent cross-check of the first, and `twoparam.decompose`,
+`quiver.in_leq_n` and `quiver.torsion_leg_split` use it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import degrees as dg
 from .errors import PreconditionError
-from .fields import Echelon, Matrix
+from .fields import Echelon
 from .presentation import GradedPresentation
 
 _INF = float("inf")
@@ -144,55 +146,41 @@ def localized_barcode(module: GradedPresentation, axis: int) -> Barcode:
     return Barcode.make(axis, bars_from_rank_fn(rank, bound))
 
 
-def intervals_by_reduction(
-    fld, dims: Sequence[int], maps: Sequence[Matrix], stabilized: bool
-) -> list[tuple[Interval, int]]:
-    """Interval decomposition of V_0 -> ... -> V_T by sequential reduction.
+def column_lows(fld, born: Sequence[int], columns: Iterable[Sequence]) -> Iterator[int | None]:
+    """The persistence "low" of each column (one entry per generator), or None.
 
-    Tracks a labeled basis through the maps; at each step image vectors are
-    column-reduced oldest-first, a vector that reduces to zero closes its bar,
-    and the basis is completed with newborn coordinate vectors.  With
-    `stabilized` the survivors at V_T are unbounded bars (every later map is
-    an isomorphism); otherwise they die at T+1.  Independent of the
-    rank-function route: no rank invariant is ever evaluated.
+    `born` lists the generators earliest-born first.  The columns go into one
+    `Echelon` with the generator coordinates latest-born first, so a pivot is
+    the youngest generator left after reducing by the earlier columns
+    (Zomorodian-Carlsson 2005); None when the column is in their span.
     """
-    if len(maps) != max(len(dims) - 1, 0):
-        raise PreconditionError("need one map per consecutive pair of spaces")
-    zero_v, one = fld.zero, fld.one
-    current: list[tuple[int, tuple]] = [
-        (0, tuple(one if i == k else zero_v for i in range(dims[0])))
-        for k in range(dims[0])
-    ] if dims else []
-    bars: list[tuple[Interval, int]] = []
-    for c, mat in enumerate(maps):
-        images = [(birth, mat.apply(vec)) for birth, vec in current]
-        images.sort(key=lambda bv: bv[0])  # stable sort: oldest first
-        echelon = Echelon(fld)
-        kept: list[tuple[int, tuple]] = []
-        for birth, vec in images:
-            if echelon.insert(vec):
-                kept.append((birth, tuple(echelon.rows[-1])))
-            else:
-                bars.append((Interval(birth, c + 1), 1))
-        for r in range(dims[c + 1]):
-            if echelon.insert([one if i == r else zero_v for i in range(dims[c + 1])]):
-                kept.append((c + 1, tuple(echelon.rows[-1])))
-        current = kept
-    tail = len(dims) - 1
-    for birth, _ in current:
-        end = None if stabilized else tail + 1
-        if end is None or end > birth:
-            bars.append((Interval(birth, end), 1))
-    return bars
+    order, echelon = born[::-1], Echelon(fld)
+    for col in columns:
+        yield order[echelon.pivots[-1]] if echelon.insert([col[g] for g in order]) else None
+
+
+def presentation_bars(fld, gens: Sequence[int], rels: Sequence[int], column: Callable) -> list[tuple[Interval, int]]:
+    """Bars of the one-parameter module with these generator and relation degrees.
+
+    `column(j)` is relation j's coefficient column, built when reduced:
+    holding every column at once costs memory.  Relations go in (degree,
+    index) order; one with low g is the bar [gens[g], rels[j]), dropped when
+    empty, and a generator that is no relation's low is [gens[g], inf).
+    """
+    born = sorted(range(len(gens)), key=lambda g: (gens[g], g))
+    killed = sorted(range(len(rels)), key=lambda j: (rels[j], j))
+    bars, dead = [], set()
+    for j, g in zip(killed, column_lows(fld, born, map(column, killed))):
+        if g is not None:
+            dead.add(g)
+            if gens[g] < rels[j]:
+                bars.append((Interval(gens[g], rels[j]), 1))
+    return bars + [(Interval(gens[g]), 1) for g in born if g not in dead]
 
 
 def barcode_by_reduction(module: GradedPresentation, axis: int) -> Barcode:
-    """Oracle route: reduce the slices 0..bound of M with the other axes inverted."""
+    """Column reduction of M's presentation read along `axis`, the others inverted."""
     if not 1 <= axis <= module.m:
         raise PreconditionError(f"axis {axis} not inside 1..{module.m}")
-    line = localize(module, set(range(1, module.m + 1)) - {axis})
-    (bound,) = line.stabilization_bound()
-    dims = [line.dim_at((c,)) for c in range(bound + 1)]
-    maps = [line.transition((c,), (c + 1,)) for c in range(bound)]
-    bars = intervals_by_reduction(module.field, dims, maps, stabilized=True)
-    return Barcode.make(axis, bars)
+    gens, rels = ([d[axis - 1] for d in degrees] for degrees in (module.gen_degrees, module.rel_degrees))
+    return Barcode.make(axis, presentation_bars(module.field, gens, rels, module.rel_coeffs.col))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from . import degrees as dg
 from .errors import DecompositionError, PreconditionError
 from .fields import DEFAULT_FIELD, Echelon, Field, Matrix, Subspace
-from .localization import Interval, canonical_bars, intervals_by_reduction
+from .localization import Interval, barcode_by_reduction, canonical_bars, presentation_bars
 from .presentation import GradedPresentation
 
 # certified verdicts enumerate all p^dim elements of End up to this dimension
@@ -154,22 +154,22 @@ class QuiverRep:
 def in_leq_n(module: GradedPresentation, n: int) -> bool:
     """Do pinned transitions become isomorphisms past degree n on every axis?
 
-    Checked on every axis position in [n, bound): past the stabilization
-    bound transitions are isomorphisms for free, below it each step is
-    verified directly (a single spot check can miss bars born later).
+    Past the stabilization bound the pinned slices are the localization, so
+    this holds iff every bar of the three axis barcodes starts and ends by n.
+    Bars start and end by their axis's bound, so an axis with n at or past
+    it needs no barcode.
     """
     if module.m != 3:
         raise PreconditionError("quiver conversion works over m = 3")
     if n < 0:
         raise PreconditionError("n must be nonnegative")
     bound = module.stabilization_bound()
-    pin = tuple(max(n, b) for b in bound)
-    for axis in (1, 2, 3):
-        for c in range(n, bound[axis - 1]):
-            t = module.transition(dg.with_axis(pin, axis, c), dg.with_axis(pin, axis, c + 1))
-            if t.nrows != t.ncols or t.rank() != t.nrows:
-                return False
-    return True
+    return all(
+        iv.start <= n and (iv.end is None or iv.end <= n)
+        for axis in (1, 2, 3)
+        if n < bound[axis - 1]
+        for iv, _ in barcode_by_reduction(module, axis).bars
+    )
 
 
 def _star_degrees(module: GradedPresentation, n: int) -> list:
@@ -398,20 +398,34 @@ def is_indecomposable(rep: QuiverRep) -> IndecResult:
 def torsion_leg_split(rep: QuiverRep) -> tuple[tuple[tuple[Interval, int], ...], ...] | None:
     """Interval decomposition of each leg when the sink vanishes.
 
-    With a zero sink each leg is an independent linear chain; its interval
-    multiset comes from the same sequential column reduction as the barcode
-    oracle, run on the leg's maps.  Bars are half-open with end at most n,
-    sorted and merged as in a `Barcode`.  Returns None when the sink is
-    nonzero (legs are then coupled through it).
+    With a zero sink each leg V_0 -> ... -> V_{n-1} -> 0 is an independent
+    chain.  It is presented by one generator per basis vector v of vertex c,
+    in degree c, and the relation t.v - A_c v in degree c+1, the last map
+    going into the zero sink; its bars are that presentation's
+    `presentation_bars`.  Bars are half-open with end at most n, sorted and
+    merged as in a `Barcode`.  Returns None when the sink is nonzero (legs
+    are then coupled through it).
     """
     if rep.sink_dim != 0:
         return None
-    return tuple(
-        canonical_bars(
-            intervals_by_reduction(rep.field, rep.leg_dims[leg], rep.arrows[leg][:-1], stabilized=False)
-        )
-        for leg in range(3)
-    )
+    fld = rep.field
+
+    def leg_bars(dims, maps) -> list[tuple[Interval, int]]:
+        offsets = list(itertools.accumulate(dims, initial=0))
+        gens = [c for c, d in enumerate(dims) for _ in range(d)]
+
+        def column(j: int) -> list:
+            # relation j is t.v - A_c v for generator j = v at vertex c
+            c = gens[j]
+            col = [fld.zero] * offsets[-1]
+            col[j] = fld.one
+            for r, row in enumerate(maps[c].entries):
+                col[offsets[c + 1] + r] = fld.neg(row[j - offsets[c]])
+            return col
+
+        return presentation_bars(fld, gens, [c + 1 for c in gens], column)
+
+    return tuple(canonical_bars(leg_bars(rep.leg_dims[leg], rep.arrows[leg])) for leg in range(3))
 
 
 def random_rep(

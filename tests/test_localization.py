@@ -1,8 +1,8 @@
 """Localization: the localized presentation, and one-axis interval decompositions.
 
 The barcode computed by rank-function inversion is cross-checked against an
-independent reduction algorithm (birth-labeled bases carried through the
-slice sequence of the localized module), so neither route can silently drift.
+independent reduction algorithm (persistence column reduction of the
+presentation, which builds no slice), so neither route can silently drift.
 """
 
 import random
@@ -20,9 +20,9 @@ from persloc.localization import (
     axis_rank_function,
     barcode_by_reduction,
     bars_from_rank_fn,
-    intervals_by_reduction,
     localize,
     localized_barcode,
+    presentation_bars,
 )
 from persloc.presentation import (
     GradedPresentation,
@@ -208,19 +208,12 @@ def test_pinned_slice_sequence_shapes():
         assert step.nrows == dims[j + 1] and step.ncols == dims[j]
 
 
-def test_intervals_by_reduction_handmade():
-    # two chains by hand: one dies at 2, one is born at 1 and survives
-    fld = F5
-    from persloc.fields import Matrix
-
-    dims = [1, 2, 1, 1]
-    maps = [
-        Matrix.from_rows(fld, [[1], [0]]),
-        Matrix.from_rows(fld, [[0, 1]]),
-        Matrix.from_rows(fld, [[1]]),
-    ]
-    bars = intervals_by_reduction(fld, dims, maps, stabilized=True)
-    assert list(bars) == [(Interval(0, 2), 1), (Interval(1, None), 1)]
+def test_presentation_bars_handmade():
+    # generators a at 0, b and c at 1; c dies at birth (an empty bar, dropped),
+    # a + c kills a at 2, a zero column at 3 kills nothing, and b survives
+    columns = [[0, 0, 1], [1, 0, 1], [0, 0, 0]]
+    bars = presentation_bars(F5, [0, 1, 1], [1, 2, 3], columns.__getitem__)
+    assert bars == [(Interval(0, 2), 1), (Interval(1, None), 1)]
 
 
 def test_zero_module_barcode_empty():

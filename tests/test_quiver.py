@@ -82,6 +82,39 @@ def test_in_leq_n_whole_range_matters():
     assert in_leq_n(mod, 3)
 
 
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from([F2, F5, Field(0)]))
+def test_in_leq_n_agrees_with_the_transition_walk(seed, fld):
+    # in_leq_n reads the three axis barcodes; the reference walks every pinned
+    # transition at axis positions n..bound-1 and asks for an isomorphism
+    mod = random_presentation(seed, m=3, max_gens=4, max_rels=6, max_degree=4, fld=fld)
+    bound = mod.stabilization_bound()
+    for n in range(7):
+        pin = tuple(max(n, b) for b in bound)
+        steps = (
+            mod.transition(with_axis(pin, axis, c), with_axis(pin, axis, c + 1))
+            for axis in (1, 2, 3)
+            for c in range(n, bound[axis - 1])
+        )
+        walked = all(t.nrows == t.ncols == t.rank() for t in steps)
+        assert in_leq_n(mod, n) == walked, (seed, fld, n)
+
+
+def test_far_bound_is_refused_without_walking_it(capsys):
+    # the bar born at 99,999 is read off the presentation; no transition is
+    # built at each axis position up to the bound
+    start = time.perf_counter()
+    code = cli.main(["quiverize", "quadrant:0,0,99999", "-n", "1"])
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    assert capsys.readouterr().out == (
+        '{"command":["persloc","quiverize","quadrant:0,0,99999","-n","1"],'
+        '"error":{"kind":"domain","message":"transitions are not isomorphisms past degree 1; '
+        'choose a larger n","type":"PreconditionError"},"format":1}\n'
+    )
+    assert elapsed < 0.5, elapsed
+
+
 def test_to_quiver_rep_m3_example():
     mod = named_example("m3_indecomposable")
     rep = to_quiver_rep(mod, 2)
