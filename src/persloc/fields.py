@@ -14,10 +14,10 @@ where values enter the program: `Field.coerce` runs only in
 `Subspace.reduce`, the row operations) trusts its input to be canonical and
 keeps it so.
 
-The only row-reduction code in the package is here: the two row operations
-`Field.axpy` and `Field.scale`, the full reduction `_rref`, and `Echelon`,
-which grows an echelon basis one vector at a time.  Every other module
-reduces rows through them.
+The only dense row-reduction code in the package is here: the two row
+operations `Field.axpy` and `Field.scale`, the full reduction `_rref`, and
+`Echelon`, which grows an echelon basis one vector at a time.  The sparse
+persistence columns of `localization.column_lows` are reduced there.
 """
 
 from __future__ import annotations

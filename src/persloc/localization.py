@@ -21,7 +21,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import degrees as dg
 from .errors import PreconditionError
-from .fields import Echelon
 from .presentation import GradedPresentation
 
 _INF = float("inf")
@@ -146,24 +145,32 @@ def localized_barcode(module: GradedPresentation, axis: int) -> Barcode:
     return Barcode.make(axis, bars_from_rank_fn(rank, bound))
 
 
-def column_lows(fld, born: Sequence[int], columns: Iterable[Sequence]) -> Iterator[int | None]:
-    """The persistence "low" of each column (one entry per generator), or None.
+def column_lows(fld, born: Sequence[int], columns: Iterable[Iterable]) -> Iterator[int | None]:
+    """The persistence "low" of each column, or None when it reduces to zero.
 
-    `born` lists the generators earliest-born first.  The columns go into one
-    `Echelon` with the generator coordinates latest-born first, so a pivot is
-    the youngest generator left after reducing by the earlier columns
-    (Zomorodian-Carlsson 2005); None when the column is in their span.
+    `born` lists the generators earliest-born first; a column comes as its
+    (generator, coefficient) pairs and is held sparse.  Its low is its
+    youngest generator with a nonzero entry, and it is reduced by the earlier
+    columns while that low is one of theirs (Zomorodian-Carlsson 2005).
     """
-    order, echelon = born[::-1], Echelon(fld)
+    age, stored = {g: k for k, g in enumerate(born)}, {}
     for col in columns:
-        yield order[echelon.pivots[-1]] if echelon.insert([col[g] for g in order]) else None
+        vec = {age[g]: x for g, x in col if x != 0}
+        while vec and (low := max(vec)) in stored:
+            c = fld.neg(vec[low])
+            for k, y in stored[low].items():
+                vec[k] = fld.normalize(vec.get(k, 0) + c * y)
+            vec = {k: x for k, x in vec.items() if x != 0}
+        if vec:
+            stored[low] = dict(zip(vec, fld.scale(vec.values(), fld.inv(vec[low]))))
+        yield born[low] if vec else None
 
 
 def presentation_bars(fld, gens: Sequence[int], rels: Sequence[int], column: Callable) -> list[tuple[Interval, int]]:
     """Bars of the one-parameter module with these generator and relation degrees.
 
-    `column(j)` is relation j's coefficient column, built when reduced:
-    holding every column at once costs memory.  Relations go in (degree,
+    `column(j)` is relation j's column as `column_lows` takes it, built when
+    reduced: holding every column at once costs memory.  Relations go in (degree,
     index) order; one with low g is the bar [gens[g], rels[j]), dropped when
     empty, and a generator that is no relation's low is [gens[g], inf).
     """
@@ -183,4 +190,5 @@ def barcode_by_reduction(module: GradedPresentation, axis: int) -> Barcode:
     if not 1 <= axis <= module.m:
         raise PreconditionError(f"axis {axis} not inside 1..{module.m}")
     gens, rels = ([d[axis - 1] for d in degrees] for degrees in (module.gen_degrees, module.rel_degrees))
-    return Barcode.make(axis, presentation_bars(module.field, gens, rels, module.rel_coeffs.col))
+    bars = presentation_bars(module.field, gens, rels, lambda j: enumerate(module.rel_coeffs.col(j)))
+    return Barcode.make(axis, bars)

@@ -417,11 +417,8 @@ def torsion_leg_split(rep: QuiverRep) -> tuple[tuple[tuple[Interval, int], ...],
         def column(j: int) -> list:
             # relation j is t.v - A_c v for generator j = v at vertex c
             c = gens[j]
-            col = [fld.zero] * offsets[-1]
-            col[j] = fld.one
-            for r, row in enumerate(maps[c].entries):
-                col[offsets[c + 1] + r] = fld.neg(row[j - offsets[c]])
-            return col
+            image = maps[c].col(j - offsets[c])
+            return [(j, fld.one), *((offsets[c + 1] + r, fld.neg(x)) for r, x in enumerate(image))]
 
         return presentation_bars(fld, gens, [c + 1 for c in gens], column)
 

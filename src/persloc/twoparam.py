@@ -146,14 +146,16 @@ def decompose(module: GradedPresentation) -> Decomposition:
     bound = module.stabilization_bound()
     for limit in ((bound[0],) * 2, (bound[1],) * 2, bound):
         dg.require_box_budget(limit)
-    fld, gens, rels, column = module.field, module.gen_degrees, module.rel_degrees, module.rel_coeffs.col
+    fld, gens, rels, coeffs = module.field, module.gen_degrees, module.rel_degrees, module.rel_coeffs
     strips = []
     for axis in (0, 1):
-        bars = presentation_bars(fld, [d[axis] for d in gens], [d[axis] for d in rels], column)
+        degrees = [d[axis] for d in gens], [d[axis] for d in rels]
+        bars = presentation_bars(fld, *degrees, lambda j: enumerate(coeffs.col(j)))
         strips.append([bar for bar in bars if bar[0].end is not None])
     born = [sorted(range(len(gens)), key=lambda g: (gens[g][axis], g)) for axis in (0, 1)]
-    units = ([fld.one if h == g else fld.zero for h in range(len(gens))] for g in born[0])
-    heads = islice(column_lows(fld, born[1], chain(map(column, range(len(rels))), units)), len(rels), None)
+    units = ([(g, fld.one)] for g in born[0])
+    columns = chain((enumerate(coeffs.col(j)) for j in range(len(rels))), units)
+    heads = islice(column_lows(fld, born[1], columns), len(rels), None)
     corners = [(gens[g][0], gens[h][1]) for g, h in zip(born[0], heads) if h is not None]
     stable = module.rank_invariant(bound, bound)
     if len(corners) != stable:

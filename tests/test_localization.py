@@ -212,7 +212,7 @@ def test_presentation_bars_handmade():
     # generators a at 0, b and c at 1; c dies at birth (an empty bar, dropped),
     # a + c kills a at 2, a zero column at 3 kills nothing, and b survives
     columns = [[0, 0, 1], [1, 0, 1], [0, 0, 0]]
-    bars = presentation_bars(F5, [0, 1, 1], [1, 2, 3], columns.__getitem__)
+    bars = presentation_bars(F5, [0, 1, 1], [1, 2, 3], lambda j: enumerate(columns[j]))
     assert bars == [(Interval(0, 2), 1), (Interval(1, None), 1)]
 
 

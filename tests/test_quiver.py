@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persloc import cli
-from persloc.degrees import box, with_axis
+from persloc.degrees import MAX_BOX_DEGREES, box, with_axis
 from persloc.errors import PreconditionError
 from persloc.fields import DEFAULT_FIELD, Field, Matrix, Subspace
 from persloc.localization import Interval, bars_from_rank_fn
@@ -405,6 +405,20 @@ def test_torsion_leg_split_agrees_with_rank_inversion(seed, n, fld):
             for iv, mult in bars_from_rank_fn(rank, n - 1)
         )
         assert list(bars) == expect, (seed, n, fld, leg)
+
+
+def test_torsion_leg_split_on_the_longest_legs_stays_linear():
+    # legs of the longest length the box budget allows: identity chains whose
+    # last map kills them, so each closing relation is reduced back through
+    # the whole leg; a dense reduction would hold about n^2 entries here
+    n = (MAX_BOX_DEGREES - 1) // 3
+    one, zero = Matrix.identity(F5, 1), Matrix.from_rows(F5, [], 1)
+    rep = QuiverRep.from_flat(F5, n, [0] + [1] * (3 * n), ([one] * (n - 1) + [zero]) * 3)
+    start = time.perf_counter()
+    split = torsion_leg_split(rep)
+    elapsed = time.perf_counter() - start
+    assert split == (((Interval(0, n), 1),),) * 3
+    assert elapsed < 10, elapsed
 
 
 def test_rep_serialization_additivity():
