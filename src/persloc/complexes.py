@@ -4,6 +4,8 @@ A subset sigma of {1..m} is in the support of M when inverting the variables
 in sigma leaves a nonzero module; the collection of such subsets is downward
 closed, so it is an abstract simplicial complex (possibly empty, possibly
 containing only the empty face: the two are different and both matter).
+`supp_complex` decides each face from M's slices at its generator degrees;
+`annihilated_by_monomial_power`, the independent route, walks the bound box.
 
 Face rings realize every complex as a module support; minimal missing faces
 index both the Stanley-Reisner relations and the simple objects left after
@@ -182,11 +184,12 @@ def face_ring(
 def supp_complex(module: GradedPresentation) -> SimplicialComplex:
     """All sigma whose localization is nonzero, as a simplicial complex.
 
-    Nonvanishing is decided by a finite box test: pin the sigma-coordinates at
-    the stabilization bound and look for a nonzero slice with the remaining
-    coordinates inside the bound box (slices are constant past the bound in
-    each single coordinate, so the box is exhaustive).  A bound box of more
-    than `degrees.MAX_BOX_DEGREES` degrees is refused.
+    `localize(M, sigma)` is generated in M's generator degrees with the
+    sigma-coordinates raised to the stabilization bound, and a module is zero
+    iff its slice at each generator degree is.  So sigma is a face iff one of
+    those slices of M is nonzero: at most 2^m times num_gens slices, no box
+    walk.  The bound box is still held to `degrees.MAX_BOX_DEGREES` degrees,
+    the contract it shares with `annihilated_by_monomial_power`, which walks it.
     """
     m = module.m
     _require_variable_budget(m)
@@ -194,15 +197,10 @@ def supp_complex(module: GradedPresentation) -> SimplicialComplex:
     dg.require_box_budget(bound)
     faces = []
     for sigma in _subsets(range(1, m + 1)):
-        free = [i for i in range(1, m + 1) if i not in sigma]
-        limit = tuple(bound[i - 1] for i in free)
-        for point in dg.box(limit):
-            d = list(bound)
-            for pos, i in enumerate(free):
-                d[i - 1] = point[pos]
-            if module.dim_at(tuple(d)):
-                faces.append(sigma)
-                break
+        # every degree is <= bound, so joining with this raises exactly sigma
+        top = tuple(b if i in sigma else 0 for i, b in enumerate(bound, 1))
+        if any(module.dim_at(dg.join(d, top)) for d in module.gen_degrees):
+            faces.append(sigma)
     return SimplicialComplex(m, frozenset(faces))
 
 
@@ -220,24 +218,24 @@ def annihilated_by_monomial_power(module: GradedPresentation, face: Iterable[int
     whether multiplication by the monomial to the power
     1 + max(stabilization bound) is the zero map from every slice in the
     bound box; if that power does not kill the module no power does.  The
-    empty face's monomial is 1, which is nilpotent only on the zero module.
-    The bound box has the budget of `supp_complex`.
+    empty face's monomial is 1: the step is zero and the walk checks that
+    every slice vanishes.  This box walk is the route independent of
+    `supp_complex`, which reads generator degrees; the box is held to
+    `degrees.MAX_BOX_DEGREES` degrees.
     """
     m = module.m
     face = frozenset(int(i) for i in face)
     if any(v < 1 or v > m for v in face):
         raise PreconditionError(f"face {sorted(face)} outside 1..{m}")
-    if not face:
-        return module.is_zero()
     bound = module.stabilization_bound()
     dg.require_box_budget(bound)
-    power = 1 + max(bound)
+    power = 1 + max(bound, default=0)
     step = tuple(power if (i + 1) in face else 0 for i in range(m))
-    for d in dg.box(bound):
-        target = dg.add(d, step)
-        if not module.transition(d, target).is_zero():
-            return False
-    return True
+    # a zero slice maps to zero: skipping it builds no target slice
+    return not any(
+        module.dim_at(d) and not module.transition(d, dg.add(d, step)).is_zero()
+        for d in dg.box(bound)
+    )
 
 
 def in_kernel_by_nilpotence(module: GradedPresentation, k: SimplicialComplex) -> bool:
@@ -276,37 +274,26 @@ def simples(k: SimplicialComplex, fld: Field = DEFAULT_FIELD) -> list[tuple[Simp
 
 
 def enumerate_complexes(m: int) -> Iterator[SimplicialComplex]:
-    """Every downward-closed family on {1..m}, ascending by face-set bitmap.
+    """Every downward-closed family on {1..m}, grown face by face.
 
-    Brute force over all 2^(2^m) candidate families; fine for m <= 4.
+    The faces are decided in `face_sort_key` order, each left out before it
+    is put in, and a face is put in only when all its facets are; so the
+    empty complex comes first and the full simplex last.  Fine for m <= 4.
     """
     if m > 4:
         raise PreconditionError("exhaustive enumeration supported for m <= 4")
-    nfaces = 1 << m
-    required = []
-    for face_bits in range(nfaces):
-        need = 0
-        for v in range(m):
-            if face_bits & (1 << v):
-                need |= 1 << (face_bits & ~(1 << v))
-        required.append(need)
-    for family in range(1 << nfaces):
-        ok = True
-        probe = family
-        while probe:
-            face_bits = (probe & -probe).bit_length() - 1
-            need = required[face_bits]
-            if family & need != need:
-                ok = False
-                break
-            probe &= probe - 1
-        if ok:
-            faces = [
-                frozenset(v + 1 for v in range(m) if face_bits & (1 << v))
-                for face_bits in range(nfaces)
-                if family & (1 << face_bits)
-            ]
-            yield SimplicialComplex(m, frozenset(faces))
+    order = list(_subsets(range(1, m + 1)))
+
+    def grow(i: int, faces: frozenset[Face]) -> Iterator[SimplicialComplex]:
+        if i == len(order):
+            yield SimplicialComplex(m, faces)
+            return
+        face = order[i]
+        yield from grow(i + 1, faces)
+        if all(face - {v} in faces for v in face):
+            yield from grow(i + 1, faces | {face})
+
+    yield from grow(0, frozenset())
 
 
 def random_complex(seed: int, m: int) -> SimplicialComplex:

@@ -95,9 +95,6 @@ class GradedPresentation:
     def num_rels(self) -> int:
         return len(self.rel_degrees)
 
-    def is_zero(self) -> bool:
-        return self.num_gens == 0
-
     # -- slices -----------------------------------------------------------
 
     def _slice(self, d: Degree) -> _Slice:

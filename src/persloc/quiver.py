@@ -17,6 +17,7 @@ interval decompositions of the legs when the sink vanishes (pure torsion).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -191,11 +192,13 @@ def _star_degrees(module: GradedPresentation, n: int) -> list:
 def to_quiver_rep(module: GradedPresentation, n: int) -> QuiverRep:
     """Stabilized slices along each axis, with the sink at the stable corner."""
     at = _star_degrees(module, n)
+    # clamped leg degrees repeat: ask once per distinct degree and arrow
+    dim_at, transition = functools.cache(module.dim_at), functools.cache(module.transition)
     return QuiverRep.from_flat(
         module.field,
         n,
-        [module.dim_at(d) for d in at],
-        [module.transition(at[s], at[t]) for s, t in _star(n)],
+        [dim_at(d) for d in at],
+        [transition(at[s], at[t]) for s, t in _star(n)],
     )
 
 

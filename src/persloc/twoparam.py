@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
 )
 from .fields import Field, _rref
-from .localization import Interval, canonical_bars, column_lows, presentation_bars
+from .localization import Interval, barcode_by_reduction, canonical_bars, column_lows
 from .presentation import GradedPresentation, PresentationMap, direct_sum, free_module, zero_module
 from .examples import strip_presentation
 
@@ -135,23 +135,19 @@ def decompose(module: GradedPresentation) -> Decomposition:
     """Full strip/quadrant data of the module after inverting variables.
 
     Read off the presentation by the persistence column reduction of
-    `localization`.  Axis i: the finite bars of `presentation_bars` on the
-    degrees' i-th coordinates are its strips.  Corners: one `column_lows` pass
-    in deg_2 birth order over every relation column, then the unit vectors
-    e_g in (deg_1, index) order; one with low h is a quadrant at (deg_1 g,
-    deg_2 h).  The corner count is checked against the stable corner's
-    dimension, reached through the slices.
+    `localization`.  Axis i: the finite bars of `barcode_by_reduction` are
+    its strips.  Corners: one `column_lows` pass in deg_2 birth order over
+    every relation column, then the unit vectors e_g in (deg_1, index)
+    order; one with low h is a quadrant at (deg_1 g, deg_2 h).  The corner
+    count is checked against the stable corner's dimension, reached through
+    the slices.
     """
     _require_two_params(module)
     bound = module.stabilization_bound()
     for limit in ((bound[0],) * 2, (bound[1],) * 2, bound):
         dg.require_box_budget(limit)
     fld, gens, rels, coeffs = module.field, module.gen_degrees, module.rel_degrees, module.rel_coeffs
-    strips = []
-    for axis in (0, 1):
-        degrees = [d[axis] for d in gens], [d[axis] for d in rels]
-        bars = presentation_bars(fld, *degrees, lambda j: enumerate(coeffs.col(j)))
-        strips.append([bar for bar in bars if bar[0].end is not None])
+    strips = [barcode_by_reduction(module, axis).finite() for axis in (1, 2)]
     born = [sorted(range(len(gens)), key=lambda g: (gens[g][axis], g)) for axis in (0, 1)]
     units = ([(g, fld.one)] for g in born[0])
     columns = chain((enumerate(coeffs.col(j)) for j in range(len(rels))), units)

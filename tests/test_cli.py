@@ -227,6 +227,18 @@ def test_exit_1_on_domain_violations(capsys, tmp_path):
     assert report["error"]["type"] == "NotLocallyEpicError"
 
 
+def test_in_kernel_routes_agree_on_a_zero_module_with_a_generator(tmp_path, capsys):
+    # one generator killed in its own degree: a zero module that has a
+    # generator, so the empty face's check must read slices, not generators
+    killed = {"characteristic": 5, "m": 2, "generators": [[1, 0]], "relations": [{"degree": [1, 0], "coeffs": [1]}]}
+    f = tmp_path / "killed.json"
+    f.write_text(json.dumps(killed))
+    code, report, _ = run_json(capsys, "in-kernel", str(f), "empty:2")
+    assert code == 0
+    assert report["result"]["in_kernel"] is report["result"]["by_nilpotence"] is True
+    assert report["result"]["agree"] is True
+
+
 def test_unknown_example_name_is_domain_error(capsys):
     code, report, _ = run_json(capsys, "dims", "no_such_example")
     assert code == 1

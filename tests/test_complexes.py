@@ -27,6 +27,7 @@ from persloc.complexes import (
 )
 from persloc.degrees import box, drop
 from persloc.errors import PreconditionError
+from persloc.examples import named_example
 from persloc.fields import DEFAULT_FIELD
 from persloc.localization import localize
 from persloc.presentation import GradedPresentation, direct_sum, free_module, random_presentation, zero_module
@@ -122,13 +123,29 @@ def test_supp_examples():
 
 
 def test_supp_box_test_matches_nilpotence_oracle():
-    # dual route: membership of supp faces versus monomial nilpotence
-    for seed in range(40):
-        m = 2 if seed % 2 == 0 else 3
-        mod = random_presentation(seed, m=m, max_gens=3, max_rels=5, max_degree=4)
-        supp = supp_complex(mod)
-        for k in enumerate_complexes(m):
-            assert in_kernel(mod, k) == in_kernel_by_nilpotence(mod, k), (seed, k.faces)
+    # dual route: membership of supp faces versus monomial nilpotence, on
+    # random modules and on the face rings of every complex on 1-3 vertices
+    # (the empty complex's is a zero module with a generator)
+    inputs = [
+        (seed, random_presentation(seed, m=2 if seed % 2 == 0 else 3, max_gens=3, max_rels=5, max_degree=4))
+        for seed in range(40)
+    ]
+    inputs += [
+        ((sorted(map(sorted, k.faces)), fat), face_ring(k, F5, all_missing=fat))
+        for m in (1, 2, 3)
+        for k in enumerate_complexes(m)
+        for fat in (False, True)
+    ]
+    for label, mod in inputs:
+        for k in enumerate_complexes(mod.m):
+            assert in_kernel(mod, k) == in_kernel_by_nilpotence(mod, k), (label, k.faces)
+
+
+def test_supp_reads_generator_degrees_without_a_box_walk():
+    # a walk of the 301^2 stabilization box would build 90,601 slices
+    mod = named_example("quadrant:300,300", F5)
+    assert supp_complex(mod) == full_simplex(2)
+    assert len(mod._slices) <= 2 ** mod.m * mod.num_gens
 
 
 def test_annihilated_by_monomial_power():
@@ -186,6 +203,10 @@ def test_enumerate_complexes_counts():
     for k in enumerate_complexes(2):
         # each result is a valid complex (constructor re-validates)
         assert SimplicialComplex(k.m, k.faces) == k
+    # m = 4: 168 distinct complexes, grown from the empty one to the simplex
+    four = [k.faces for k in enumerate_complexes(4)]
+    assert len(four) == len(set(four)) == 168
+    assert four[0] == empty_complex(4).faces and four[-1] == full_simplex(4).faces
 
 
 def test_random_complex_is_valid_and_deterministic():

@@ -34,7 +34,6 @@ def test_build_rejects_inhomogeneous():
 
 def test_zero_and_free():
     z = zero_module(2, F5)
-    assert z.is_zero()
     assert z.dim_at((3, 3)) == 0
     f = free_module(2, (1, 2), F5)
     assert f.dim_at((0, 0)) == 0

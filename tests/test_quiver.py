@@ -158,6 +158,22 @@ def test_legs_past_the_bound_repeat_the_bound_slices():
             assert to_quiver_rep(mod, n) == unclamped, (fld, seed)
 
 
+def test_clamped_legs_ask_once_per_distinct_degree_and_arrow(monkeypatch):
+    # on quadrant:0,0,0 every vertex of a leg clamps to one degree, so the
+    # 99,999 arrows of n = 33,333 are six distinct transitions between four
+    # degrees, and each is built once
+    calls = {"dim_at": [], "transition": []}
+    for name, real in (("dim_at", GradedPresentation.dim_at), ("transition", GradedPresentation.transition)):
+        def counted(self, *args, name=name, real=real):
+            calls[name].append(args)
+            return real(self, *args)
+        monkeypatch.setattr(GradedPresentation, name, counted)
+    rep = to_quiver_rep(named_example("quadrant:0,0,0", F5), 33333)
+    assert len(rep.maps) == 99_999 and rep.total_dim() == 100_000
+    assert len(calls["dim_at"]) == len(set(calls["dim_at"])) == 4
+    assert len(calls["transition"]) == len(set(calls["transition"])) == 6
+
+
 def test_end_budget_refuses_long_legs_before_their_maps(capsys):
     # 100,001 vertices of dimension 1 are 100,000 End unknowns; the budget
     # used to be checked after 100,000 leg maps were built (about 3 s)
