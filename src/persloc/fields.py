@@ -14,10 +14,11 @@ where values enter the program: `Field.coerce` runs only in
 `Subspace.reduce`, the row operations) trusts its input to be canonical and
 keeps it so.
 
-The only dense row-reduction code in the package is here: the two row
-operations `Field.axpy` and `Field.scale`, the full reduction `_rref`, and
-`Echelon`, which grows an echelon basis one vector at a time.  The sparse
-persistence columns of `localization.column_lows` are reduced there.
+The only dense row reduction in the package is `_rref`, built on the two row
+operations `Field.axpy` and `Field.scale`, and no other module calls it:
+ranks, kernels, `solve` and `Subspace.span` read their answers off one
+`_rref` each, and `Subspace` is the one type that holds its output.  The
+sparse persistence columns of `localization.column_lows` are reduced there.
 """
 
 from __future__ import annotations
@@ -135,11 +136,13 @@ class Field:
 DEFAULT_FIELD = Field(5)
 
 
-def _rref(field: Field, rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
+def _rref(field: Field, rows: list, ncols: int) -> tuple[list, list[int]]:
     """In-place reduced row echelon form; returns (rows, pivot column list).
 
     Pivot choice is deterministic: scan columns left to right, take the first
-    row (top to bottom) with a nonzero entry.
+    row (top to bottom) with a nonzero entry.  Only the outer list changes:
+    rows are swapped and replaced by new lists, never written into, so they
+    may be tuples or shared with the caller.
     """
     axpy = field.axpy
     r = 0
@@ -166,41 +169,6 @@ def _rref(field: Field, rows: list[list], ncols: int) -> tuple[list[list], list[
         if r == nrows:
             break
     return rows, pivots
-
-
-class Echelon:
-    """An echelon basis grown one vector at a time.
-
-    Each stored row has pivot entry 1 and vanishes on the pivots of the rows
-    stored before it, so reducing in storage order clears every pivot.
-    """
-
-    __slots__ = ("field", "rows", "pivots")
-
-    def __init__(self, field: Field, rows=(), pivots=()) -> None:
-        self.field = field
-        self.rows = list(rows)
-        self.pivots = list(pivots)
-
-    def reduce(self, vec) -> list:
-        """vec minus the combination of rows that clears every pivot entry."""
-        axpy = self.field.axpy
-        vec = list(vec)
-        for p, row in zip(self.pivots, self.rows):
-            c = vec[p]
-            if c != 0:
-                vec = axpy(vec, -c, row)
-        return vec
-
-    def insert(self, vec) -> bool:
-        """Add vec to the basis; False (basis unchanged) if it already lies in the span."""
-        red = self.reduce(vec)
-        piv = next((i for i, x in enumerate(red) if x != 0), None)
-        if piv is None:
-            return False
-        self.rows.append(self.field.scale(red, self.field.inv(red[piv])))
-        self.pivots.append(piv)
-        return True
 
 
 @dataclass(frozen=True)
@@ -303,14 +271,12 @@ class Matrix:
         return all(x == 0 for row in self.entries for x in row)
 
     def rank(self) -> int:
-        rows = [list(r) for r in self.entries]
-        _, pivots = _rref(self.field, rows, self.ncols)
+        _, pivots = _rref(self.field, list(self.entries), self.ncols)
         return len(pivots)
 
     def kernel(self) -> "Subspace":
         """Right kernel {v : A v = 0} as a canonical subspace of F^ncols."""
-        rows = [list(r) for r in self.entries]
-        rr, pivots = _rref(self.field, rows, self.ncols)
+        rr, pivots = _rref(self.field, list(self.entries), self.ncols)
         pivot_set = set(pivots)
         free = [j for j in range(self.ncols) if j not in pivot_set]
         neg = self.field.neg
@@ -326,6 +292,19 @@ class Matrix:
     def image(self) -> "Subspace":
         """Column span as a canonical subspace of F^nrows."""
         return Subspace.span(self.field, self.nrows, zip(*self.entries))
+
+
+def solve(field: Field, rows, rhs, ncols: int) -> tuple | None:
+    """One solution x of rows . x = rhs, free variables 0, read off the
+    reduced augmented rows; None when their last pivot is the rhs column."""
+    aug = [[*r, b] for r, b in zip(rows, rhs)]
+    aug, pivots = _rref(field, aug, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return None
+    sol = [field.zero] * ncols
+    for r, pc in enumerate(pivots):
+        sol[pc] = aug[r][ncols]
+    return tuple(sol)
 
 
 @dataclass(frozen=True)
@@ -344,7 +323,7 @@ class Subspace:
 
     @classmethod
     def span(cls, field: Field, ambient: int, vectors) -> "Subspace":
-        rows = [list(v) for v in vectors]
+        rows = list(vectors)
         if any(len(v) != ambient for v in rows):
             raise AmbientMismatchError("spanning vector of wrong height")
         rows, pivots = _rref(field, rows, ambient)
@@ -362,7 +341,12 @@ class Subspace:
         """
         if len(vec) != self.ambient:
             raise AmbientMismatchError("vector length mismatch")
-        return tuple(Echelon(self.field, self.rows, self.pivots).reduce(vec))
+        axpy = self.field.axpy
+        for p, row in zip(self.pivots, self.rows):
+            c = vec[p]
+            if c != 0:
+                vec = axpy(vec, -c, row)
+        return tuple(vec)
 
     def contains_vector(self, vec) -> bool:
         return all(x == 0 for x in self.reduce(vec))

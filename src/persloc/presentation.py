@@ -27,17 +27,18 @@ from dataclasses import dataclass, field
 from . import degrees as dg
 from .degrees import Degree
 from .errors import AmbientMismatchError, DegreeOrderError, HomogeneityError, PreconditionError
-from .fields import DEFAULT_FIELD, Echelon, Field, Matrix, Subspace, _rref
+from .fields import DEFAULT_FIELD, Field, Matrix, Subspace
 
 
 @dataclass(frozen=True)
 class _Slice:
-    """Canonical data of one graded piece M(d)."""
+    """Canonical data of one graded piece M(d): reducing a vector of `gens`
+    positions by `relations` leaves its coordinates at the non-pivot ones."""
 
     gens: tuple[int, ...]        # eligible generator indices, ascending
     positions: dict              # generator index -> its position in `gens`
     coords: tuple[int, ...]      # non-pivot positions: the canonical basis
-    relations: Echelon           # reduced-column-echelon relation columns
+    relations: Subspace          # span of the eligible relation columns
 
     @property
     def dim(self) -> int:
@@ -103,14 +104,12 @@ class GradedPresentation:
             return cached
         gens = tuple(i for i, gd in enumerate(self.gen_degrees) if dg.leq(gd, d))
         rels = [j for j, rd in enumerate(self.rel_degrees) if dg.leq(rd, d)]
-        # reduced column echelon of the eligible relation block: run row
-        # reduction on its transpose, deterministically.
-        rows = [[self.rel_coeffs.entries[i][j] for i in gens] for j in rels]
-        rows, pivots = _rref(self.field, rows, len(gens))
-        pivot_set = set(pivots)
+        cols = [[self.rel_coeffs.entries[i][j] for i in gens] for j in rels]
+        relations = Subspace.span(self.field, len(gens), cols)
+        pivot_set = set(relations.pivots)
         coords = tuple(k for k in range(len(gens)) if k not in pivot_set)
         positions = {g: k for k, g in enumerate(gens)}
-        sl = _Slice(gens, positions, coords, Echelon(self.field, rows[: len(pivots)], pivots))
+        sl = _Slice(gens, positions, coords, relations)
         self._slices[d] = sl
         return sl
 

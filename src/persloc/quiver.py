@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import degrees as dg
 from .errors import DecompositionError, PreconditionError
-from .fields import DEFAULT_FIELD, Echelon, Field, Matrix, Subspace
+from .fields import DEFAULT_FIELD, Field, Matrix, Subspace
 from .localization import Interval, barcode_by_reduction, canonical_bars, presentation_bars
 from .presentation import GradedPresentation
 
@@ -268,9 +268,12 @@ def endomorphism_basis(rep: QuiverRep) -> list[tuple[Matrix, ...]]:
     mat = Matrix(fld, len(rows), total, tuple(tuple(r) for r in rows))
     kernel = mat.kernel()
     id_vec = _endo_to_vector(tuple(Matrix.identity(fld, d) for d in dims))
-    candidates = [id_vec, *kernel.rows]
-    echelon = Echelon(fld)
-    return [_endo_from_vector(rep, v) for v in candidates if echelon.insert(v)]
+    # the identity is the sum of id[p] * row over the kernel pivots p, so it
+    # replaces the last row with id[p] != 0 and every other row stays
+    last = max((i for i, p in enumerate(kernel.pivots) if id_vec[p] != 0), default=None)
+    if last is None:  # the zero rep, whose identity is zero
+        return []
+    return [_endo_from_vector(rep, v) for v in (id_vec, *kernel.rows[:last], *kernel.rows[last + 1 :])]
 
 
 def _mat_power(mat: Matrix, k: int) -> Matrix:

@@ -32,7 +32,7 @@ from .errors import (
     NotLocallyEpicError,
     PreconditionError,
 )
-from .fields import Field, _rref
+from .fields import Field, solve
 from .localization import Interval, barcode_by_reduction, canonical_bars, column_lows
 from .presentation import GradedPresentation, PresentationMap, direct_sum, free_module, zero_module
 from .examples import strip_presentation
@@ -156,7 +156,8 @@ def decompose(module: GradedPresentation) -> Decomposition:
     stable = module.rank_invariant(bound, bound)
     if len(corners) != stable:
         raise DecompositionError(f"{len(corners)} quadrant corners, stable corner has dimension {stable}")
-    return Decomposition.make(*strips, Counter(corners).items())
+    # finite() bars are canonical and bounded, and counts are positive: make's checks hold already
+    return Decomposition(*strips, tuple(sorted(Counter(corners).items())))
 
 
 def reconstruct(deco: Decomposition, fld: Field) -> GradedPresentation:
@@ -235,18 +236,6 @@ class SectionResult:
     axis1_solvable: bool
     axis2_solvable: bool
     witness: SectionWitness | None
-
-
-def _solve(fld: Field, rows: list[list], rhs: list, ncols: int) -> tuple | None:
-    """One solution of the linear system, or None; free variables set to 0."""
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    aug, pivots = _rref(fld, aug, ncols + 1)
-    if pivots and pivots[-1] == ncols:
-        return None
-    sol = [fld.zero] * ncols
-    for r, pc in enumerate(pivots):
-        sol[pc] = aug[r][ncols]
-    return tuple(sol)
 
 
 def _check_section(f: PresentationMap, w: SectionWitness, e: Degree) -> None:
@@ -353,7 +342,7 @@ def section_exists(f: PresentationMap) -> SectionResult:
         terms = [(k, 1, src.transition(slices1[k], e)), (g + k, -1, src.transition(slices2[k], e))]
         compat += block_row(n1 + n2, src.dim_at(e), terms)
     w1, w2 = sum(n1), sum(n2)
-    full = _solve(
+    full = solve(
         fld,
         [r + [zero] * w2 for r in rows1] + [[zero] * w1 + r for r in rows2] + compat,
         rhs1 + rhs2 + [zero] * len(compat),
@@ -373,7 +362,7 @@ def section_exists(f: PresentationMap) -> SectionResult:
         _check_section(f, witness, e)
     return SectionResult(
         exists=full is not None,
-        axis1_solvable=_solve(fld, rows1, rhs1, w1) is not None,
-        axis2_solvable=_solve(fld, rows2, rhs2, w2) is not None,
+        axis1_solvable=solve(fld, rows1, rhs1, w1) is not None,
+        axis2_solvable=solve(fld, rows2, rhs2, w2) is not None,
         witness=witness,
     )

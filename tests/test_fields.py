@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persloc.degrees import leq
-from persloc.fields import DEFAULT_FIELD, Echelon, Field, Matrix, Subspace, _is_prime, _rref
+from persloc.fields import DEFAULT_FIELD, Field, Matrix, Subspace, _is_prime, _rref
 from persloc.presentation import GradedPresentation, PresentationMap, random_presentation
 from persloc.quiver import endomorphism_basis, is_indecomposable, random_rep
 
@@ -216,15 +216,19 @@ def _rows_and_probe(draw):
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(_rows_and_probe())
-def test_echelon_agrees_with_rref_and_subspace(case):
+def test_rref_agrees_with_subspace(case):
     fld, ncols, rows, probe = case
-    echelon = Echelon(fld)
-    inserted = sum(echelon.insert(row) for row in rows)
-    _, pivots = _rref(fld, [list(r) for r in rows], ncols)
-    assert inserted == len(pivots) == len(echelon.rows)
-    red = echelon.reduce(probe)
-    assert all(red[p] == 0 for p in echelon.pivots)
-    assert all(x == 0 for x in red) == Subspace.span(fld, ncols, rows).contains_vector(probe)
+    sub = Subspace.span(fld, ncols, rows)
+    # _rref reorders and replaces rows but never writes into the caller's
+    shared = [list(r) for r in rows]
+    _, pivots = _rref(fld, list(shared), ncols)
+    assert shared == rows
+    assert len(pivots) == sub.dim
+    red = sub.reduce(probe)
+    assert all(red[p] == 0 for p in sub.pivots)
+    # membership: the probe adds no pivot iff reduce clears it
+    _, grown = _rref(fld, [*map(tuple, rows), tuple(probe)], ncols)
+    assert all(x == 0 for x in red) == (len(grown) == len(pivots)) == sub.contains_vector(probe)
 
 
 def _is_canonical(fld, x):

@@ -11,7 +11,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from persloc import cli
@@ -225,6 +225,52 @@ def test_flat_layout_and_endomorphisms_commute_with_every_arrow(seed, n, fld):
     # vertex v > 0 is position (v - 1) % n of leg (v - 1) // n + 1
     name = lambda v: "sink" if v == 0 else f"leg{(v - 1) // n + 1}.{(v - 1) % n}"
     assert quiver_shape(n)["arrows"] == [(name(u), name(w)) for u, w in star]
+
+
+def _insertion_oracle(fld, vectors):
+    """The vectors kept by growing an echelon basis one vector at a time."""
+    rows, pivots, kept = [], [], []
+    for vec in vectors:
+        red = list(vec)
+        for p, row in zip(pivots, rows):
+            if red[p] != 0:
+                red = fld.axpy(red, -red[p], row)
+        piv = next((i for i, x in enumerate(red) if x != 0), None)
+        if piv is not None:
+            rows.append(fld.scale(red, fld.inv(red[piv])))
+            pivots.append(piv)
+            kept.append(list(vec))
+    return kept
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 3),
+    st.sampled_from([F2, Field(3), F5, Field(0)]),
+    st.booleans(),
+)
+@example(161, 1, F5, True)  # the zero rep: its identity is zero and End is {0}
+def test_endomorphism_basis_matches_incremental_insertion(seed, n, fld, sink_zero):
+    # the basis is the identity followed by the commutation kernel's rows,
+    # each kept when it is independent of the ones kept before it
+    rep = random_rep(seed, n=n, fld=fld, sink_zero=sink_zero)
+    kernels = []
+    kernel = Matrix.kernel
+
+    def recording(self):
+        kernels.append(kernel(self))
+        return kernels[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Matrix, "kernel", recording)
+        basis = endomorphism_basis(rep)
+    identity = _endo_to_vector(tuple(Matrix.identity(fld, d) for d in rep.dims))
+    (commuting,) = kernels
+    expected = _insertion_oracle(fld, [identity, *commuting.rows])
+    assert [_endo_to_vector(x) for x in basis] == expected
+    assert len(basis) == commuting.dim
+    assert bool(basis) == bool(rep.total_dim())
 
 
 def test_bad_arrow_shape_names_the_arrow():

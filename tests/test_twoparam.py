@@ -163,6 +163,27 @@ def test_decompose_checks_the_corner_count(monkeypatch):
         decompose(mod)
 
 
+def test_decompose_canonicalizes_each_strip_family_once(monkeypatch):
+    # the finite bars of each axis are canonical already: decompose builds
+    # its Decomposition from them without merging and sorting them again
+    from persloc import localization
+
+    calls = []
+    canonical_bars = localization.canonical_bars
+
+    def counting(bars):
+        calls.append(1)
+        return canonical_bars(bars)
+
+    for module in (localization, twoparam):
+        monkeypatch.setattr(module, "canonical_bars", counting)
+    mod = random_presentation(11, m=2, max_gens=5, max_rels=8, max_degree=6)
+    deco = decompose(mod)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert deco == Decomposition.make(deco.vertical, deco.horizontal, deco.quadrants)
+
+
 def test_finite_summands_invisible_in_quadrants():
     # adding strip torsion changes no quadrant corner
     for seed in range(20):
@@ -296,13 +317,13 @@ def test_section_split_control_with_witness():
 
 def test_section_witness_is_verified(monkeypatch):
     # a solver answer that is not a section must not come back as a witness
-    solve = twoparam._solve
+    solve = twoparam.solve
 
     def corrupted(fld, rows, rhs, ncols):
         sol = solve(fld, rows, rhs, ncols)
         return None if sol is None else (fld.normalize(sol[0] + 1),) + sol[1:]
 
-    monkeypatch.setattr(twoparam, "_solve", corrupted)
+    monkeypatch.setattr(twoparam, "solve", corrupted)
     with pytest.raises(DecompositionError, match="section witness"):
         section_exists(named_example("split_projection"))
 
