@@ -331,20 +331,21 @@ def _split_along(rep: QuiverRep, endo: tuple[Matrix, ...]) -> tuple[QuiverRep, Q
 def try_split(rep: QuiverRep, basis: list[tuple[Matrix, ...]]) -> tuple[QuiverRep, QuiverRep] | None:
     """Search for a direct-sum splitting via Fitting decompositions.
 
-    `basis` is `endomorphism_basis(rep)`.  Its elements are tried first, then
-    64 seeded random combinations, drawn one at a time; the search stops at
-    the first split.  Returns (generalized kernel, generalized image) or None
-    if everything tried was nilpotent or invertible.
+    `basis` is `endomorphism_basis(rep)`.  Its elements after the identity
+    `basis[0]` are tried first, then 64 seeded random combinations of the
+    whole basis, drawn one at a time; the search stops at the first split.
+    Returns (generalized kernel, generalized image) or None if everything
+    tried was nilpotent or invertible.  A basis of length at most 1 spans
+    only scalars, none of which splits, so it returns None at once.
     """
-    total = rep.total_dim()
-    if total == 0:
+    if len(basis) <= 1:
         return None
     fld = rep.field
     vectors = [_endo_to_vector(b) for b in basis]
-    rng = random.Random(("split", 0, total, fld.char).__repr__())
+    rng = random.Random(("split", 0, rep.total_dim(), fld.char).__repr__())
 
     def candidates():
-        yield from basis
+        yield from basis[1:]
         for _ in range(_TRIALS):
             if fld.char:
                 coeffs = [rng.randrange(fld.char) for _ in basis]
@@ -366,22 +367,21 @@ class IndecResult:
 def is_indecomposable(rep: QuiverRep) -> IndecResult:
     """Certified decision when feasible, honest "unknown" otherwise.
 
-    The endomorphism algebra is solved once and shared with `try_split`.
-    "no" comes with a verified splitting.  "yes" is certified when the
-    algebra is one-dimensional (it is then the field itself), or over F_p by
-    exhausting all its elements e with e^2 = e when its dimension is at most
-    `_MAX_END_DIM` and p^dim at most `_MAX_CANDIDATES`.  Anything else is
-    "unknown".
+    The endomorphism algebra is solved once.  "yes" is certified before any
+    search when it has dimension at most 1: the zero rep, or End is the
+    field itself, local with no idempotents but 0 and 1.  Otherwise
+    `try_split` searches, and "no" comes with a verified splitting.  Failing
+    that, "yes" is certified over F_p by exhausting all elements e of End
+    with e^2 = e when its dimension is at most `_MAX_END_DIM` and p^dim at
+    most `_MAX_CANDIDATES`.  Anything else is "unknown".
     """
     basis = endomorphism_basis(rep)
     dim = len(basis)
-    if rep.total_dim() == 0:
+    if dim <= 1:
         return IndecResult("yes", dim)
     split = try_split(rep, basis)
     if split is not None:
         return IndecResult("no", dim, split)
-    if dim == 1:
-        return IndecResult("yes", dim)  # End is the field: local, no idempotents
     fld = rep.field
     if not fld.char or dim > _MAX_END_DIM or fld.char ** dim > _MAX_CANDIDATES:
         return IndecResult("unknown", dim)

@@ -32,6 +32,15 @@ def _extent(deco: Decomposition) -> int:
     return ext
 
 
+def _line(x1: int, y1: int, x2: int, y2: int, color: str, width: int, dashed: bool = False) -> str:
+    dash = ' stroke-dasharray="6 4"' if dashed else ""
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{color}" stroke-width="{width}"{dash}/>'
+
+
+def _text(x: int, y: int, size: int, color: str, body) -> str:
+    return f'<text x="{x}" y="{y}" font-family="monospace" font-size="{size}" fill="{color}">{body}</text>'
+
+
 def render_svg(deco: Decomposition) -> str:
     ext = _extent(deco)
     side = ext * _UNIT
@@ -64,74 +73,33 @@ def render_svg(deco: Decomposition) -> str:
             f'<rect x="{x0}" y="{py(ext)}" width="{x1 - x0}" height="{side}" '
             f'fill="{_VSTRIP_FILL}" fill-opacity="0.4"/>'
         )
-        parts.append(
-            f'<line x1="{x0}" y1="{py(0)}" x2="{x0}" y2="{py(ext)}" '
-            f'stroke="{_EDGE}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<line x1="{x1}" y1="{py(0)}" x2="{x1}" y2="{py(ext)}" '
-            f'stroke="{_EDGE}" stroke-width="2" stroke-dasharray="6 4"/>'
-        )
+        parts.append(_line(x0, py(0), x0, py(ext), _EDGE, 2))
+        parts.append(_line(x1, py(0), x1, py(ext), _EDGE, 2, dashed=True))
         if mult > 1:
-            parts.append(
-                f'<text x="{x0 + 4}" y="{py(ext) + 16}" font-family="monospace" '
-                f'font-size="14" fill="{_EDGE}">x{mult}</text>'
-            )
+            parts.append(_text(x0 + 4, py(ext) + 16, 14, _EDGE, f"x{mult}"))
     for iv, mult in deco.horizontal:
         y0, y1 = py(iv.start), py(iv.end)
         parts.append(
             f'<rect x="{px(0)}" y="{y1}" width="{side}" height="{y0 - y1}" '
             f'fill="{_HSTRIP_FILL}" fill-opacity="0.4"/>'
         )
-        parts.append(
-            f'<line x1="{px(0)}" y1="{y0}" x2="{px(ext)}" y2="{y0}" '
-            f'stroke="{_HEDGE}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<line x1="{px(0)}" y1="{y1}" x2="{px(ext)}" y2="{y1}" '
-            f'stroke="{_HEDGE}" stroke-width="2" stroke-dasharray="6 4"/>'
-        )
+        parts.append(_line(px(0), y0, px(ext), y0, _HEDGE, 2))
+        parts.append(_line(px(0), y1, px(ext), y1, _HEDGE, 2, dashed=True))
         if mult > 1:
-            parts.append(
-                f'<text x="{px(ext) - 28}" y="{y0 - 4}" font-family="monospace" '
-                f'font-size="14" fill="{_HEDGE}">x{mult}</text>'
-            )
+            parts.append(_text(px(ext) - 28, y0 - 4, 14, _HEDGE, f"x{mult}"))
     # corner dots above the fills
     for corner, mult in deco.quadrants:
         x, y = corner
-        parts.append(
-            f'<circle cx="{px(x)}" cy="{py(y)}" r="5" fill="{_DOT}"/>'
-        )
+        parts.append(f'<circle cx="{px(x)}" cy="{py(y)}" r="5" fill="{_DOT}"/>')
         if mult > 1:
-            parts.append(
-                f'<text x="{px(x) + 8}" y="{py(y) - 8}" font-family="monospace" '
-                f'font-size="14" fill="{_DOT}">x{mult}</text>'
-            )
+            parts.append(_text(px(x) + 8, py(y) - 8, 14, _DOT, f"x{mult}"))
     # axes on top
-    parts.append(
-        f'<line x1="{px(0)}" y1="{py(0)}" x2="{px(ext)}" y2="{py(0)}" '
-        f'stroke="{_AXIS}" stroke-width="2"/>'
-    )
-    parts.append(
-        f'<line x1="{px(0)}" y1="{py(0)}" x2="{px(0)}" y2="{py(ext)}" '
-        f'stroke="{_AXIS}" stroke-width="2"/>'
-    )
+    parts.append(_line(px(0), py(0), px(ext), py(0), _AXIS, 2))
+    parts.append(_line(px(0), py(0), px(0), py(ext), _AXIS, 2))
     for t in range(ext + 1):
-        parts.append(
-            f'<line x1="{px(t)}" y1="{py(0) - 4}" x2="{px(t)}" y2="{py(0) + 4}" '
-            f'stroke="{_AXIS}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{px(t) - 4}" y="{py(0) + 20}" font-family="monospace" '
-            f'font-size="12" fill="{_AXIS}">{t}</text>'
-        )
-        parts.append(
-            f'<line x1="{px(0) - 4}" y1="{py(t)}" x2="{px(0) + 4}" y2="{py(t)}" '
-            f'stroke="{_AXIS}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{px(0) - 26}" y="{py(t) + 4}" font-family="monospace" '
-            f'font-size="12" fill="{_AXIS}">{t}</text>'
-        )
+        parts.append(_line(px(t), py(0) - 4, px(t), py(0) + 4, _AXIS, 1))
+        parts.append(_text(px(t) - 4, py(0) + 20, 12, _AXIS, t))
+        parts.append(_line(px(0) - 4, py(t), px(0) + 4, py(t), _AXIS, 1))
+        parts.append(_text(px(0) - 26, py(t) + 4, 12, _AXIS, t))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

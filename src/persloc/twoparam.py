@@ -103,7 +103,6 @@ def intersection_table(module: GradedPresentation, dmax: int | None = None, emax
 
 def quadrant_corners(module: GradedPresentation) -> Corners:
     """Corner multiset by inclusion-exclusion over the intersection table."""
-    _require_two_params(module)
     table = intersection_table(module)
     corners: list[tuple[Degree, int]] = []
     total = 0
@@ -144,7 +143,8 @@ def decompose(module: GradedPresentation) -> Decomposition:
     """
     _require_two_params(module)
     bound = module.stabilization_bound()
-    for limit in ((bound[0],) * 2, (bound[1],) * 2, bound):
+    # the bound's own box is never larger than the larger of these squares
+    for limit in ((bound[0],) * 2, (bound[1],) * 2):
         dg.require_box_budget(limit)
     fld, gens, rels, coeffs = module.field, module.gen_degrees, module.rel_degrees, module.rel_coeffs
     strips = [barcode_by_reduction(module, axis).finite() for axis in (1, 2)]

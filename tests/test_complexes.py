@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from persloc import complexes
 from persloc.complexes import (
     SimplicialComplex,
     annihilated_by_monomial_power,
@@ -139,6 +140,24 @@ def test_supp_box_test_matches_nilpotence_oracle():
     for label, mod in inputs:
         for k in enumerate_complexes(mod.m):
             assert in_kernel(mod, k) == in_kernel_by_nilpotence(mod, k), (label, k.faces)
+
+
+def test_nilpotence_route_walks_minimal_missing_faces_only(monkeypatch):
+    # the empty complex misses all 8 faces on m = 3; only the empty face is minimal
+    calls = []
+    real = complexes.annihilated_by_monomial_power
+    monkeypatch.setattr(complexes, "annihilated_by_monomial_power", lambda mod, f: calls.append(f) or real(mod, f))
+    assert in_kernel_by_nilpotence(zero_module(3), empty_complex(3))
+    assert calls == [frozenset()]
+
+
+def test_nilpotence_route_equals_every_missing_face():
+    mods = [random_presentation(seed, m=m, max_gens=3, max_rels=4, max_degree=3) for m in (1, 2, 3) for seed in range(5)]
+    mods += [free_module(m, (1,) * m, F5) for m in (1, 2, 3)]
+    for mod in mods:
+        for k in enumerate_complexes(mod.m):
+            every = all(annihilated_by_monomial_power(mod, f) for f in k.missing_faces())
+            assert in_kernel_by_nilpotence(mod, k) == every, (mod, k.faces)
 
 
 def test_supp_reads_generator_degrees_without_a_box_walk():

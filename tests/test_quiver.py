@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from persloc import cli
+from persloc import cli, quiver
 from persloc.degrees import MAX_BOX_DEGREES, box, with_axis
 from persloc.errors import PreconditionError
 from persloc.fields import DEFAULT_FIELD, Field, Matrix, Subspace
@@ -34,6 +34,7 @@ from persloc.quiver import (
     torsion_leg_split,
     try_split,
 )
+from test_golden_cli import _tube
 
 
 F5 = DEFAULT_FIELD
@@ -363,6 +364,47 @@ def test_try_split_finds_summands():
 def test_try_split_none_on_brick():
     m3 = to_quiver_rep(named_example("m3_indecomposable"), 2)
     assert try_split(m3, endomorphism_basis(m3)) is None
+
+
+def _spy_split_along(monkeypatch) -> list:
+    """Record the endomorphism handed to every `_split_along` call."""
+    calls = []
+    real = quiver._split_along
+
+    def spy(rep, endo):
+        calls.append(endo)
+        return real(rep, endo)
+
+    monkeypatch.setattr(quiver, "_split_along", spy)
+    return calls
+
+
+def test_no_split_search_when_end_has_dimension_at_most_one(monkeypatch):
+    # End spans only scalars, none of which splits: no Fitting decomposition
+    calls = _spy_split_along(monkeypatch)
+    zero = QuiverRep(F5, 1, 0, ((0,), (0,), (0,)), tuple((Matrix(F5, 0, 0, ()),) for _ in range(3)))
+    m3 = to_quiver_rep(named_example("m3_indecomposable"), 2)
+    for rep, dim in ((zero, 0), (m3, 1)):
+        res = is_indecomposable(rep)
+        assert (res.verdict, res.endo_dim) == ("yes", dim)
+        basis = endomorphism_basis(rep)
+        assert try_split(rep, basis) is None
+        assert try_split(rep, basis[:1]) is None
+        assert try_split(rep, []) is None
+    assert calls == []
+
+
+def test_split_search_skips_the_identity(monkeypatch):
+    # the identity is invertible, so its Fitting decomposition never splits;
+    # the double splits at basis[1], and no seeded trial on this tube is the identity
+    calls = _spy_split_along(monkeypatch)
+    free1 = to_quiver_rep(free_module(3, (0, 0, 0), F5), 1)
+    for rep in (free1.direct_sum(free1), _tube(5, 3)):
+        calls.clear()
+        basis = endomorphism_basis(rep)
+        is_indecomposable(rep)
+        assert calls[0] == basis[1]
+        assert tuple(Matrix.identity(rep.field, d) for d in rep.dims) not in calls
 
 
 def test_is_indecomposable_verdicts():
