@@ -10,9 +10,11 @@ The order of vertices and arrows is decided once, in `_star`.
 
 On top of the conversion: endomorphism algebras by solving the commutation
 system, splitting searches via Fitting decompositions, certified
-indecomposability by exhaustive idempotent enumeration when the endomorphism
-algebra over F_p has dimension at most 6 and at most 5^6 elements, and
-interval decompositions of the legs when the sink vanishes (pure torsion).
+indecomposability from a locality certificate of the endomorphism algebra
+(split local over any field: End = k.1 + a nilpotent ideal; or, for a
+commutative End over F_p, Berlekamp's count of the Frobenius fixed space),
+and interval decompositions of the legs when the sink vanishes (pure
+torsion).
 """
 
 from __future__ import annotations
@@ -28,11 +30,6 @@ from .fields import DEFAULT_FIELD, Field, Matrix, Subspace
 from .localization import Interval, barcode_by_reduction, canonical_bars, presentation_bars
 from .presentation import GradedPresentation
 
-# certified verdicts enumerate all p^dim elements of End up to this dimension
-# and this many elements (all of End at dimension 6 over F_5); the dimension
-# gate stays because each candidate costs more on a bigger representation
-_MAX_END_DIM = 6
-_MAX_CANDIDATES = 5 ** _MAX_END_DIM
 # most unknowns (the sum of d_v^2) of the dense commutation system behind End
 _MAX_END_UNKNOWNS = 1_500
 # seeded random combinations tried by try_split after the basis itself
@@ -328,33 +325,119 @@ def _split_along(rep: QuiverRep, endo: tuple[Matrix, ...]) -> tuple[QuiverRep, Q
     )
 
 
+def _first_split(rep: QuiverRep, endos) -> tuple[QuiverRep, QuiverRep] | None:
+    """The Fitting decomposition along the first of `endos` that splits rep."""
+    splits = (_split_along(rep, endo) for endo in endos)
+    return next((split for split in splits if split is not None), None)
+
+
+def _trials(rep: QuiverRep, basis: list[tuple[Matrix, ...]]):
+    """`_TRIALS` seeded random combinations of the whole basis, drawn one at a time.
+
+    A draw whose coefficients past the identity are all zero is a scalar,
+    which never splits, and a nonzero multiple of `basis[1:]` or of an earlier
+    draw has the same Fitting decomposition; both are skipped, but still
+    drawn, so the draws after them do not move.
+    """
+    fld = rep.field
+    vectors = [_endo_to_vector(b) for b in basis]
+    rng = random.Random(("split", 0, rep.total_dim(), fld.char).__repr__())
+    # coefficient vectors tried, scaled to a leading 1 past the identity
+    tried = {tuple(int(i == j) for j in range(len(basis))) for i in range(1, len(basis))}
+    for _ in range(_TRIALS):
+        if fld.char:
+            coeffs = [rng.randrange(fld.char) for _ in basis]
+        else:
+            coeffs = [rng.randint(-3, 3) for _ in basis]
+        lead = next((c for c in coeffs[1:] if c), None)
+        if lead is None:
+            continue
+        inv = fld.inv(lead)
+        key = tuple(fld.normalize(c * inv) for c in coeffs)
+        if key not in tried:
+            tried.add(key)
+            yield _endo_from_vector(rep, _combine(fld, coeffs, vectors))
+
+
 def try_split(rep: QuiverRep, basis: list[tuple[Matrix, ...]]) -> tuple[QuiverRep, QuiverRep] | None:
     """Search for a direct-sum splitting via Fitting decompositions.
 
     `basis` is `endomorphism_basis(rep)`.  Its elements after the identity
-    `basis[0]` are tried first, then 64 seeded random combinations of the
-    whole basis, drawn one at a time; the search stops at the first split.
-    Returns (generalized kernel, generalized image) or None if everything
-    tried was nilpotent or invertible.  A basis of length at most 1 spans
-    only scalars, none of which splits, so it returns None at once.
+    `basis[0]` are tried first, then the seeded `_trials`; the search stops
+    at the first split.  Returns (generalized kernel, generalized image) or
+    None if everything tried was nilpotent or invertible.  A basis of length
+    at most 1 spans only scalars, none of which splits, so it returns None at
+    once.
     """
     if len(basis) <= 1:
         return None
+    return _first_split(rep, basis[1:]) or _first_split(rep, _trials(rep, basis))
+
+
+def _compose(a: tuple[Matrix, ...], b: tuple[Matrix, ...]) -> tuple[Matrix, ...]:
+    return tuple(x.mul(y) for x, y in zip(a, b))
+
+
+def _power_vector(endo: tuple[Matrix, ...], k: int) -> list:
+    """The flat vector of endo^k."""
+    return _endo_to_vector(tuple(_mat_power(x, k) for x in endo))
+
+
+def _split_local(rep: QuiverRep, basis: list[tuple[Matrix, ...]]) -> bool:
+    """Certificate A: is End = k.1 + N for a nilpotent N, over any field?
+
+    N is spanned by n_i = b_i - lambda_i.1 over the basis past the identity.
+    If End is split local, lambda_i is the residue of b_i: over F_p, b_i^q
+    for q = p^s >= total_dim is that scalar (the nilpotent part dies and
+    Frobenius fixes the scalar), so a power that is not a scalar declines;
+    over Q, lambda_i = trace(b_i)/total_dim.  N is nilpotent iff the chain
+    N^{j+1} = span(N^j N) reaches 0; in a nilpotent ideal every step
+    shrinks, so a step that does not shrink declines.  Reaching 0 certifies
+    a local End: every element of N is nilpotent, so lambda.1 + n is a unit
+    for lambda != 0, and the non-units form the subspace N.
+    """
     fld = rep.field
-    vectors = [_endo_to_vector(b) for b in basis]
-    rng = random.Random(("split", 0, rep.total_dim(), fld.char).__repr__())
+    total = rep.total_dim()
+    identity = _endo_to_vector(basis[0])
+    q = fld.char
+    while q and q < total:
+        q *= fld.char
+    nilpotent = []
+    for b in basis[1:]:
+        vec = _endo_to_vector(b)
+        if q:
+            power = _power_vector(b, q)
+            lam = power[identity.index(fld.one)]
+            if power != fld.scale(identity, lam):
+                return False
+        else:
+            lam = sum(x for x, i in zip(vec, identity) if i) / total
+        nilpotent.append(_endo_from_vector(rep, fld.axpy(vec, fld.neg(lam), identity)))
+    chain = Subspace.span(fld, len(identity), map(_endo_to_vector, nilpotent))
+    while chain.dim:
+        products = (_compose(_endo_from_vector(rep, row), n) for row in chain.rows for n in nilpotent)
+        step = Subspace.span(fld, chain.ambient, map(_endo_to_vector, products))
+        if step.dim >= chain.dim:
+            return False
+        chain = step
+    return True
 
-    def candidates():
-        yield from basis[1:]
-        for _ in range(_TRIALS):
-            if fld.char:
-                coeffs = [rng.randrange(fld.char) for _ in basis]
-            else:
-                coeffs = [rng.randint(-3, 3) for _ in basis]
-            yield _endo_from_vector(rep, _combine(fld, coeffs, vectors))
 
-    splits = (_split_along(rep, endo) for endo in candidates())
-    return next((split for split in splits if split is not None), None)
+def _frobenius_local(rep: QuiverRep, basis: list[tuple[Matrix, ...]]) -> bool:
+    """Certificate B: is End local, when it is commutative over F_p?
+
+    On a commutative F_p-algebra x -> x^p is linear, and its fixed space has
+    one dimension per local factor (as in Berlekamp's algorithm).  So End is
+    local iff x -> x^p - x has rank dim - 1: the identity is fixed, and the
+    b_i^p - b_i over the rest of the basis must be independent.  This also
+    covers an End whose residue field is larger than F_p.
+    """
+    fld = rep.field
+    rest = basis[1:]
+    if not fld.char or any(_compose(a, b) != _compose(b, a) for a, b in itertools.combinations(rest, 2)):
+        return False
+    moved = [fld.axpy(_power_vector(b, fld.char), -1, _endo_to_vector(b)) for b in rest]
+    return Subspace.span(fld, len(moved[0]), moved).dim == len(rest)
 
 
 @dataclass(frozen=True)
@@ -365,40 +448,27 @@ class IndecResult:
 
 
 def is_indecomposable(rep: QuiverRep) -> IndecResult:
-    """Certified decision when feasible, honest "unknown" otherwise.
+    """Certified decision when possible, honest "unknown" otherwise.
 
-    The endomorphism algebra is solved once.  "yes" is certified before any
-    search when it has dimension at most 1: the zero rep, or End is the
-    field itself, local with no idempotents but 0 and 1.  Otherwise
-    `try_split` searches, and "no" comes with a verified splitting.  Failing
-    that, "yes" is certified over F_p by exhausting all elements e of End
-    with e^2 = e when its dimension is at most `_MAX_END_DIM` and p^dim at
-    most `_MAX_CANDIDATES`.  Anything else is "unknown".
+    The endomorphism algebra is solved once.  "yes" is certified at once
+    when it has dimension at most 1: the zero rep, or End is the field.
+    Otherwise the basis past the identity is searched for a Fitting
+    splitting, and "no" comes with the verified splitting.  Then "yes" is
+    certified when End is local, so has no idempotents but 0 and 1:
+    `_split_local` over any field, or `_frobenius_local` for a commutative
+    End over F_p.  Failing both, the search goes on through the seeded
+    `_trials`, and what is left is "unknown".
     """
     basis = endomorphism_basis(rep)
     dim = len(basis)
     if dim <= 1:
         return IndecResult("yes", dim)
-    split = try_split(rep, basis)
-    if split is not None:
-        return IndecResult("no", dim, split)
-    fld = rep.field
-    if not fld.char or dim > _MAX_END_DIM or fld.char ** dim > _MAX_CANDIDATES:
-        return IndecResult("unknown", dim)
-    vectors = [_endo_to_vector(b) for b in basis]
-    identity = vectors[0]
-    for coeffs in itertools.product(range(fld.char), repeat=dim):
-        vec = _combine(fld, coeffs, vectors)
-        if vec == identity or not any(vec):
-            continue
-        endo = _endo_from_vector(rep, vec)
-        if any(x.mul(x) != x for x in endo):
-            continue
-        split = _split_along(rep, endo)
-        if split is None:
-            raise DecompositionError("nontrivial idempotent produced a trivial splitting")
-        return IndecResult("no", dim, split)
-    return IndecResult("yes", dim)
+    split = _first_split(rep, basis[1:])
+    if split is None:
+        if _split_local(rep, basis) or _frobenius_local(rep, basis):
+            return IndecResult("yes", dim)
+        split = _first_split(rep, _trials(rep, basis))
+    return IndecResult("unknown", dim) if split is None else IndecResult("no", dim, split)
 
 
 def torsion_leg_split(rep: QuiverRep) -> tuple[tuple[tuple[Interval, int], ...], ...] | None:

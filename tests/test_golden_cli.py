@@ -42,9 +42,14 @@ GENERATED = {
 
 def _tube(char: int, level: int) -> QuiverRep:
     """Level-L homogeneous tube of the affine E6 star: End = k[N]/(N^L), local."""
-    fld = Field(char)
+    shift = [[int(j in (i, i + 1)) for j in range(level)] for i in range(level)]
+    return _tube_on(Field(char), shift)
+
+
+def _tube_on(fld: Field, block: list[list[int]]) -> QuiverRep:
+    """The homogeneous tube of the affine E6 star on a cyclic square block T: End = k[T]."""
+    level = len(block)
     eye = [[int(i == j) for j in range(level)] for i in range(level)]
-    eye_plus_shift = [[int(j in (i, i + 1)) for j in range(level)] for i in range(level)]
 
     def first(a):
         return Matrix.from_rows(fld, eye + a)
@@ -57,7 +62,7 @@ def _tube(char: int, level: int) -> QuiverRep:
         return Matrix.from_rows(fld, rows)
 
     arrows = (
-        (first(eye_plus_shift), second(0, 1)),
+        (first(block), second(0, 1)),
         (first(eye), second(1, 2)),
         (first(eye), second(2, 0)),
     )
@@ -65,8 +70,8 @@ def _tube(char: int, level: int) -> QuiverRep:
 
 
 # quiver-rep files written from the library before the pinned invocations run:
-# random reps that split (witness bytes), tubes certified "yes" with End of
-# dimension 2 or left "unknown" (End over the gate, or over Q), and zero-sink
+# random reps that split (witness bytes), tubes certified "yes" by a locality
+# certificate (End of dimension 2 and 7 over F_5, and 2 over Q), and zero-sink
 # reps whose legs carry bars
 REPS = {
     "rep_f2.json": lambda: random_rep(0, n=3, fld=Field(2)),
@@ -427,8 +432,8 @@ GOLDEN: dict[str, str] = {
     'endo rep_q.json': '0:f3aca2d3f0a46a59e5aceb2c8fdae446fa7e672f572585ec3e4b9dac1a8ad421',
     'indec rep_q.json': '0:86a4089048a9203a359d2d392d2ccbf777c0aa8121f8d2b9aac68c3dc4ff07c6',
     'indec tube2_f5.json': '0:bb4b2144ed7d5c3e9df76f35f77e586b9fd3820a0e05b15e44e86d4e116e8a2d',
-    'indec tube7_f5.json': '0:677e9edd6c8a74f8e6c8a624406efd46a2d88793b8df322d139f96140f1618fc',
-    'indec tube2_q.json': '0:20db49ce3eb90798161d7e0487986ef5951dd0b10dfcefc82577594df875d1cb',
+    'indec tube7_f5.json': '0:0fc758b9e5d12e284081b9a15e756b30782a437ff728ef203da92e024393363d',
+    'indec tube2_q.json': '0:00c86a8369e99e5ab7560e57bbdb7815cba5baa83047bd44c24b4b13df000dd4',
     'split-legs legs_f5.json': '0:21cddc47067e09093748411d32d00db80d24d2fdd6e0d41727e8edb38feea529',
     'split-legs legs_q.json': '0:ffe38147fcea90c7750bdc7788f71cdca1070b90251ddd92f1b4e49d345c36e0',
     'section-exists fixtures/notsplit_map.json': '0:c25b84aa54f301486ed05800192da083a00a8508024f22de77a70c6259c01e67',

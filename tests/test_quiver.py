@@ -3,9 +3,12 @@
 endomorphism_basis is cross-checked by brute-force enumeration of all
 vertex-wise matrix tuples over F_2 on tiny representations; indecomposability
 verdicts are checked on knowns from both sides (certified yes on the rank-two
-example, witnessed no on direct sums).
+example, witnessed no on direct sums), against the enumeration of all p^dim
+elements of End wherever that is feasible, and every yes against the Tits
+form of its dimension vector.
 """
 
+import itertools
 import json
 import random
 import time
@@ -23,7 +26,11 @@ from persloc.presentation import GradedPresentation, direct_sum, free_module, ra
 from persloc.examples import named_example, strip_presentation
 from persloc.quiver import (
     QuiverRep,
+    _combine,
+    _endo_from_vector,
     _endo_to_vector,
+    _frobenius_local,
+    _split_local,
     _star,
     endomorphism_basis,
     in_leq_n,
@@ -34,7 +41,7 @@ from persloc.quiver import (
     torsion_leg_split,
     try_split,
 )
-from test_golden_cli import _tube
+from test_golden_cli import _tube, _tube_on
 
 
 F5 = DEFAULT_FIELD
@@ -405,6 +412,133 @@ def test_split_search_skips_the_identity(monkeypatch):
         is_indecomposable(rep)
         assert calls[0] == basis[1]
         assert tuple(Matrix.identity(rep.field, d) for d in rep.dims) not in calls
+
+
+def _is_scalar(rep, vec) -> bool:
+    identity = _endo_to_vector(tuple(Matrix.identity(rep.field, d) for d in rep.dims))
+    return vec == rep.field.scale(identity, vec[identity.index(rep.field.one)])
+
+
+def _all_draws(rep, basis) -> list:
+    """Every candidate of the split search, skipping none: basis[1:], then each seeded draw."""
+    fld = rep.field
+    rng = random.Random(("split", 0, rep.total_dim(), fld.char).__repr__())
+    vectors = [_endo_to_vector(b) for b in basis]
+    out = list(basis[1:])
+    for _ in range(quiver._TRIALS):
+        coeffs = [rng.randrange(fld.char) if fld.char else rng.randint(-3, 3) for _ in basis]
+        out.append(_endo_from_vector(rep, _combine(fld, coeffs, vectors)))
+    return out
+
+
+def test_split_search_tries_no_candidate_twice(monkeypatch):
+    # a scalar never splits and a nonzero multiple has the same Fitting
+    # decomposition; the draws after a skipped one do not move
+    calls = _spy_split_along(monkeypatch)
+    for rep in (_tube(5, 2), _tube(5, 3), _tube(7, 2), _tube(2, 3), _tube(0, 2)):
+        calls.clear()
+        basis = endomorphism_basis(rep)
+        assert try_split(rep, basis) is None
+        total = len(_endo_to_vector(basis[0]))
+        expected = []
+        for endo in _all_draws(rep, basis):
+            vec = _endo_to_vector(endo)
+            if not _is_scalar(rep, vec) and all(
+                Subspace.span(rep.field, total, [vec, _endo_to_vector(e)]).dim == 2 for e in expected
+            ):
+                expected.append(endo)
+        assert calls == expected
+        assert len(calls) == len(set(calls))
+        # a local End is certified before the seeded trials
+        calls.clear()
+        assert is_indecomposable(rep).verdict == "yes"
+        assert calls == basis[1:]
+
+
+def _idempotent_oracle(rep) -> str:
+    """"no" iff some element of End other than 0 and 1 is idempotent, by trying all p^dim."""
+    basis = endomorphism_basis(rep)
+    if len(basis) <= 1:
+        return "yes"
+    fld = rep.field
+    vectors = [_endo_to_vector(b) for b in basis]
+    for coeffs in itertools.product(range(fld.char), repeat=len(basis)):
+        vec = _combine(fld, coeffs, vectors)
+        if vec == vectors[0] or not any(vec):
+            continue
+        endo = _endo_from_vector(rep, vec)
+        if all(x.mul(x) == x for x in endo):
+            return "no"
+    return "yes"
+
+
+def _enumerable(fld, dim) -> bool:
+    return fld.char and dim <= 6 and fld.char ** dim <= 15_625
+
+
+def _tits_form(rep) -> int:
+    dims = rep.dims
+    return sum(d * d for d in dims) - sum(dims[s] * dims[t] for s, t in _star(rep.n))
+
+
+def _check_against_oracles(rep) -> str:
+    res = is_indecomposable(rep)
+    if res.verdict == "yes":
+        # the dimension vector of an indecomposable is a root (Kac)
+        assert _tits_form(rep) <= 1, rep.dims
+    if _enumerable(rep.field, res.endo_dim):
+        assert res.verdict == _idempotent_oracle(rep)
+    return res.verdict
+
+
+F25_TUBE = _tube_on(F5, [[0, 2], [1, 0]])  # companion matrix of t^2 - 2: End = F_25
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [*(_tube(p, level) for p, top in ((2, 5), (3, 4), (5, 4), (7, 3), (0, 3)) for level in range(2, top + 1)), F25_TUBE],
+)
+def test_tube_verdicts_match_the_idempotent_enumeration(rep):
+    assert _check_against_oracles(rep) == "yes"
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.sampled_from([F2, Field(3), F5, Field(7), Field(0)]),
+    st.booleans(),
+)
+def test_verdicts_match_the_idempotent_enumeration(seed, n, max_dim, fld, sink_zero):
+    _check_against_oracles(random_rep(seed, n=n, max_dim=max_dim, sink_zero=sink_zero, fld=fld))
+
+
+def test_non_split_local_end_is_certified_by_frobenius():
+    # End = F_25 has residue field F_25, not F_5: the split-local certificate
+    # declines and Berlekamp's count certifies
+    basis = endomorphism_basis(F25_TUBE)
+    assert len(basis) == 2
+    assert not _split_local(F25_TUBE, basis)
+    assert _frobenius_local(F25_TUBE, basis)
+    assert is_indecomposable(F25_TUBE).verdict == "yes"
+
+
+def test_level6_tube_is_certified_quickly():
+    # all 15,625 elements of its End used to be enumerated (about 15 s)
+    rep = _tube(5, 6)
+    start = time.perf_counter()
+    res = is_indecomposable(rep)
+    elapsed = time.perf_counter() - start
+    assert (res.verdict, res.endo_dim) == ("yes", 6)
+    assert elapsed < 2, elapsed
+
+
+def test_unknown_when_no_certificate_or_split_applies():
+    # End = Q x Q: b^2 = -b/2 + 589/98 has the rational roots 31/14 and -19/7,
+    # which no integer trial combination reaches, and End is not local
+    res = is_indecomposable(random_rep(220, fld=Field(0)))
+    assert (res.verdict, res.endo_dim, res.witness) == ("unknown", 2, None)
 
 
 def test_is_indecomposable_verdicts():
