@@ -12,9 +12,9 @@ On top of the conversion: endomorphism algebras by solving the commutation
 system, splitting searches via Fitting decompositions, certified
 indecomposability from a locality certificate of the endomorphism algebra
 (split local over any field: End = k.1 + a nilpotent ideal; or, for a
-commutative End over F_p, Berlekamp's count of the Frobenius fixed space),
-and interval decompositions of the legs when the sink vanishes (pure
-torsion).
+commutative End over F_p, Berlekamp's count of the Frobenius fixed space,
+whose elements also split a commutative End that is not local), and
+interval decompositions of the legs when the sink vanishes (pure torsion).
 """
 
 from __future__ import annotations
@@ -32,6 +32,10 @@ from .presentation import GradedPresentation
 
 # most unknowns (the sum of d_v^2) of the dense commutation system behind End
 _MAX_END_UNKNOWNS = 1_500
+# a non-commutative End over F_p that neither certificate nor the split
+# search decides has all its p^dim elements tried, up to these sizes
+_MAX_END_DIM = 6
+_MAX_CANDIDATES = 5 ** _MAX_END_DIM
 # seeded random combinations tried by try_split after the basis itself
 _TRIALS = 64
 
@@ -332,31 +336,16 @@ def _first_split(rep: QuiverRep, endos) -> tuple[QuiverRep, QuiverRep] | None:
 
 
 def _trials(rep: QuiverRep, basis: list[tuple[Matrix, ...]]):
-    """`_TRIALS` seeded random combinations of the whole basis, drawn one at a time.
-
-    A draw whose coefficients past the identity are all zero is a scalar,
-    which never splits, and a nonzero multiple of `basis[1:]` or of an earlier
-    draw has the same Fitting decomposition; both are skipped, but still
-    drawn, so the draws after them do not move.
-    """
+    """`_TRIALS` seeded random combinations of the whole basis, drawn one at a time."""
     fld = rep.field
     vectors = [_endo_to_vector(b) for b in basis]
     rng = random.Random(("split", 0, rep.total_dim(), fld.char).__repr__())
-    # coefficient vectors tried, scaled to a leading 1 past the identity
-    tried = {tuple(int(i == j) for j in range(len(basis))) for i in range(1, len(basis))}
     for _ in range(_TRIALS):
         if fld.char:
             coeffs = [rng.randrange(fld.char) for _ in basis]
         else:
             coeffs = [rng.randint(-3, 3) for _ in basis]
-        lead = next((c for c in coeffs[1:] if c), None)
-        if lead is None:
-            continue
-        inv = fld.inv(lead)
-        key = tuple(fld.normalize(c * inv) for c in coeffs)
-        if key not in tried:
-            tried.add(key)
-            yield _endo_from_vector(rep, _combine(fld, coeffs, vectors))
+        yield _endo_from_vector(rep, _combine(fld, coeffs, vectors))
 
 
 def try_split(rep: QuiverRep, basis: list[tuple[Matrix, ...]]) -> tuple[QuiverRep, QuiverRep] | None:
@@ -423,21 +412,65 @@ def _split_local(rep: QuiverRep, basis: list[tuple[Matrix, ...]]) -> bool:
     return True
 
 
-def _frobenius_local(rep: QuiverRep, basis: list[tuple[Matrix, ...]]) -> bool:
-    """Certificate B: is End local, when it is commutative over F_p?
+def _frobenius_fixed(rep: QuiverRep, basis: list[tuple[Matrix, ...]]) -> list[tuple[Matrix, ...]] | None:
+    """Certificate B: the x = x^p in the span of `basis[1:]`, when End is commutative over F_p.
 
-    On a commutative F_p-algebra x -> x^p is linear, and its fixed space has
-    one dimension per local factor (as in Berlekamp's algorithm).  So End is
-    local iff x -> x^p - x has rank dim - 1: the identity is fixed, and the
-    b_i^p - b_i over the rest of the basis must be independent.  This also
-    covers an End whose residue field is larger than F_p.
+    On a commutative F_p-algebra x -> x^p is linear, and its fixed space is a
+    subalgebra F_p x ... x F_p with one factor per local factor of End (as
+    in Berlekamp's algorithm).  So End is local iff the fixed space is k.1,
+    that is iff the returned basis of the fixed elements past the identity is
+    empty; this also covers an End whose residue field is larger than F_p.
+    None when End is over Q or not commutative.
     """
     fld = rep.field
     rest = basis[1:]
     if not fld.char or any(_compose(a, b) != _compose(b, a) for a, b in itertools.combinations(rest, 2)):
-        return False
-    moved = [fld.axpy(_power_vector(b, fld.char), -1, _endo_to_vector(b)) for b in rest]
-    return Subspace.span(fld, len(moved[0]), moved).dim == len(rest)
+        return None
+    vectors = [_endo_to_vector(b) for b in rest]
+    moved = [fld.axpy(_power_vector(b, fld.char), -1, vec) for b, vec in zip(rest, vectors)]
+    kernel = Matrix.from_cols(fld, len(vectors[0]), moved).kernel()
+    return [_endo_from_vector(rep, _combine(fld, row, vectors)) for row in kernel.rows]
+
+
+def _fixed_split(rep: QuiverRep, one: tuple[Matrix, ...], x: tuple[Matrix, ...]) -> tuple[QuiverRep, QuiverRep]:
+    """A Fitting decomposition along a polynomial in a non-scalar x = x^p over F_p.
+
+    x acts on each of its eigenspaces by its own scalar of F_p, and has at
+    least two of them.  Over F_2, x is an idempotent other than 0 and 1.
+    Otherwise (x + c)^((p-1)/2) - 1 kills the eigenspaces whose eigenvalue
+    plus c is a nonzero square and is invertible on the rest; as c runs over
+    F_p this separates any two eigenvalues (the nonzero squares are not
+    invariant under a nonzero shift), so some c splits rep.
+    """
+    fld = rep.field
+    if fld.char == 2:
+        return _split_along(rep, x)
+    one, x = _endo_to_vector(one), _endo_to_vector(x)
+
+    def shifts():
+        for c in range(fld.char):
+            power = _power_vector(_endo_from_vector(rep, fld.axpy(x, c, one)), (fld.char - 1) // 2)
+            yield _endo_from_vector(rep, fld.axpy(power, -1, one))
+
+    return _first_split(rep, shifts())
+
+
+def _idempotent_split(rep: QuiverRep, basis: list[tuple[Matrix, ...]]) -> tuple[QuiverRep, QuiverRep] | None:
+    """The split along the first idempotent of End other than 0 and 1, trying
+    all p^dim elements in coefficient order; None when there is none."""
+    fld = rep.field
+    vectors = [_endo_to_vector(b) for b in basis]
+    for coeffs in itertools.product(range(fld.char), repeat=len(basis)):
+        vec = _combine(fld, coeffs, vectors)
+        if vec == vectors[0] or not any(vec):
+            continue
+        endo = _endo_from_vector(rep, vec)
+        if all(x.mul(x) == x for x in endo):
+            split = _split_along(rep, endo)
+            if split is None:
+                raise DecompositionError("nontrivial idempotent produced a trivial splitting")
+            return split
+    return None
 
 
 @dataclass(frozen=True)
@@ -455,19 +488,34 @@ def is_indecomposable(rep: QuiverRep) -> IndecResult:
     Otherwise the basis past the identity is searched for a Fitting
     splitting, and "no" comes with the verified splitting.  Then "yes" is
     certified when End is local, so has no idempotents but 0 and 1:
-    `_split_local` over any field, or `_frobenius_local` for a commutative
-    End over F_p.  Failing both, the search goes on through the seeded
-    `_trials`, and what is left is "unknown".
+    `_split_local` over any field, or an empty `_frobenius_fixed` for a
+    commutative End over F_p.  Failing both, the search goes on through the
+    seeded `_trials`.  A commutative End over F_p that is not local is then
+    split by `_fixed_split`; a non-commutative one has all its p^dim
+    elements tried when its dimension is at most `_MAX_END_DIM` and p^dim
+    at most `_MAX_CANDIDATES`.  What is left is "unknown".
     """
     basis = endomorphism_basis(rep)
     dim = len(basis)
     if dim <= 1:
         return IndecResult("yes", dim)
     split = _first_split(rep, basis[1:])
-    if split is None:
-        if _split_local(rep, basis) or _frobenius_local(rep, basis):
+    if split is not None:
+        return IndecResult("no", dim, split)
+    if _split_local(rep, basis):
+        return IndecResult("yes", dim)
+    fixed = _frobenius_fixed(rep, basis)
+    if fixed == []:  # commutative over F_p, and local
+        return IndecResult("yes", dim)
+    split = _first_split(rep, _trials(rep, basis))
+    if split is None and fixed:
+        split = _fixed_split(rep, basis[0], fixed[0])
+    fld = rep.field
+    if split is None and fld.char and dim <= _MAX_END_DIM and fld.char**dim <= _MAX_CANDIDATES:
+        # only a non-commutative End gets here: a commutative one was split
+        split = _idempotent_split(rep, basis)
+        if split is None:
             return IndecResult("yes", dim)
-        split = _first_split(rep, _trials(rep, basis))
     return IndecResult("unknown", dim) if split is None else IndecResult("no", dim, split)
 
 

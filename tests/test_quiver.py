@@ -29,7 +29,7 @@ from persloc.quiver import (
     _combine,
     _endo_from_vector,
     _endo_to_vector,
-    _frobenius_local,
+    _frobenius_fixed,
     _split_local,
     _star,
     endomorphism_basis,
@@ -414,43 +414,11 @@ def test_split_search_skips_the_identity(monkeypatch):
         assert tuple(Matrix.identity(rep.field, d) for d in rep.dims) not in calls
 
 
-def _is_scalar(rep, vec) -> bool:
-    identity = _endo_to_vector(tuple(Matrix.identity(rep.field, d) for d in rep.dims))
-    return vec == rep.field.scale(identity, vec[identity.index(rep.field.one)])
-
-
-def _all_draws(rep, basis) -> list:
-    """Every candidate of the split search, skipping none: basis[1:], then each seeded draw."""
-    fld = rep.field
-    rng = random.Random(("split", 0, rep.total_dim(), fld.char).__repr__())
-    vectors = [_endo_to_vector(b) for b in basis]
-    out = list(basis[1:])
-    for _ in range(quiver._TRIALS):
-        coeffs = [rng.randrange(fld.char) if fld.char else rng.randint(-3, 3) for _ in basis]
-        out.append(_endo_from_vector(rep, _combine(fld, coeffs, vectors)))
-    return out
-
-
-def test_split_search_tries_no_candidate_twice(monkeypatch):
-    # a scalar never splits and a nonzero multiple has the same Fitting
-    # decomposition; the draws after a skipped one do not move
+def test_local_end_is_certified_before_the_trials(monkeypatch):
     calls = _spy_split_along(monkeypatch)
     for rep in (_tube(5, 2), _tube(5, 3), _tube(7, 2), _tube(2, 3), _tube(0, 2)):
         calls.clear()
         basis = endomorphism_basis(rep)
-        assert try_split(rep, basis) is None
-        total = len(_endo_to_vector(basis[0]))
-        expected = []
-        for endo in _all_draws(rep, basis):
-            vec = _endo_to_vector(endo)
-            if not _is_scalar(rep, vec) and all(
-                Subspace.span(rep.field, total, [vec, _endo_to_vector(e)]).dim == 2 for e in expected
-            ):
-                expected.append(endo)
-        assert calls == expected
-        assert len(calls) == len(set(calls))
-        # a local End is certified before the seeded trials
-        calls.clear()
         assert is_indecomposable(rep).verdict == "yes"
         assert calls == basis[1:]
 
@@ -507,11 +475,65 @@ def test_tube_verdicts_match_the_idempotent_enumeration(rep):
     st.integers(0, 10**6),
     st.integers(1, 3),
     st.integers(1, 3),
-    st.sampled_from([F2, Field(3), F5, Field(7), Field(0)]),
+    st.sampled_from([F2, Field(3), F5, Field(7), Field(101), Field(0)]),
     st.booleans(),
 )
 def test_verdicts_match_the_idempotent_enumeration(seed, n, max_dim, fld, sink_zero):
     _check_against_oracles(random_rep(seed, n=n, max_dim=max_dim, sink_zero=sink_zero, fld=fld))
+
+
+@pytest.mark.parametrize("seed, n", [(14, 1), (38, 1), (166, 2), (268, 2), (282, 3)])
+def test_commutative_end_the_trials_miss_is_split_off_its_frobenius_fixed_space(seed, n):
+    # over F_101 a random combination of a basis of F_p x F_p is singular
+    # with chance about 2/101, so the 64 trials miss these; the fixed space
+    # of x -> x^p is larger than k.1 and one of its elements splits rep
+    rep = random_rep(seed, n=n, max_dim=3 if n == 1 else 2, fld=Field(101))
+    basis = endomorphism_basis(rep)
+    assert quiver._first_split(rep, [*basis[1:], *quiver._trials(rep, basis)]) is None
+    assert len(_frobenius_fixed(rep, basis)) >= 1
+    res = is_indecomposable(rep)
+    assert res.verdict == "no"
+    kernel, image = res.witness
+    assert [a + b for a, b in zip(kernel.dims, image.dims)] == list(rep.dims)
+    assert min(kernel.total_dim(), image.total_dim()) > 0
+    assert _check_against_oracles(rep) == "no"
+
+
+def _simples(fld, vertices) -> QuiverRep:
+    """The direct sum of the one-dimensional simples at `vertices` of the n = 1 star."""
+    dims = [int(v in vertices) for v in range(4)]
+    maps = [Matrix(fld, dims[t], dims[s], ((fld.zero,) * dims[s],) * dims[t]) for s, t in _star(1)]
+    return QuiverRep.from_flat(fld, 1, dims, maps)
+
+
+@pytest.mark.parametrize("fld", [F2, Field(3), F5, Field(101)])
+def test_fixed_split_separates_the_eigenspaces_of_a_frobenius_fixed_element(fld):
+    # End of a sum of r simples at distinct vertices is k^r: commutative, and
+    # its Frobenius fixed space is all of it
+    for vertices in ((0, 1), (0, 1, 3)):
+        rep = _simples(fld, vertices)
+        basis = endomorphism_basis(rep)
+        fixed = _frobenius_fixed(rep, basis)
+        assert len(fixed) == len(vertices) - 1
+        for x in fixed:
+            kernel, image = quiver._fixed_split(rep, basis[0], x)
+            assert [a + b for a, b in zip(kernel.dims, image.dims)] == list(rep.dims)
+            assert min(kernel.total_dim(), image.total_dim()) > 0
+
+
+def test_non_commutative_end_past_the_search_has_its_idempotents_enumerated(monkeypatch):
+    # End of dimension 3 over F_5 that is not commutative and not split
+    # local; with no trials left, the p^dim enumeration still finds the split
+    rep = random_rep(81, fld=F5)
+    basis = endomorphism_basis(rep)
+    assert len(basis) == 3
+    assert quiver._first_split(rep, basis[1:]) is None
+    assert not _split_local(rep, basis)
+    assert _frobenius_fixed(rep, basis) is None
+    monkeypatch.setattr(quiver, "_TRIALS", 0)
+    res = is_indecomposable(rep)
+    assert res.verdict == _idempotent_oracle(rep) == "no"
+    assert res.witness == quiver._idempotent_split(rep, basis)
 
 
 def test_non_split_local_end_is_certified_by_frobenius():
@@ -520,7 +542,7 @@ def test_non_split_local_end_is_certified_by_frobenius():
     basis = endomorphism_basis(F25_TUBE)
     assert len(basis) == 2
     assert not _split_local(F25_TUBE, basis)
-    assert _frobenius_local(F25_TUBE, basis)
+    assert _frobenius_fixed(F25_TUBE, basis) == []
     assert is_indecomposable(F25_TUBE).verdict == "yes"
 
 
