@@ -14,17 +14,18 @@ where values enter the program: `Field.coerce` runs only in
 `Subspace.reduce`, the row operations) trusts its input to be canonical and
 keeps it so.
 
-The only dense row reduction in the package is `_rref`, built on the two row
-operations `Field.axpy` and `Field.scale`, and no other module calls it:
-ranks, kernels, `solve` and `Subspace.span` read their answers off one
-`_rref` each, and `Subspace` is the one type that holds its output.  The
-sparse persistence columns of `localization.column_lows` are reduced there.
+Both row reductions of the package live here, and no other module calls
+them.  The dense `_rref`, built on the row operations `Field.axpy` and
+`Field.scale`, gives ranks, `Matrix.kernel`, `solve` and `Subspace.span`, and
+`Subspace` is the one type that holds its output.  The sparse `_store_low`
+(Zomorodian-Carlsson 2005) gives `column_lows` and `sparse_kernel`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Iterator, Sequence
 
 from .errors import AmbientMismatchError
 
@@ -169,6 +170,57 @@ def _rref(field: Field, rows: list, ncols: int) -> tuple[list, list[int]]:
         if r == nrows:
             break
     return rows, pivots
+
+
+def _store_low(field: Field, stored: dict, vec: dict) -> int | None:
+    """Reduce the sparse vec ({column: nonzero entry}) by `stored` while its
+    low, its largest column, is a stored row's; store what is left at its low,
+    scaled to 1 there, and return that low, or None when nothing is left."""
+    while vec and (low := max(vec)) in stored:
+        c = field.neg(vec[low])
+        for k, y in stored[low].items():
+            vec[k] = field.normalize(vec.get(k, 0) + c * y)
+        vec = {k: x for k, x in vec.items() if x != 0}
+    if vec:
+        stored[low] = dict(zip(vec, field.scale(vec.values(), field.inv(vec[low]))))
+    return low if vec else None
+
+
+def column_lows(fld: Field, born: Sequence[int], columns: Iterable[Iterable]) -> Iterator[int | None]:
+    """The persistence "low" of each column, or None when it reduces to zero.
+
+    `born` lists the generators earliest-born first; a column comes as its
+    (generator, coefficient) pairs and is held sparse.  Its low is its
+    youngest generator with a nonzero entry, and it is reduced by the earlier
+    columns while that low is one of theirs.
+    """
+    age, stored = {g: k for k, g in enumerate(born)}, {}
+    for col in columns:
+        low = _store_low(fld, stored, {age[g]: x for g, x in col if x != 0})
+        yield None if low is None else born[low]
+
+
+def sparse_kernel(field: Field, ncols: int, equations: Iterable[dict]) -> "Subspace":
+    """Right kernel in F^ncols of sparse equations ({column: nonzero entry}),
+    each reduced in place.
+
+    A free column f, no stored row's low, gives the vector with 1 at f, 0 at
+    the other free columns and the stored lows solved in increasing order: it
+    vanishes before f, so these vectors are the canonical basis as they stand.
+    """
+    stored: dict = {}
+    for eq in equations:
+        _store_low(field, stored, eq)
+    lows, free = sorted(stored), [f for f in range(ncols) if f not in stored]
+    rows = []
+    for f in free:
+        v = [field.zero] * ncols
+        v[f] = field.one
+        for low in lows:
+            if low > f:
+                v[low] = field.neg(sum(y * v[k] for k, y in stored[low].items() if k != low))
+        rows.append(tuple(v))
+    return Subspace(field, ncols, tuple(rows), tuple(free))
 
 
 @dataclass(frozen=True)

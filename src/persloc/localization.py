@@ -17,10 +17,11 @@ independent cross-check of the first, and `twoparam.decompose`,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import degrees as dg
 from .errors import PreconditionError
+from .fields import column_lows
 from .presentation import GradedPresentation
 
 _INF = float("inf")
@@ -143,27 +144,6 @@ def localized_barcode(module: GradedPresentation, axis: int) -> Barcode:
     bound = module.stabilization_bound()[axis - 1]
     dg.require_box_budget((bound, bound))
     return Barcode.make(axis, bars_from_rank_fn(rank, bound))
-
-
-def column_lows(fld, born: Sequence[int], columns: Iterable[Iterable]) -> Iterator[int | None]:
-    """The persistence "low" of each column, or None when it reduces to zero.
-
-    `born` lists the generators earliest-born first; a column comes as its
-    (generator, coefficient) pairs and is held sparse.  Its low is its
-    youngest generator with a nonzero entry, and it is reduced by the earlier
-    columns while that low is one of theirs (Zomorodian-Carlsson 2005).
-    """
-    age, stored = {g: k for k, g in enumerate(born)}, {}
-    for col in columns:
-        vec = {age[g]: x for g, x in col if x != 0}
-        while vec and (low := max(vec)) in stored:
-            c = fld.neg(vec[low])
-            for k, y in stored[low].items():
-                vec[k] = fld.normalize(vec.get(k, 0) + c * y)
-            vec = {k: x for k, x in vec.items() if x != 0}
-        if vec:
-            stored[low] = dict(zip(vec, fld.scale(vec.values(), fld.inv(vec[low]))))
-        yield born[low] if vec else None
 
 
 def presentation_bars(fld, gens: Sequence[int], rels: Sequence[int], column: Callable) -> list[tuple[Interval, int]]:

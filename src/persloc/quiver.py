@@ -9,10 +9,10 @@ from 0 to n-1, the sink is the stable corner, and all maps are transitions.
 The order of vertices and arrows is decided once, in `_star`.
 
 On top of the conversion: endomorphism algebras by solving the commutation
-system, splitting searches via Fitting decompositions, certified
-indecomposability from a locality certificate of the endomorphism algebra
-(split local over any field: End = k.1 + a nilpotent ideal; or, for a
-commutative End over F_p, Berlekamp's count of the Frobenius fixed space,
+system as sparse equations, splitting searches via Fitting decompositions,
+certified indecomposability from a locality certificate of the endomorphism
+algebra (split local over any field: End = k.1 + a nilpotent ideal; or, for
+a commutative End over F_p, Berlekamp's count of the Frobenius fixed space,
 whose elements also split a commutative End that is not local), and
 interval decompositions of the legs when the sink vanishes (pure torsion).
 """
@@ -26,11 +26,11 @@ from dataclasses import dataclass
 
 from . import degrees as dg
 from .errors import DecompositionError, PreconditionError
-from .fields import DEFAULT_FIELD, Field, Matrix, Subspace
+from .fields import DEFAULT_FIELD, Field, Matrix, Subspace, sparse_kernel
 from .localization import Interval, barcode_by_reduction, canonical_bars, presentation_bars
 from .presentation import GradedPresentation
 
-# most unknowns (the sum of d_v^2) of the dense commutation system behind End
+# most unknowns (the sum of d_v^2) of the commutation system behind End
 _MAX_END_UNKNOWNS = 1_500
 # a non-commutative End over F_p that neither certificate nor the split
 # search decides has all its p^dim elements tried, up to these sizes
@@ -245,29 +245,25 @@ def endomorphism_basis(rep: QuiverRep) -> list[tuple[Matrix, ...]]:
 
     An endomorphism is one square matrix per vertex, in `_star` vertex
     order.  Solves the commutation system X_target A = A X_source over all
-    arrows, refusing more than `_MAX_END_UNKNOWNS` unknowns.
+    arrows as sparse equations, refusing more than `_MAX_END_UNKNOWNS`
+    unknowns.
     """
     fld = rep.field
     dims = rep.dims
     _require_end_unknowns(dims)
     offsets = list(itertools.accumulate((d * d for d in dims), initial=0))
-    total = offsets[-1]
-    rows: list[list] = []
-    zero = fld.zero
-    for (u, w), a in zip(_star(rep.n), rep.maps):
-        du, dw = dims[u], dims[w]
-        # X_w A - A X_u = 0, entrywise over (r, c) in dw x du; u != w,
-        # so each unknown appears at most once per equation
-        for r in range(dw):
-            for c in range(du):
-                row = [zero] * total
-                for k in range(dw):
-                    row[offsets[w] + r * dw + k] = a.entries[k][c]
-                for k in range(du):
-                    row[offsets[u] + k * du + c] = fld.neg(a.entries[r][k])
-                rows.append(row)
-    mat = Matrix(fld, len(rows), total, tuple(tuple(r) for r in rows))
-    kernel = mat.kernel()
+    # X_w A - A X_u = 0, entrywise over (r, c) in dw x du; u != w, so each
+    # unknown appears at most once per equation
+    equations = (
+        {
+            **{offsets[w] + r * a.nrows + k: x for k, x in enumerate(a.col(c)) if x != 0},
+            **{offsets[u] + k * a.ncols + c: fld.neg(x) for k, x in enumerate(a.entries[r]) if x != 0},
+        }
+        for (u, w), a in zip(_star(rep.n), rep.maps)
+        for r in range(a.nrows)
+        for c in range(a.ncols)
+    )
+    kernel = sparse_kernel(fld, offsets[-1], equations)
     id_vec = _endo_to_vector(tuple(Matrix.identity(fld, d) for d in dims))
     # the identity is the sum of id[p] * row over the kernel pivots p, so it
     # replaces the last row with id[p] != 0 and every other row stays

@@ -32,8 +32,8 @@ from .errors import (
     NotLocallyEpicError,
     PreconditionError,
 )
-from .fields import Field, solve
-from .localization import Interval, barcode_by_reduction, canonical_bars, column_lows
+from .fields import Field, column_lows, solve
+from .localization import Interval, barcode_by_reduction, canonical_bars
 from .presentation import GradedPresentation, PresentationMap, direct_sum, free_module, zero_module
 from .examples import strip_presentation
 

@@ -6,16 +6,19 @@ by element.  That gives an oracle for the echelon machinery that everything
 else in the package leans on.
 """
 
+import ast
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persloc.degrees import leq
-from persloc.fields import DEFAULT_FIELD, Field, Matrix, Subspace, _is_prime, _rref
+from persloc import fields
+from persloc.fields import DEFAULT_FIELD, Field, Matrix, Subspace, _is_prime, _rref, sparse_kernel
 from persloc.presentation import GradedPresentation, PresentationMap, random_presentation
 from persloc.quiver import endomorphism_basis, is_indecomposable, random_rep
 
@@ -229,6 +232,38 @@ def test_rref_agrees_with_subspace(case):
     # membership: the probe adds no pivot iff reduce clears it
     _, grown = _rref(fld, [*map(tuple, rows), tuple(probe)], ncols)
     assert all(x == 0 for x in red) == (len(grown) == len(pivots)) == sub.contains_vector(probe)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_rows_and_probe())
+def test_sparse_kernel_is_the_dense_kernel(case):
+    # equations given as {column: nonzero entry} dicts, zero rows included
+    fld, ncols, rows, _ = case
+    equations = [{j: x for j, x in enumerate(row) if x != 0} for row in rows]
+    dense = Matrix(fld, len(rows), ncols, tuple(map(tuple, rows))).kernel()
+    assert sparse_kernel(fld, ncols, equations) == dense
+
+
+def test_only_fields_reduces():
+    # the dense and the sparse row reduction live in fields, and no other
+    # module defines, imports or reaches into either
+    reducers = {"_rref", "_store_low"}
+    assert all(callable(getattr(fields, name)) for name in reducers)
+    package = Path(fields.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "fields.py":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+        assert not names & reducers, (path.name, names & reducers)
 
 
 def _is_canonical(fld, x):

@@ -1,11 +1,12 @@
 """Three-legged quiver bridge: conversion, endomorphisms, splitting.
 
 endomorphism_basis is cross-checked by brute-force enumeration of all
-vertex-wise matrix tuples over F_2 on tiny representations; indecomposability
-verdicts are checked on knowns from both sides (certified yes on the rank-two
-example, witnessed no on direct sums), against the enumeration of all p^dim
-elements of End wherever that is feasible, and every yes against the Tits
-form of its dimension vector.
+vertex-wise matrix tuples over F_2 on tiny representations, and its sparse
+solve against the commutation system written as one dense matrix;
+indecomposability verdicts are checked on knowns from both sides (certified
+yes on the rank-two example, witnessed no on direct sums), against the
+enumeration of all p^dim elements of End wherever that is feasible, and
+every yes against the Tits form of its dimension vector.
 """
 
 import itertools
@@ -263,22 +264,70 @@ def test_endomorphism_basis_matches_incremental_insertion(seed, n, fld, sink_zer
     # the basis is the identity followed by the commutation kernel's rows,
     # each kept when it is independent of the ones kept before it
     rep = random_rep(seed, n=n, fld=fld, sink_zero=sink_zero)
-    kernels = []
-    kernel = Matrix.kernel
-
-    def recording(self):
-        kernels.append(kernel(self))
-        return kernels[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Matrix, "kernel", recording)
-        basis = endomorphism_basis(rep)
+    basis = endomorphism_basis(rep)
     identity = _endo_to_vector(tuple(Matrix.identity(fld, d) for d in rep.dims))
-    (commuting,) = kernels
+    commuting = _dense_end_kernel(rep)
     expected = _insertion_oracle(fld, [identity, *commuting.rows])
     assert [_endo_to_vector(x) for x in basis] == expected
     assert len(basis) == commuting.dim
     assert bool(basis) == bool(rep.total_dim())
+
+
+def _dense_end_kernel(rep):
+    """Kernel of the commutation system written as one dense matrix."""
+    fld, dims = rep.field, rep.dims
+    offsets = list(itertools.accumulate((d * d for d in dims), initial=0))
+    rows = []
+    for (u, w), a in zip(_star(rep.n), rep.maps):
+        du, dw = dims[u], dims[w]
+        # X_w A - A X_u = 0, entrywise over (r, c) in dw x du
+        for r in range(dw):
+            for c in range(du):
+                row = [fld.zero] * offsets[-1]
+                for k in range(dw):
+                    row[offsets[w] + r * dw + k] = a.entries[k][c]
+                for k in range(du):
+                    row[offsets[u] + k * du + c] = fld.neg(a.entries[r][k])
+                rows.append(tuple(row))
+    return Matrix(fld, len(rows), offsets[-1], tuple(rows)).kernel()
+
+
+def _dense_arrows_rep(seed, fld, n, dims):
+    """A rep whose arrows are random matrices with every entry drawn."""
+    rng = random.Random(("dense", seed, fld.char).__repr__())
+    draw = (lambda: rng.randrange(fld.char)) if fld.char else (lambda: rng.randint(-3, 3))
+    maps = [
+        Matrix.from_rows(fld, [[draw() for _ in range(dims[s])] for _ in range(dims[t])], dims[s])
+        for s, t in _star(n)
+    ]
+    return QuiverRep.from_flat(fld, n, dims, maps)
+
+
+def test_endomorphism_basis_matches_the_dense_solve():
+    # the sparse solve returns exactly the list the dense kernel gives
+    reps = [
+        random_rep(seed, n=n, fld=Field(char), sink_zero=sink_zero)
+        for char in (2, 3, 5, 7, 101, 0)
+        for n in (1, 2, 3)
+        for sink_zero in (False, True)
+        for seed in range(12)
+    ]
+    reps += [
+        _dense_arrows_rep(seed, Field(char), n, dims)
+        for seed, char, n, dims in [
+            (0, 2, 1, (10, 8, 8, 8)),
+            (1, 5, 2, (12, 4, 6, 4, 6, 4, 6)),
+            (2, 101, 1, (14, 7, 7, 7)),
+            (3, 7, 3, (5, 2, 3, 4, 1, 3, 4, 2, 2, 3)),
+            (4, 0, 1, (6, 3, 3, 3)),
+            (5, 0, 2, (4, 2, 2, 2, 2, 2, 2)),
+        ]
+    ]
+    reps += [_tube(char, level) for char in (5, 7, 0) for level in (2, 3, 4)]
+    for rep in reps:
+        identity = _endo_to_vector(tuple(Matrix.identity(rep.field, d) for d in rep.dims))
+        expected = _insertion_oracle(rep.field, [identity, *_dense_end_kernel(rep).rows])
+        assert [_endo_to_vector(x) for x in endomorphism_basis(rep)] == expected
 
 
 def test_bad_arrow_shape_names_the_arrow():
@@ -546,13 +595,15 @@ def test_non_split_local_end_is_certified_by_frobenius():
     assert is_indecomposable(F25_TUBE).verdict == "yes"
 
 
-def test_level6_tube_is_certified_quickly():
-    # all 15,625 elements of its End used to be enumerated (about 15 s)
-    rep = _tube(5, 6)
+@pytest.mark.parametrize("char, level", [(5, 6), (0, 4)])
+def test_level6_tube_is_certified_quickly(char, level):
+    # all 15,625 elements of the F_5 level-6 End used to be enumerated (about
+    # 15 s), and the dense commutation system of the Q level-4 tube took 3.6 s
+    rep = _tube(char, level)
     start = time.perf_counter()
     res = is_indecomposable(rep)
     elapsed = time.perf_counter() - start
-    assert (res.verdict, res.endo_dim) == ("yes", 6)
+    assert (res.verdict, res.endo_dim) == ("yes", level)
     assert elapsed < 2, elapsed
 
 
