@@ -205,22 +205,28 @@ def sparse_kernel(field: Field, ncols: int, equations: Iterable[dict]) -> "Subsp
     each reduced in place.
 
     A free column f, no stored row's low, gives the vector with 1 at f, 0 at
-    the other free columns and the stored lows solved in increasing order: it
-    vanishes before f, so these vectors are the canonical basis as they stand.
+    the other free columns and the stored lows solved: it vanishes before f,
+    so these vectors are the canonical basis as they stand.  All of them are
+    solved in one increasing pass over the stored lows, each column's value
+    held as a sparse {free column: coefficient} combination, and only then
+    written out as dense rows.
     """
     stored: dict = {}
     for eq in equations:
         _store_low(field, stored, eq)
-    lows, free = sorted(stored), [f for f in range(ncols) if f not in stored]
-    rows = []
-    for f in free:
-        v = [field.zero] * ncols
-        v[f] = field.one
-        for low in lows:
-            if low > f:
-                v[low] = field.neg(sum(y * v[k] for k, y in stored[low].items() if k != low))
-        rows.append(tuple(v))
-    return Subspace(field, ncols, tuple(rows), tuple(free))
+    free = [f for f in range(ncols) if f not in stored]
+    value = {f: {f: field.one} for f in free}
+    for low in sorted(stored):
+        acc: dict = {}
+        for k, y in stored[low].items():
+            for f, x in value.get(k, {}).items():  # k == low has no value yet
+                acc[f] = acc.get(f, 0) + y * x
+        value[low] = {f: c for f, x in acc.items() if (c := field.neg(x)) != 0}
+    rows = {f: [field.zero] * ncols for f in free}
+    for col, combo in value.items():
+        for f, x in combo.items():
+            rows[f][col] = x
+    return Subspace(field, ncols, tuple(map(tuple, rows.values())), tuple(free))
 
 
 @dataclass(frozen=True)

@@ -240,14 +240,8 @@ def _combine(fld: Field, coeffs, vectors: list[list]) -> list:
     return vec
 
 
-def endomorphism_basis(rep: QuiverRep) -> list[tuple[Matrix, ...]]:
-    """Basis of the endomorphism algebra, with the identity placed first.
-
-    An endomorphism is one square matrix per vertex, in `_star` vertex
-    order.  Solves the commutation system X_target A = A X_source over all
-    arrows as sparse equations, refusing more than `_MAX_END_UNKNOWNS`
-    unknowns.
-    """
+def _end_vectors(rep: QuiverRep) -> list:
+    """`endomorphism_basis` as flat row-major vectors, the identity first."""
     fld = rep.field
     dims = rep.dims
     _require_end_unknowns(dims)
@@ -256,32 +250,42 @@ def endomorphism_basis(rep: QuiverRep) -> list[tuple[Matrix, ...]]:
     # unknown appears at most once per equation
     equations = (
         {
-            **{offsets[w] + r * a.nrows + k: x for k, x in enumerate(a.col(c)) if x != 0},
+            **{offsets[w] + r * a.nrows + k: x for k, x in enumerate(col) if x != 0},
             **{offsets[u] + k * a.ncols + c: fld.neg(x) for k, x in enumerate(a.entries[r]) if x != 0},
         }
         for (u, w), a in zip(_star(rep.n), rep.maps)
+        for cols in [list(zip(*a.entries))]  # each column built once per arrow
         for r in range(a.nrows)
-        for c in range(a.ncols)
+        for c, col in enumerate(cols)
     )
     kernel = sparse_kernel(fld, offsets[-1], equations)
-    id_vec = _endo_to_vector(tuple(Matrix.identity(fld, d) for d in dims))
+    id_vec = [fld.one if i == j else fld.zero for d in dims for i in range(d) for j in range(d)]
     # the identity is the sum of id[p] * row over the kernel pivots p, so it
     # replaces the last row with id[p] != 0 and every other row stays
     last = max((i for i, p in enumerate(kernel.pivots) if id_vec[p] != 0), default=None)
     if last is None:  # the zero rep, whose identity is zero
         return []
-    return [_endo_from_vector(rep, v) for v in (id_vec, *kernel.rows[:last], *kernel.rows[last + 1 :])]
+    return [id_vec, *kernel.rows[:last], *kernel.rows[last + 1 :]]
+
+
+def endomorphism_basis(rep: QuiverRep) -> list[tuple[Matrix, ...]]:
+    """Basis of the endomorphism algebra, with the identity placed first.
+
+    An endomorphism is one square matrix per vertex, in `_star` vertex
+    order.  The commutation system X_target A = A X_source over all arrows is
+    solved as sparse equations by `fields.sparse_kernel`, refusing more than
+    `_MAX_END_UNKNOWNS` unknowns, and every basis vector is turned into its
+    per-vertex matrices.
+    """
+    return [_endo_from_vector(rep, v) for v in _end_vectors(rep)]
 
 
 def _mat_power(mat: Matrix, k: int) -> Matrix:
-    out = Matrix.identity(mat.field, mat.nrows)
-    base = mat
-    while k:
-        if k & 1:
-            out = out.mul(base)
-        base = base.mul(base)
-        k >>= 1
-    return out
+    """mat^k by repeated squaring, with no product by the identity."""
+    if k <= 1:
+        return mat if k else Matrix.identity(mat.field, mat.nrows)
+    half = _mat_power(mat.mul(mat), k >> 1)
+    return half.mul(mat) if k & 1 else half
 
 
 def _restrict_arrow(a: Matrix, src: Subspace, tgt: Subspace) -> Matrix:
@@ -331,16 +335,15 @@ def _first_split(rep: QuiverRep, endos) -> tuple[QuiverRep, QuiverRep] | None:
     return next((split for split in splits if split is not None), None)
 
 
-def _trials(rep: QuiverRep, basis: list[tuple[Matrix, ...]]):
-    """`_TRIALS` seeded random combinations of the whole basis, drawn one at a time."""
+def _trials(rep: QuiverRep, vectors: list):
+    """`_TRIALS` seeded random combinations of the whole flat basis, drawn one at a time."""
     fld = rep.field
-    vectors = [_endo_to_vector(b) for b in basis]
     rng = random.Random(("split", 0, rep.total_dim(), fld.char).__repr__())
     for _ in range(_TRIALS):
         if fld.char:
-            coeffs = [rng.randrange(fld.char) for _ in basis]
+            coeffs = [rng.randrange(fld.char) for _ in vectors]
         else:
-            coeffs = [rng.randint(-3, 3) for _ in basis]
+            coeffs = [rng.randint(-3, 3) for _ in vectors]
         yield _endo_from_vector(rep, _combine(fld, coeffs, vectors))
 
 
@@ -356,7 +359,7 @@ def try_split(rep: QuiverRep, basis: list[tuple[Matrix, ...]]) -> tuple[QuiverRe
     """
     if len(basis) <= 1:
         return None
-    return _first_split(rep, basis[1:]) or _first_split(rep, _trials(rep, basis))
+    return _first_split(rep, basis[1:]) or _first_split(rep, _trials(rep, list(map(_endo_to_vector, basis))))
 
 
 def _compose(a: tuple[Matrix, ...], b: tuple[Matrix, ...]) -> tuple[Matrix, ...]:
@@ -368,7 +371,7 @@ def _power_vector(endo: tuple[Matrix, ...], k: int) -> list:
     return _endo_to_vector(tuple(_mat_power(x, k) for x in endo))
 
 
-def _split_local(rep: QuiverRep, basis: list[tuple[Matrix, ...]]) -> bool:
+def _split_local(rep: QuiverRep, vectors: list) -> bool:
     """Certificate A: is End = k.1 + N for a nilpotent N, over any field?
 
     N is spanned by n_i = b_i - lambda_i.1 over the basis past the identity.
@@ -379,28 +382,29 @@ def _split_local(rep: QuiverRep, basis: list[tuple[Matrix, ...]]) -> bool:
     N^{j+1} = span(N^j N) reaches 0; in a nilpotent ideal every step
     shrinks, so a step that does not shrink declines.  Reaching 0 certifies
     a local End: every element of N is nilpotent, so lambda.1 + n is a unit
-    for lambda != 0, and the non-units form the subspace N.
+    for lambda != 0, and the non-units form the subspace N.  `vectors` is
+    the flat basis, identity first.
     """
     fld = rep.field
     total = rep.total_dim()
-    identity = _endo_to_vector(basis[0])
+    identity = vectors[0]
     q = fld.char
     while q and q < total:
         q *= fld.char
     nilpotent = []
-    for b in basis[1:]:
-        vec = _endo_to_vector(b)
+    for vec in vectors[1:]:
         if q:
-            power = _power_vector(b, q)
+            power = _power_vector(_endo_from_vector(rep, vec), q)
             lam = power[identity.index(fld.one)]
             if power != fld.scale(identity, lam):
                 return False
         else:
             lam = sum(x for x, i in zip(vec, identity) if i) / total
-        nilpotent.append(_endo_from_vector(rep, fld.axpy(vec, fld.neg(lam), identity)))
-    chain = Subspace.span(fld, len(identity), map(_endo_to_vector, nilpotent))
+        nilpotent.append(fld.axpy(vec, fld.neg(lam), identity))
+    chain = Subspace.span(fld, len(identity), nilpotent)
+    nil_endos = [_endo_from_vector(rep, n) for n in nilpotent]
     while chain.dim:
-        products = (_compose(_endo_from_vector(rep, row), n) for row in chain.rows for n in nilpotent)
+        products = (_compose(_endo_from_vector(rep, row), n) for row in chain.rows for n in nil_endos)
         step = Subspace.span(fld, chain.ambient, map(_endo_to_vector, products))
         if step.dim >= chain.dim:
             return False
@@ -408,8 +412,8 @@ def _split_local(rep: QuiverRep, basis: list[tuple[Matrix, ...]]) -> bool:
     return True
 
 
-def _frobenius_fixed(rep: QuiverRep, basis: list[tuple[Matrix, ...]]) -> list[tuple[Matrix, ...]] | None:
-    """Certificate B: the x = x^p in the span of `basis[1:]`, when End is commutative over F_p.
+def _frobenius_fixed(rep: QuiverRep, vectors: list) -> list | None:
+    """Certificate B: the flat x = x^p in the span of `vectors[1:]`, when End is commutative over F_p.
 
     On a commutative F_p-algebra x -> x^p is linear, and its fixed space is a
     subalgebra F_p x ... x F_p with one factor per local factor of End (as
@@ -419,17 +423,19 @@ def _frobenius_fixed(rep: QuiverRep, basis: list[tuple[Matrix, ...]]) -> list[tu
     None when End is over Q or not commutative.
     """
     fld = rep.field
-    rest = basis[1:]
-    if not fld.char or any(_compose(a, b) != _compose(b, a) for a, b in itertools.combinations(rest, 2)):
+    if not fld.char:
         return None
-    vectors = [_endo_to_vector(b) for b in rest]
-    moved = [fld.axpy(_power_vector(b, fld.char), -1, vec) for b, vec in zip(rest, vectors)]
+    rest = [_endo_from_vector(rep, v) for v in vectors[1:]]
+    if any(_compose(a, b) != _compose(b, a) for a, b in itertools.combinations(rest, 2)):
+        return None
+    moved = [fld.axpy(_power_vector(b, fld.char), -1, vec) for b, vec in zip(rest, vectors[1:])]
     kernel = Matrix.from_cols(fld, len(vectors[0]), moved).kernel()
-    return [_endo_from_vector(rep, _combine(fld, row, vectors)) for row in kernel.rows]
+    return [_combine(fld, row, vectors[1:]) for row in kernel.rows]
 
 
-def _fixed_split(rep: QuiverRep, one: tuple[Matrix, ...], x: tuple[Matrix, ...]) -> tuple[QuiverRep, QuiverRep]:
-    """A Fitting decomposition along a polynomial in a non-scalar x = x^p over F_p.
+def _fixed_split(rep: QuiverRep, one: list, x: list) -> tuple[QuiverRep, QuiverRep]:
+    """A Fitting decomposition along a polynomial in a non-scalar x = x^p over
+    F_p, given with the identity `one` as flat vectors.
 
     x acts on each of its eigenspaces by its own scalar of F_p, and has at
     least two of them.  Over F_2, x is an idempotent other than 0 and 1.
@@ -440,8 +446,7 @@ def _fixed_split(rep: QuiverRep, one: tuple[Matrix, ...], x: tuple[Matrix, ...])
     """
     fld = rep.field
     if fld.char == 2:
-        return _split_along(rep, x)
-    one, x = _endo_to_vector(one), _endo_to_vector(x)
+        return _split_along(rep, _endo_from_vector(rep, x))
 
     def shifts():
         for c in range(fld.char):
@@ -451,12 +456,12 @@ def _fixed_split(rep: QuiverRep, one: tuple[Matrix, ...], x: tuple[Matrix, ...])
     return _first_split(rep, shifts())
 
 
-def _idempotent_split(rep: QuiverRep, basis: list[tuple[Matrix, ...]]) -> tuple[QuiverRep, QuiverRep] | None:
+def _idempotent_split(rep: QuiverRep, vectors: list) -> tuple[QuiverRep, QuiverRep] | None:
     """The split along the first idempotent of End other than 0 and 1, trying
-    all p^dim elements in coefficient order; None when there is none."""
+    all p^dim combinations of the flat basis in coefficient order; None when
+    there is none."""
     fld = rep.field
-    vectors = [_endo_to_vector(b) for b in basis]
-    for coeffs in itertools.product(range(fld.char), repeat=len(basis)):
+    for coeffs in itertools.product(range(fld.char), repeat=len(vectors)):
         vec = _combine(fld, coeffs, vectors)
         if vec == vectors[0] or not any(vec):
             continue
@@ -479,11 +484,12 @@ class IndecResult:
 def is_indecomposable(rep: QuiverRep) -> IndecResult:
     """Certified decision when possible, honest "unknown" otherwise.
 
-    The endomorphism algebra is solved once.  "yes" is certified at once
-    when it has dimension at most 1: the zero rep, or End is the field.
-    Otherwise the basis past the identity is searched for a Fitting
-    splitting, and "no" comes with the verified splitting.  Then "yes" is
-    certified when End is local, so has no idempotents but 0 and 1:
+    The endomorphism algebra is solved once, as flat vectors (`_end_vectors`).
+    "yes" is certified at once when it has dimension at most 1: the zero rep,
+    or End is the field.  Otherwise the basis past the identity is searched
+    for a Fitting splitting, an element's per-vertex matrices built only when
+    the search reaches it, and "no" comes with the verified splitting.  Then
+    "yes" is certified when End is local, so has no idempotents but 0 and 1:
     `_split_local` over any field, or an empty `_frobenius_fixed` for a
     commutative End over F_p.  Failing both, the search goes on through the
     seeded `_trials`.  A commutative End over F_p that is not local is then
@@ -491,25 +497,25 @@ def is_indecomposable(rep: QuiverRep) -> IndecResult:
     elements tried when its dimension is at most `_MAX_END_DIM` and p^dim
     at most `_MAX_CANDIDATES`.  What is left is "unknown".
     """
-    basis = endomorphism_basis(rep)
-    dim = len(basis)
+    vectors = _end_vectors(rep)
+    dim = len(vectors)
     if dim <= 1:
         return IndecResult("yes", dim)
-    split = _first_split(rep, basis[1:])
+    split = _first_split(rep, (_endo_from_vector(rep, v) for v in vectors[1:]))
     if split is not None:
         return IndecResult("no", dim, split)
-    if _split_local(rep, basis):
+    if _split_local(rep, vectors):
         return IndecResult("yes", dim)
-    fixed = _frobenius_fixed(rep, basis)
+    fixed = _frobenius_fixed(rep, vectors)
     if fixed == []:  # commutative over F_p, and local
         return IndecResult("yes", dim)
-    split = _first_split(rep, _trials(rep, basis))
+    split = _first_split(rep, _trials(rep, vectors))
     if split is None and fixed:
-        split = _fixed_split(rep, basis[0], fixed[0])
+        split = _fixed_split(rep, vectors[0], fixed[0])
     fld = rep.field
     if split is None and fld.char and dim <= _MAX_END_DIM and fld.char**dim <= _MAX_CANDIDATES:
         # only a non-commutative End gets here: a commutative one was split
-        split = _idempotent_split(rep, basis)
+        split = _idempotent_split(rep, vectors)
         if split is None:
             return IndecResult("yes", dim)
     return IndecResult("unknown", dim) if split is None else IndecResult("no", dim, split)

@@ -244,6 +244,35 @@ def test_sparse_kernel_is_the_dense_kernel(case):
     assert sparse_kernel(fld, ncols, equations) == dense
 
 
+@st.composite
+def _wide_systems(draw):
+    """At most 4 equations in up to 12 columns, whose stored lows lean on one another."""
+    fld = draw(st.sampled_from([F2, F5, Q]))
+    ncols = draw(st.integers(2, 12))
+    lows = sorted(draw(st.lists(st.integers(1, ncols - 1), min_size=1, max_size=4, unique=True)))
+    scalar = st.integers(0, fld.char - 1) if fld.char else st.integers(-3, 3)
+    rows = []
+    for i, low in enumerate(lows):
+        row = [fld.coerce(draw(scalar)) for _ in range(low)] + [fld.one] + [fld.zero] * (ncols - 1 - low)
+        if i:  # an earlier low enters this row, so solving it needs that low's value
+            row[lows[draw(st.integers(0, i - 1))]] = fld.coerce(draw(scalar.filter(bool)))
+        rows.append(row)
+    # hand over row i plus a multiple of row i + 1, in a drawn order, so the
+    # reduction meets lows it has already stored
+    mixed = [fld.axpy(row, fld.coerce(draw(scalar)), nxt) for row, nxt in zip(rows, rows[1:])] + rows[-1:]
+    return fld, ncols, rows, draw(st.permutations(mixed))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_wide_systems())
+def test_sparse_kernel_solves_wide_systems_with_many_free_columns(case):
+    fld, ncols, rows, equations = case
+    dense = Matrix(fld, len(rows), ncols, tuple(map(tuple, rows))).kernel()
+    kernel = sparse_kernel(fld, ncols, [{j: x for j, x in enumerate(eq) if x != 0} for eq in equations])
+    assert kernel == dense
+    assert kernel.dim == ncols - len(rows)
+
+
 def test_only_fields_reduces():
     # the dense and the sparse row reduction live in fields, and no other
     # module defines, imports or reaches into either

@@ -29,6 +29,7 @@ from persloc.quiver import (
     QuiverRep,
     _combine,
     _endo_from_vector,
+    _end_vectors,
     _endo_to_vector,
     _frobenius_fixed,
     _split_local,
@@ -463,6 +464,63 @@ def test_split_search_skips_the_identity(monkeypatch):
         assert tuple(Matrix.identity(rep.field, d) for d in rep.dims) not in calls
 
 
+def _eager_decision(rep):
+    """The verdict, endo_dim and witness from the whole basis built up front:
+    the split search along `basis[1:]`, then the two certificates; None when
+    neither decides."""
+    basis = endomorphism_basis(rep)
+    vectors = [_endo_to_vector(b) for b in basis]
+    if len(basis) <= 1:
+        return "yes", len(basis), None
+    split = quiver._first_split(rep, basis[1:])
+    if split is not None:
+        return "no", len(basis), split
+    if _split_local(rep, vectors) or _frobenius_fixed(rep, vectors) == []:
+        return "yes", len(basis), None
+    return None
+
+
+def test_lazy_split_search_matches_the_eager_one(monkeypatch):
+    free1 = to_quiver_rep(free_module(3, (0, 0, 0), F5), 1)
+    reps = [random_rep(seed, n=n, fld=fld) for fld in (F2, F5, Field(0)) for n in (1, 2, 3) for seed in range(15)]
+    reps += [_tube(5, 3), free1.direct_sum(free1)]
+    built = []
+    real = quiver._endo_from_vector
+    monkeypatch.setattr(quiver, "_endo_from_vector", lambda rep, vec: built.append(list(vec)) or real(rep, vec))
+    at_first = 0
+    for rep in reps:
+        vectors = [list(v) for v in _end_vectors(rep)]
+        assert vectors == [_endo_to_vector(b) for b in endomorphism_basis(rep)]
+        expected = _eager_decision(rep)
+        built.clear()
+        res = is_indecomposable(rep)
+        if expected is not None:
+            assert (res.verdict, res.endo_dim, res.witness) == expected
+        if res.verdict == "no" and quiver._split_along(rep, real(rep, vectors[1])) is not None:
+            # decided at basis[1]: that one element is all the search built
+            assert built == [vectors[1]]
+            at_first += 1
+    assert at_first >= len(reps) // 2
+
+
+@pytest.mark.parametrize("fld", [F2, F5, Field(0)])
+def test_mat_power_is_repeated_multiplication(fld, monkeypatch):
+    rng = random.Random(("power", fld.char).__repr__())
+    for size in range(5):
+        mat = Matrix.from_rows(fld, [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)], size)
+        expected = Matrix.identity(fld, size)
+        for k in range(10):
+            assert quiver._mat_power(mat, k) == expected, (size, k)
+            expected = expected.mul(mat)
+    products = []
+    real = Matrix.mul
+    monkeypatch.setattr(Matrix, "mul", lambda self, other: products.append(other) or real(self, other))
+    for j in range(6):
+        products.clear()
+        quiver._mat_power(mat, 2**j)
+        assert len(products) == j, j  # j squarings, none after the last bit and none by the identity
+
+
 def test_local_end_is_certified_before_the_trials(monkeypatch):
     calls = _spy_split_along(monkeypatch)
     for rep in (_tube(5, 2), _tube(5, 3), _tube(7, 2), _tube(2, 3), _tube(0, 2)):
@@ -537,9 +595,9 @@ def test_commutative_end_the_trials_miss_is_split_off_its_frobenius_fixed_space(
     # with chance about 2/101, so the 64 trials miss these; the fixed space
     # of x -> x^p is larger than k.1 and one of its elements splits rep
     rep = random_rep(seed, n=n, max_dim=3 if n == 1 else 2, fld=Field(101))
-    basis = endomorphism_basis(rep)
-    assert quiver._first_split(rep, [*basis[1:], *quiver._trials(rep, basis)]) is None
-    assert len(_frobenius_fixed(rep, basis)) >= 1
+    basis, vectors = endomorphism_basis(rep), _end_vectors(rep)
+    assert quiver._first_split(rep, [*basis[1:], *quiver._trials(rep, vectors)]) is None
+    assert len(_frobenius_fixed(rep, vectors)) >= 1
     res = is_indecomposable(rep)
     assert res.verdict == "no"
     kernel, image = res.witness
@@ -561,11 +619,11 @@ def test_fixed_split_separates_the_eigenspaces_of_a_frobenius_fixed_element(fld)
     # its Frobenius fixed space is all of it
     for vertices in ((0, 1), (0, 1, 3)):
         rep = _simples(fld, vertices)
-        basis = endomorphism_basis(rep)
-        fixed = _frobenius_fixed(rep, basis)
+        vectors = _end_vectors(rep)
+        fixed = _frobenius_fixed(rep, vectors)
         assert len(fixed) == len(vertices) - 1
         for x in fixed:
-            kernel, image = quiver._fixed_split(rep, basis[0], x)
+            kernel, image = quiver._fixed_split(rep, vectors[0], x)
             assert [a + b for a, b in zip(kernel.dims, image.dims)] == list(rep.dims)
             assert min(kernel.total_dim(), image.total_dim()) > 0
 
@@ -574,24 +632,24 @@ def test_non_commutative_end_past_the_search_has_its_idempotents_enumerated(monk
     # End of dimension 3 over F_5 that is not commutative and not split
     # local; with no trials left, the p^dim enumeration still finds the split
     rep = random_rep(81, fld=F5)
-    basis = endomorphism_basis(rep)
+    basis, vectors = endomorphism_basis(rep), _end_vectors(rep)
     assert len(basis) == 3
     assert quiver._first_split(rep, basis[1:]) is None
-    assert not _split_local(rep, basis)
-    assert _frobenius_fixed(rep, basis) is None
+    assert not _split_local(rep, vectors)
+    assert _frobenius_fixed(rep, vectors) is None
     monkeypatch.setattr(quiver, "_TRIALS", 0)
     res = is_indecomposable(rep)
     assert res.verdict == _idempotent_oracle(rep) == "no"
-    assert res.witness == quiver._idempotent_split(rep, basis)
+    assert res.witness == quiver._idempotent_split(rep, vectors)
 
 
 def test_non_split_local_end_is_certified_by_frobenius():
     # End = F_25 has residue field F_25, not F_5: the split-local certificate
     # declines and Berlekamp's count certifies
-    basis = endomorphism_basis(F25_TUBE)
-    assert len(basis) == 2
-    assert not _split_local(F25_TUBE, basis)
-    assert _frobenius_fixed(F25_TUBE, basis) == []
+    vectors = _end_vectors(F25_TUBE)
+    assert len(vectors) == 2
+    assert not _split_local(F25_TUBE, vectors)
+    assert _frobenius_fixed(F25_TUBE, vectors) == []
     assert is_indecomposable(F25_TUBE).verdict == "yes"
 
 
