@@ -7,154 +7,114 @@ one-axis interval decompositions after inverting a variable, strip/quadrant
 decompositions of two-parameter modules, fiber-product dimensions, section
 solvers, support complexes with their combinatorial calculus, and the
 three-legged quiver bridge for m = 3.
+
+Importing the package registers every submodule in ``sys.modules`` without
+running it; a submodule runs on first attribute access, so a command pays
+only for the modules it uses.  The public names below resolve the same way.
 """
 
-from .complexes import (
-    SimplicialComplex,
-    SimpleDescriptor,
-    annihilated_by_monomial_power,
-    empty_complex,
-    enumerate_complexes,
-    face_ring,
-    full_simplex,
-    in_kernel,
-    in_kernel_by_nilpotence,
-    kdim,
-    kernel_complex,
-    minimal_missing_faces,
-    random_complex,
-    serre_chain,
-    serre_step,
-    simples,
-    skeleton,
-    supp_complex,
-)
-from .degrees import axis_unit, box, join, leq, zero
-from .errors import (
-    AmbientMismatchError,
-    DecompositionError,
-    DegreeOrderError,
-    HomogeneityError,
-    NotLocallyEpicError,
-    ParseError,
-    PreconditionError,
-    UnknownNameError,
-)
-from .examples import named_example, names as example_names
-from .fields import DEFAULT_FIELD, Field, Matrix, Subspace
-from .localization import (
-    Barcode,
-    Interval,
-    axis_rank_function,
-    barcode_by_reduction,
-    bars_from_rank_fn,
-    localize,
-    localized_barcode,
-)
-from .presentation import (
-    GradedPresentation,
-    PresentationMap,
-    direct_sum,
-    free_module,
-    random_presentation,
-    zero_module,
-)
-from .quiver import (
-    QuiverRep,
-    endomorphism_basis,
-    in_leq_n,
-    is_indecomposable,
-    quiver_shape,
-    random_rep,
-    to_quiver_rep,
-    torsion_leg_split,
-    try_split,
-)
-from .twoparam import (
-    Decomposition,
-    SectionResult,
-    SectionWitness,
-    decompose,
-    delocalize_dim,
-    equivalent_after_localization,
-    intersection_rank,
-    intersection_table,
-    quadrant_corners,
-    reconstruct,
-    section_exists,
-)
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbientMismatchError",
-    "Barcode",
-    "DEFAULT_FIELD",
-    "Decomposition",
-    "DecompositionError",
-    "DegreeOrderError",
-    "Field",
-    "GradedPresentation",
-    "HomogeneityError",
-    "Interval",
-    "Matrix",
-    "NotLocallyEpicError",
-    "ParseError",
-    "PreconditionError",
-    "PresentationMap",
-    "QuiverRep",
-    "SectionResult",
-    "SectionWitness",
-    "SimpleDescriptor",
-    "SimplicialComplex",
-    "Subspace",
-    "UnknownNameError",
-    "annihilated_by_monomial_power",
-    "axis_rank_function",
-    "axis_unit",
-    "barcode_by_reduction",
-    "bars_from_rank_fn",
-    "box",
-    "decompose",
-    "delocalize_dim",
-    "direct_sum",
-    "empty_complex",
-    "endomorphism_basis",
-    "enumerate_complexes",
-    "equivalent_after_localization",
-    "example_names",
-    "face_ring",
-    "free_module",
-    "full_simplex",
-    "in_kernel",
-    "in_kernel_by_nilpotence",
-    "in_leq_n",
-    "intersection_rank",
-    "intersection_table",
-    "is_indecomposable",
-    "join",
-    "kdim",
-    "kernel_complex",
-    "leq",
-    "localize",
-    "localized_barcode",
-    "minimal_missing_faces",
-    "named_example",
-    "quadrant_corners",
-    "quiver_shape",
-    "random_complex",
-    "random_presentation",
-    "random_rep",
-    "reconstruct",
-    "section_exists",
-    "serre_chain",
-    "serre_step",
-    "simples",
-    "skeleton",
-    "supp_complex",
-    "to_quiver_rep",
-    "torsion_leg_split",
-    "try_split",
-    "zero",
-    "zero_module",
-]
+# every submodule, with the public names the package root re-exports from it
+_EXPORTS = {
+    "cli": (),
+    "complexes": (
+        "SimplicialComplex",
+        "SimpleDescriptor",
+        "annihilated_by_monomial_power",
+        "empty_complex",
+        "enumerate_complexes",
+        "face_ring",
+        "full_simplex",
+        "in_kernel",
+        "in_kernel_by_nilpotence",
+        "kdim",
+        "kernel_complex",
+        "minimal_missing_faces",
+        "random_complex",
+        "serre_chain",
+        "serre_step",
+        "simples",
+        "skeleton",
+        "supp_complex",
+    ),
+    "degrees": ("axis_unit", "box", "join", "leq", "zero"),
+    "errors": (
+        "AmbientMismatchError",
+        "DecompositionError",
+        "DegreeOrderError",
+        "HomogeneityError",
+        "NotLocallyEpicError",
+        "ParseError",
+        "PreconditionError",
+        "UnknownNameError",
+    ),
+    "examples": ("named_example", "example_names"),
+    "fields": ("DEFAULT_FIELD", "Field", "Matrix", "Subspace"),
+    "localization": (
+        "Barcode",
+        "Interval",
+        "axis_rank_function",
+        "barcode_by_reduction",
+        "bars_from_rank_fn",
+        "localize",
+        "localized_barcode",
+    ),
+    "modfile": (),
+    "presentation": (
+        "GradedPresentation",
+        "PresentationMap",
+        "direct_sum",
+        "free_module",
+        "random_presentation",
+        "zero_module",
+    ),
+    "quiver": (
+        "QuiverRep",
+        "endomorphism_basis",
+        "in_leq_n",
+        "is_indecomposable",
+        "quiver_shape",
+        "random_rep",
+        "to_quiver_rep",
+        "torsion_leg_split",
+        "try_split",
+    ),
+    "svgplot": (),
+    "twoparam": (
+        "Decomposition",
+        "SectionResult",
+        "SectionWitness",
+        "decompose",
+        "delocalize_dim",
+        "equivalent_after_localization",
+        "intersection_rank",
+        "intersection_table",
+        "quadrant_corners",
+        "reconstruct",
+        "section_exists",
+    ),
+    "verify": (),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_RENAMED = {"example_names": "names"}  # public name -> its name in the submodule
+
+__all__ = sorted(_HOME)
+
+for _module in _EXPORTS:
+    _spec = importlib.util.find_spec(f"{__name__}.{_module}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    globals()[_module] = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(globals()[_module])
+del _module, _spec
+
+
+def __getattr__(name: str):
+    """A public name, read from its submodule on first use and kept here."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(globals()[_HOME[name]], _RENAMED.get(name, name))
+    return value

@@ -25,20 +25,8 @@ import sys
 import time
 from pathlib import Path
 
+from . import complexes, examples, localization, modfile, quiver, svgplot, twoparam, verify
 from . import degrees as dg
-from . import modfile
-from .complexes import (
-    MAX_VARIABLES,
-    in_kernel,
-    in_kernel_by_nilpotence,
-    face_ring,
-    kdim,
-    minimal_missing_faces,
-    serre_chain,
-    serre_step,
-    simples,
-    supp_complex,
-)
 from .errors import (
     DecompositionError,
     DegreeOrderError,
@@ -47,31 +35,8 @@ from .errors import (
     PreconditionError,
     UnknownNameError,
 )
-from .examples import named_example, names as example_names
 from .fields import Field
-from .localization import localize, localized_barcode
 from .presentation import GradedPresentation, PresentationMap, direct_sum, random_presentation
-from .quiver import (
-    QuiverRep,
-    _by_leg,
-    _require_end_unknowns,
-    _star_degrees,
-    endomorphism_basis,
-    is_indecomposable,
-    quiver_shape,
-    to_quiver_rep,
-    torsion_leg_split,
-)
-from .svgplot import render_svg
-from .twoparam import (
-    decompose,
-    delocalize_dim,
-    equivalent_after_localization,
-    intersection_rank,
-    reconstruct,
-    section_exists,
-)
-from .verify import CHECKS, run_all
 
 
 class UsageError(Exception):
@@ -139,11 +104,11 @@ def _resolve(spec: str, fld: Field, inputs: list, kind: type):
         value = load(_read_json(spec), where=spec)
     else:
         try:
-            value = named_example(spec, fld)
+            value = examples.named_example(spec, fld)
         except UnknownNameError as exc:
             raise ParseError(
                 f"{spec}: not a file and not a built-in example "
-                f"(available: {', '.join(example_names())})"
+                f"(available: {', '.join(examples.names())})"
             ) from exc
         if not isinstance(value, kind):
             raise ParseError(f"{spec}: names a {other}, expected a {noun}")
@@ -166,7 +131,7 @@ def _resolve_complex(spec: str, inputs: list):
     return k
 
 
-def _resolve_rep(spec: str, fld: Field, inputs: list, n: int | None, end_budget: bool = False) -> QuiverRep:
+def _resolve_rep(spec: str, fld: Field, inputs: list, n: int | None, end_budget: bool = False) -> quiver.QuiverRep:
     """A quiver-rep file, or a module (file or example name) converted at -n; with
     `end_budget`, a module whose End is over budget is refused before any map is built."""
     if _looks_like_path(spec):
@@ -186,10 +151,10 @@ def _resolve_rep(spec: str, fld: Field, inputs: list, n: int | None, end_budget:
     if n is None:
         raise UsageError("converting a module needs -n LEG_LENGTH")
     if end_budget:
-        at = _star_degrees(module, n)
+        at = quiver._star_degrees(module, n)
         dims = {d: module.dim_at(d) for d in set(at)}
-        _require_end_unknowns(dims[d] for d in at)
-    return to_quiver_rep(module, n)
+        quiver._require_end_unknowns(dims[d] for d in at)
+    return quiver.to_quiver_rep(module, n)
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -199,7 +164,7 @@ def _invert(args, module: GradedPresentation):
     """--sigma as given (None without it), the localized module, and M's degrees -> its degrees."""
     sigma = list(_parse_ints(args.sigma, "--sigma")) if args.sigma else None
     inverted = frozenset(sigma or ())
-    return sigma, localize(module, inverted), lambda d: dg.drop(d, inverted)
+    return sigma, localization.localize(module, inverted), lambda d: dg.drop(d, inverted)
 
 
 def _cmd_dims(args, fld: Field, inputs: list) -> dict:
@@ -241,26 +206,26 @@ def _cmd_ibar(args, fld: Field, inputs: list) -> dict:
         "a": list(a),
         "b": list(b),
         "c": list(c),
-        "rank": intersection_rank(module, a, b, c),
+        "rank": twoparam.intersection_rank(module, a, b, c),
     }
 
 
 def _cmd_barcode(args, fld: Field, inputs: list) -> dict:
     module = _resolve(args.module, fld, inputs, GradedPresentation)
-    return modfile.barcode_to_obj(localized_barcode(module, args.axis))
+    return modfile.barcode_to_obj(localization.localized_barcode(module, args.axis))
 
 
 def _cmd_decompose(args, fld: Field, inputs: list) -> dict:
     module = _resolve(args.module, fld, inputs, GradedPresentation)
-    deco = decompose(module)
+    deco = twoparam.decompose(module)
     result = modfile.decomposition_to_obj(deco)
     if args.same_as:
         other = _resolve(args.same_as, fld, inputs, GradedPresentation)
-        result["equivalent"] = equivalent_after_localization(module, other)
+        result["equivalent"] = twoparam.equivalent_after_localization(module, other)
     if args.reconstruct:
-        result["reconstruction"] = modfile.module_to_obj(reconstruct(deco, module.field))
+        result["reconstruction"] = modfile.module_to_obj(twoparam.reconstruct(deco, module.field))
     if args.svg:
-        Path(args.svg).write_text(render_svg(deco), encoding="utf-8")
+        Path(args.svg).write_text(svgplot.render_svg(deco), encoding="utf-8")
         result["svg"] = args.svg
     return result
 
@@ -270,21 +235,21 @@ def _cmd_delocalize(args, fld: Field, inputs: list) -> dict:
     default = dg.join(module.stabilization_bound(), (3,) * module.m)
     limit = _box_limit(args.box, module.m, default)
     table = [
-        {"degree": list(d), "dim": delocalize_dim(module, d)} for d in dg.box(limit)
+        {"degree": list(d), "dim": twoparam.delocalize_dim(module, d)} for d in dg.box(limit)
     ]
     return {"box": list(limit), "dims": table}
 
 
 def _cmd_support(args, fld: Field, inputs: list) -> dict:
     module = _resolve(args.module, fld, inputs, GradedPresentation)
-    return modfile.complex_to_obj(supp_complex(module))
+    return modfile.complex_to_obj(complexes.supp_complex(module))
 
 
 def _cmd_in_kernel(args, fld: Field, inputs: list) -> dict:
     module = _resolve(args.module, fld, inputs, GradedPresentation)
     k = _resolve_complex(args.complex, inputs)
-    by_support = in_kernel(module, k)
-    by_nilpotence = in_kernel_by_nilpotence(module, k)
+    by_support = complexes.in_kernel(module, k)
+    by_nilpotence = complexes.in_kernel_by_nilpotence(module, k)
     return {
         "complex": modfile.complex_to_obj(k),
         "in_kernel": by_support,
@@ -295,13 +260,13 @@ def _cmd_in_kernel(args, fld: Field, inputs: list) -> dict:
 
 def _cmd_face_ring(args, fld: Field, inputs: list) -> dict:
     k = _resolve_complex(args.complex, inputs)
-    return modfile.module_to_obj(face_ring(k, fld, all_missing=args.all_missing))
+    return modfile.module_to_obj(complexes.face_ring(k, fld, all_missing=args.all_missing))
 
 
 def _cmd_simples(args, fld: Field, inputs: list) -> dict:
     k = _resolve_complex(args.complex, inputs)
     out = []
-    for desc, module in simples(k, fld):
+    for desc, module in complexes.simples(k, fld):
         out.append(
             {
                 "sigma": list(desc.sigma),
@@ -314,42 +279,42 @@ def _cmd_simples(args, fld: Field, inputs: list) -> dict:
 
 def _cmd_kdim(args, fld: Field, inputs: list) -> dict:
     k = _resolve_complex(args.complex, inputs)
-    return {"kdim": kdim(k)}
+    return {"kdim": complexes.kdim(k)}
 
 
 def _cmd_serre_step(args, fld: Field, inputs: list) -> dict:
     k = _resolve_complex(args.complex, inputs)
     if args.iterate:
-        chain = serre_chain(k)
+        chain = complexes.serre_chain(k)
         return {
             "chain": [modfile.complex_to_obj(c) for c in chain],
             "steps": len(chain) - 1,
         }
-    added = sorted(sorted(f) for f in minimal_missing_faces(k))
+    added = sorted(sorted(f) for f in complexes.minimal_missing_faces(k))
     return {
-        "complex": modfile.complex_to_obj(serre_step(k)),
+        "complex": modfile.complex_to_obj(complexes.serre_step(k)),
         "added_faces": added,
     }
 
 
 def _cmd_quiverize(args, fld: Field, inputs: list) -> dict:
     module = _resolve(args.module, fld, inputs, GradedPresentation)
-    rep = to_quiver_rep(module, args.n)
+    rep = quiver.to_quiver_rep(module, args.n)
     return {
         "rep": modfile.rep_to_obj(rep),
-        "shape": quiver_shape(args.n),
+        "shape": quiver.quiver_shape(args.n),
     }
 
 
 def _cmd_endo(args, fld: Field, inputs: list) -> dict:
     rep = _resolve_rep(args.input, fld, inputs, args.n, end_budget=True)
-    basis = endomorphism_basis(rep)
+    basis = quiver.endomorphism_basis(rep)
     return {
         "dimension": len(basis),
         "basis": [
             {
                 "sink": modfile.matrix_to_obj(e[0]),
-                "legs": [[modfile.matrix_to_obj(m) for m in leg] for leg in _by_leg(rep.n, e[1:])],
+                "legs": [[modfile.matrix_to_obj(m) for m in leg] for leg in quiver._by_leg(rep.n, e[1:])],
             }
             for e in basis
         ],
@@ -358,7 +323,7 @@ def _cmd_endo(args, fld: Field, inputs: list) -> dict:
 
 def _cmd_indec(args, fld: Field, inputs: list) -> dict:
     rep = _resolve_rep(args.input, fld, inputs, args.n, end_budget=True)
-    res = is_indecomposable(rep)
+    res = quiver.is_indecomposable(rep)
     witness = None
     if res.witness is not None:
         witness = [modfile.rep_to_obj(part) for part in res.witness]
@@ -367,7 +332,7 @@ def _cmd_indec(args, fld: Field, inputs: list) -> dict:
 
 def _cmd_split_legs(args, fld: Field, inputs: list) -> dict:
     rep = _resolve_rep(args.input, fld, inputs, args.n)
-    split = torsion_leg_split(rep)
+    split = quiver.torsion_leg_split(rep)
     if split is None:
         return {"torsion": False, "legs": None}
     return {
@@ -380,7 +345,7 @@ def _cmd_split_legs(args, fld: Field, inputs: list) -> dict:
 
 def _cmd_section_exists(args, fld: Field, inputs: list) -> dict:
     pmap = _resolve(args.map, fld, inputs, PresentationMap)
-    res = section_exists(pmap)
+    res = twoparam.section_exists(pmap)
     witness = None
     if res.witness is not None:
         w = res.witness
@@ -401,29 +366,30 @@ def _cmd_section_exists(args, fld: Field, inputs: list) -> dict:
     }
 
 
-# largest value each --params key may take: m as for complexes, and the draw
-# sizes so that one sample stays about a second of work; the generators and
-# relations drawn over all --seeds share the same budget
-_PARAM_BUDGET = {"m": MAX_VARIABLES, "max_gens": 1_000, "max_rels": 1_000, "max_degree": 1_000}
+# largest value each draw size of --params may take, so that one sample stays
+# about a second of work; the generators and relations drawn over all --seeds
+# share the same budget (m is held to the complexes' variable budget)
+_PARAM_BUDGET = {"max_gens": 1_000, "max_rels": 1_000, "max_degree": 1_000}
 
 
 def _cmd_random(args, fld: Field, inputs: list) -> dict:
     params = {"m": 2, "max_gens": 5, "max_rels": 8, "max_degree": 6}
+    budget = {"m": complexes.MAX_VARIABLES, **_PARAM_BUDGET}
     if args.params:
         for piece in args.params.split(","):
             key, sep, value = piece.partition("=")
             key = key.strip()
-            if not sep or key not in _PARAM_BUDGET:
+            if not sep or key not in budget:
                 raise UsageError(
-                    f"bad --params entry {piece!r}: expected key=value with key in {tuple(_PARAM_BUDGET)}"
+                    f"bad --params entry {piece!r}: expected key=value with key in {tuple(budget)}"
                 )
             try:
                 params[key] = int(value)
             except ValueError as exc:
                 raise UsageError(f"bad --params value in {piece!r}") from exc
-            if params[key] > _PARAM_BUDGET[key]:
+            if params[key] > budget[key]:
                 raise PreconditionError(
-                    f"--params {key}={params[key]} is more than {_PARAM_BUDGET[key]}"
+                    f"--params {key}={params[key]} is more than {budget[key]}"
                 )
     if args.seeds:
         seeds = list(_parse_ints(args.seeds, "--seeds"))
@@ -432,9 +398,9 @@ def _cmd_random(args, fld: Field, inputs: list) -> dict:
     else:
         raise UsageError("need --seed S or --seeds S1,S2,...")
     for key in ("max_gens", "max_rels"):
-        if len(seeds) * params[key] > _PARAM_BUDGET[key]:
+        if len(seeds) * params[key] > budget[key]:
             raise PreconditionError(
-                f"{len(seeds)} seeds at {key}={params[key]} draw more than {_PARAM_BUDGET[key]} in total"
+                f"{len(seeds)} seeds at {key}={params[key]} draw more than {budget[key]} in total"
             )
     samples = [
         random_presentation(
@@ -456,9 +422,12 @@ def _cmd_random(args, fld: Field, inputs: list) -> dict:
 def _cmd_verify_paper(args, fld: Field, inputs: list) -> dict:
     if args.list:
         return {
-            "checks": [{"id": cid, "description": desc} for cid, desc, _ in CHECKS]
+            "checks": [{"id": cid, "description": desc} for cid, desc, _ in verify.CHECKS]
         }
-    report = run_all(fld)
+    seconds: dict = {}
+    report = verify.run_all(fld, seconds)
+    for cid, s in seconds.items():
+        print(f"check_ms {cid}={int(s * 1000)}", file=sys.stderr)
     return {"checks": report, "all_ok": all(c["ok"] for c in report)}
 
 

@@ -18,13 +18,10 @@ import hashlib
 import json
 from fractions import Fraction
 
-from .complexes import SimplicialComplex, empty_complex, full_simplex, skeleton
+from . import complexes, localization, quiver, twoparam
 from .errors import HomogeneityError, ParseError, PreconditionError
 from .fields import Field, Matrix
-from .localization import Barcode, Interval
 from .presentation import GradedPresentation, PresentationMap
-from .quiver import QuiverRep
-from .twoparam import Decomposition
 
 
 def canonical_json(obj) -> str:
@@ -212,11 +209,11 @@ def map_from_obj(obj: object, where: str = "map") -> PresentationMap:
 # -- simplicial complexes --------------------------------------------------
 
 
-def complex_to_obj(k: SimplicialComplex) -> dict:
+def complex_to_obj(k: complexes.SimplicialComplex) -> dict:
     return {"m": k.m, "faces": [sorted(f) for f in k.sorted_faces()]}
 
 
-def complex_from_obj(obj: object, where: str = "complex") -> SimplicialComplex:
+def complex_from_obj(obj: object, where: str = "complex") -> complexes.SimplicialComplex:
     obj = unwrap_envelope(obj)
     _expect(isinstance(obj, dict), where, "expected a complex object")
     m = _int(_get(obj, "m", where), f"{where}.m", minimum=1)
@@ -228,12 +225,12 @@ def complex_from_obj(obj: object, where: str = "complex") -> SimplicialComplex:
         _expect(isinstance(face, list), fwhere, "expected a vertex list")
         faces.append([_int(v, f"{fwhere}[{j}]", minimum=1) for j, v in enumerate(face)])
     try:
-        return SimplicialComplex.make(m, faces)
+        return complexes.SimplicialComplex.make(m, faces)
     except PreconditionError as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
 
-def complex_from_shorthand(text: str) -> SimplicialComplex | None:
+def complex_from_shorthand(text: str) -> complexes.SimplicialComplex | None:
     """Parse 'skeleton:m:i', 'full:m', 'empty:m'; None if not a shorthand."""
     head, _, tail = text.strip().lower().partition(":")
     if head not in ("skeleton", "full", "empty"):
@@ -247,10 +244,10 @@ def complex_from_shorthand(text: str) -> SimplicialComplex | None:
         if head == "skeleton":
             if len(nums) != 2:
                 raise ParseError(f"complex shorthand {text!r}: expected skeleton:m:i")
-            return skeleton(nums[0], nums[1])
+            return complexes.skeleton(nums[0], nums[1])
         if len(nums) != 1:
             raise ParseError(f"complex shorthand {text!r}: expected {head}:m")
-        return full_simplex(nums[0]) if head == "full" else empty_complex(nums[0])
+        return complexes.full_simplex(nums[0]) if head == "full" else complexes.empty_complex(nums[0])
     except PreconditionError as exc:
         raise ParseError(f"complex shorthand {text!r}: {exc}") from exc
 
@@ -258,7 +255,7 @@ def complex_from_shorthand(text: str) -> SimplicialComplex | None:
 # -- quiver representations -------------------------------------------------
 
 
-def rep_to_obj(rep: QuiverRep) -> dict:
+def rep_to_obj(rep: quiver.QuiverRep) -> dict:
     return {
         "characteristic": rep.field.char,
         "n": rep.n,
@@ -273,7 +270,7 @@ def rep_to_obj(rep: QuiverRep) -> dict:
     }
 
 
-def rep_from_obj(obj: object, where: str = "rep") -> QuiverRep:
+def rep_from_obj(obj: object, where: str = "rep") -> quiver.QuiverRep:
     obj = unwrap_envelope(obj)
     _expect(isinstance(obj, dict), where, "expected a quiver representation object")
     fld = field_from_obj(obj, where)
@@ -320,7 +317,7 @@ def rep_from_obj(obj: object, where: str = "rep") -> QuiverRep:
         leg_dims.append(dims)
         arrows.append(tuple(maps))
     try:
-        return QuiverRep(fld, n, sink_dim, tuple(leg_dims), tuple(arrows))
+        return quiver.QuiverRep(fld, n, sink_dim, tuple(leg_dims), tuple(arrows))
     except PreconditionError as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
@@ -328,7 +325,7 @@ def rep_from_obj(obj: object, where: str = "rep") -> QuiverRep:
 # -- barcodes and decompositions --------------------------------------------
 
 
-def interval_to_obj(iv: Interval, mult: int) -> dict:
+def interval_to_obj(iv: localization.Interval, mult: int) -> dict:
     return {
         "start": iv.start,
         "end": "inf" if iv.end is None else iv.end,
@@ -336,11 +333,11 @@ def interval_to_obj(iv: Interval, mult: int) -> dict:
     }
 
 
-def barcode_to_obj(bc: Barcode) -> dict:
+def barcode_to_obj(bc: localization.Barcode) -> dict:
     return {"axis": bc.axis, "bars": [interval_to_obj(iv, m) for iv, m in bc.bars]}
 
 
-def decomposition_to_obj(deco: Decomposition) -> dict:
+def decomposition_to_obj(deco: twoparam.Decomposition) -> dict:
     return {
         "vertical_strips": [
             {"a": iv.start, "b": iv.end, "mult": m} for iv, m in deco.vertical

@@ -150,7 +150,10 @@ class GradedPresentation:
         return Matrix.from_cols(self.field, self._slice(b).dim, cols)
 
     def rank_invariant(self, a, b) -> int:
-        """Rank of M(a) -> M(b): the rank of `transition(a, b)`."""
+        """Rank of M(a) -> M(b): the rank of `transition(a, b)`, or dim M(a) for the identity at a = b."""
+        a = dg.as_degree(a, self.m)
+        if a == dg.as_degree(b, self.m):
+            return self.dim_at(a)
         return self.transition(a, b).rank()
 
     def slice_image(self, a, b) -> Subspace:

@@ -22,8 +22,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 
+from . import complexes
 from . import degrees as dg
-from .complexes import supp_complex
 from .degrees import Degree
 from .errors import (
     AmbientMismatchError,
@@ -291,7 +291,7 @@ def section_exists(f: PresentationMap) -> SectionResult:
     fld = f.field
     # locally epic: no vertex in the cokernel's support, so inverting any one
     # variable kills the cokernel
-    if not supp_complex(f.cokernel()).faces <= {frozenset()}:
+    if not complexes.supp_complex(f.cokernel()).faces <= {frozenset()}:
         raise NotLocallyEpicError(
             "the map does not become surjective after inverting either variable"
         )

@@ -7,6 +7,7 @@ the CLI can list and report them.
 
 from __future__ import annotations
 
+import time
 from typing import Callable
 
 from .complexes import (
@@ -188,13 +189,16 @@ CHECKS: tuple[tuple[str, str, Callable], ...] = (
 )
 
 
-def run_all(fld: Field = DEFAULT_FIELD) -> list[dict]:
-    """Run every check over `fld`, in registry order."""
+def run_all(fld: Field = DEFAULT_FIELD, seconds: dict | None = None) -> list[dict]:
+    """Run every check over `fld`, in registry order; each check's wall time goes to `seconds` by id."""
     report = []
     for cid, description, fn in CHECKS:
+        started = time.perf_counter()
         try:
             ok, detail = fn(fld)
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        if seconds is not None:
+            seconds[cid] = time.perf_counter() - started
         report.append({"id": cid, "description": description, "ok": ok, "detail": detail})
     return report

@@ -18,6 +18,8 @@ from test_golden_cli import _tube
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = str(Path(persloc.__file__).resolve().parent.parent)
+SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 def run(capsys, *argv):
@@ -353,9 +355,14 @@ def test_kdim_shorthand(capsys):
 
 
 def test_verify_paper_exit_codes(capsys):
-    code, report, _ = run_json(capsys, "verify-paper")
+    code, report, err = run_json(capsys, "verify-paper")
     assert code == 0
     assert report["result"]["all_ok"] is True
+    # one stderr line per check, in registry order, then the total
+    lines = err.splitlines()
+    ids = [c["id"] for c in report["result"]["checks"]]
+    assert [line.partition("=")[0] for line in lines] == [f"check_ms {cid}" for cid in ids] + ["elapsed_ms"]
+    assert all(line.partition("=")[2].isdigit() for line in lines)
     code, report, _ = run_json(capsys, "verify-paper", "--list")
     assert code == 0
     assert len(report["result"]["checks"]) == 7
@@ -478,16 +485,50 @@ def test_delocalize_cli(capsys):
 def test_reader_closing_early_prints_no_traceback():
     # `persloc dims samerank_m --box 300,300 | head -c 10`: the report is far
     # larger than a pipe holds, so the final print meets a closed pipe
-    src = str(Path(persloc.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
         [sys.executable, "-m", "persloc", "dims", "samerank_m", "--box", "300,300"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=SRC_ENV,
     )
     assert proc.stdout.read(10) == b'{"command"'
     proc.stdout.close()
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 1
     assert b"Traceback" not in err and b"Exception ignored" not in err
+
+
+# Run cli.main in a fresh interpreter, then name the persloc submodules of
+# argv[1] (comma-separated) that have run: an executed module is a plain
+# ModuleType, while one still waiting for first use is not (type() does not
+# trigger the load) or is absent.
+_EXECUTED_AFTER_MAIN = """
+import contextlib, io, sys, types
+from persloc import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[2:])
+names = sys.argv[1].split(",")
+print(code, [n for n in names if type(sys.modules.get("persloc." + n)) is types.ModuleType])
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (["dims", "coordinate_cross.json"], ["quiver", "complexes", "twoparam", "verify", "svgplot"]),
+        (["indec", "m3_indecomposable.json", "-n", "2"], ["twoparam", "verify", "svgplot"]),
+    ],
+)
+def test_a_command_runs_only_the_modules_it_uses(argv, unused):
+    argv = [argv[0], str(FIXTURES / argv[1]), *argv[2:]]
+    probe = ",".join(["cli", "modfile", *unused])
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXECUTED_AFTER_MAIN, probe, *argv],
+        capture_output=True,
+        text=True,
+        env=SRC_ENV,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the probe does see the modules the command ran
+    assert proc.stdout.strip() == "0 ['cli', 'modfile']"

@@ -90,11 +90,20 @@ def test_rank_monotonicity():
         assert mod.rank_invariant((0, 0), (2, 2)) <= mod.rank_invariant((1, 1), (2, 2))
 
 
-def test_rank_equals_dim_on_point():
-    for seed in range(20):
-        mod = random_presentation(seed, m=2, max_gens=4, max_rels=6, max_degree=4)
-        d = (2, 1)
-        assert mod.rank_invariant(d, d) == mod.dim_at(d)
+def test_rank_equals_dim_on_point(monkeypatch):
+    # the identity transition has full rank, so rank_invariant(d, d) reads
+    # dim_at(d) and builds no transition
+    mods = [random_presentation(seed, m=2, max_gens=4, max_rels=6, max_degree=4) for seed in range(20)]
+    d = (2, 1)
+    for mod in mods:
+        assert mod.transition(d, d).rank() == mod.dim_at(d)
+
+    def no_transition(self, a, b):
+        raise AssertionError("rank_invariant(d, d) built a transition")
+
+    monkeypatch.setattr(GradedPresentation, "transition", no_transition)
+    for mod in mods:
+        assert mod.rank_invariant(d, [2, 1]) == mod.dim_at(d)
 
 
 def test_stabilization_bound_isomorphisms():

@@ -151,14 +151,13 @@ def test_presentation_route_matches_the_slice_routes(mod):
 def test_decompose_checks_the_corner_count(monkeypatch):
     # a stable corner one dimension larger than the corners found is refused
     mod = named_example("samerank_m")
-    rank_invariant = GradedPresentation.rank_invariant
+    dim_at = GradedPresentation.dim_at
 
-    def one_more_at_the_bound(self, a, b):
-        bound = self.stabilization_bound()
-        return rank_invariant(self, a, b) + (tuple(a) == tuple(b) == bound)
+    def one_more_at_the_bound(self, d):
+        return dim_at(self, d) + (tuple(d) == self.stabilization_bound())
 
     decompose(mod)
-    monkeypatch.setattr(GradedPresentation, "rank_invariant", one_more_at_the_bound)
+    monkeypatch.setattr(GradedPresentation, "dim_at", one_more_at_the_bound)
     with pytest.raises(DecompositionError, match="stable corner has dimension 3"):
         decompose(mod)
 
