@@ -149,6 +149,8 @@ def _invocations() -> list[str]:
         "random --seed 11 --char 0",
         "verify-paper --list",
         "verify-paper",
+        "verify-paper --char 0",
+        "verify-paper --char 2",
         # the rationals and F_2 through the exact kernels
         *(f"{cmd} --char {p}" for p in (0, 2) for cmd in (
             "decompose samerank_m", "decompose samerank_n", "decompose coordinate_cross",
@@ -475,6 +477,8 @@ GOLDEN: dict[str, str] = {
     'random --seed 11 --char 0': '0:e174f62c4c426616ec5afa71dc4c5aa3f7a046153509f140ca04c26911de92da',
     'verify-paper --list': '0:d2e0d6d4a52dcb665d19ae7e483dfa37016e534659ab980ca91f6dadb9d54dc8',
     'verify-paper': '0:0e2b9276c613c5665e7d0f34a7dd61b0ed2f2e3b2eac2fb76ef72dc49792e8f5',
+    'verify-paper --char 0': '0:f069be9f0cf477009a9d27915cf2afa69a9d03e29fc5f36eb5428fba93dcdb38',
+    'verify-paper --char 2': '0:b7bf45a2fcb34340f13aa6d62bc9c5599859b1ddc905bc95909aeaef81b6f583',
     'decompose samerank_m --char 0': '0:bfc140f2f4f874f0da14c6c354e623f10ded126bf3aed86164c7c19cd0e4fd72',
     'decompose samerank_n --char 0': '0:7d494b899c469aebef7a3f1b33e30eb968def52b0a514b7b4d9fce41148e4dd3',
     'decompose coordinate_cross --char 0': '0:ebf4728b902ba6131fd2c833327d3edf63e0a4fc37cb7711a148d35553f153ed',
