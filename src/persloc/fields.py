@@ -17,12 +17,15 @@ keeps it so.
 Both row reductions of the package live here, and no other module calls
 them.  The dense `_rref`, built on the row operations `Field.axpy` and
 `Field.scale`, gives ranks, `Matrix.kernel`, `solve` and `Subspace.span`, and
-`Subspace` is the one type that holds its output.  The sparse `_store_low`
+`Subspace` is the one type that holds its output.  Dense products are row
+operations too: `Matrix.mul` builds each row of a product as a combination of
+the right factor's rows by `Field.axpy`, skipping zero coefficients.  The sparse `_store_low`
 (Zomorodian-Carlsson 2005) gives `column_lows` and `sparse_kernel`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -269,12 +272,6 @@ class Matrix:
     def col(self, j: int) -> tuple:
         return tuple([row[j] for row in self.entries])
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if other.field != self.field or other.nrows != self.nrows:
-            raise AmbientMismatchError("hstack shape or field mismatch")
-        ent = tuple(a + b for a, b in zip(self.entries, other.entries))
-        return Matrix(self.field, self.nrows, self.ncols + other.ncols, ent)
-
     def direct_sum(self, *others: "Matrix") -> "Matrix":
         """The block-diagonal matrix with self, then others, down the diagonal."""
         if any(b.field != self.field for b in others):
@@ -291,39 +288,28 @@ class Matrix:
         return Matrix(self.field, len(ent), ncols, tuple(ent))
 
     def mul(self, other: "Matrix") -> "Matrix":
+        """The product; row i is the sum of a_ik times row k of other, built
+        by `Field.axpy` over the nonzero a_ik."""
         if other.field != self.field or self.ncols != other.nrows:
             raise AmbientMismatchError("matmul shape or field mismatch")
-        norm = self.field.normalize
-        ocols = other.ncols
+        axpy = self.field.axpy
+        zero = (self.field.zero,) * other.ncols
         out = []
-        for i in range(self.nrows):
-            arow = self.entries[i]
-            row = []
-            for j in range(ocols):
-                acc = 0
-                for k in range(self.ncols):
-                    a = arow[k]
-                    if a != 0:
-                        acc += a * other.entries[k][j]
-                row.append(norm(acc))
+        for arow in self.entries:
+            row = zero
+            for a, orow in zip(arow, other.entries):
+                if a != 0:
+                    row = axpy(row, a, orow)
             out.append(tuple(row))
-        return Matrix(self.field, self.nrows, ocols, tuple(out))
+        return Matrix(self.field, self.nrows, other.ncols, tuple(out))
 
     def apply(self, vec) -> tuple:
         """Matrix times column vector (length ncols) -> tuple of length nrows."""
-        vec = list(vec)
+        vec = tuple(vec)
         if len(vec) != self.ncols:
             raise AmbientMismatchError("vector length mismatch")
         norm = self.field.normalize
-        out = []
-        for i in range(self.nrows):
-            acc = 0
-            row = self.entries[i]
-            for k in range(self.ncols):
-                if row[k] != 0 and vec[k] != 0:
-                    acc += row[k] * vec[k]
-            out.append(norm(acc))
-        return tuple(out)
+        return tuple(norm(sum(map(operator.mul, row, vec))) for row in self.entries)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)

@@ -11,10 +11,11 @@ The order of vertices and arrows is decided once, in `_star`.
 On top of the conversion: endomorphism algebras by solving the commutation
 system as sparse equations, splitting searches via Fitting decompositions,
 certified indecomposability from a locality certificate of the endomorphism
-algebra (split local over any field: End = k.1 + a nilpotent ideal; or, for
-a commutative End over F_p, Berlekamp's count of the Frobenius fixed space,
-whose elements also split a commutative End that is not local), and
-interval decompositions of the legs when the sink vanishes (pure torsion).
+algebra (for a commutative End over F_p, Berlekamp's count of the Frobenius
+fixed space, whose elements also split an End that is not local; otherwise,
+over Q or for a non-commutative End, split locality: End = k.1 + a nilpotent
+ideal), and interval decompositions of the legs when the sink vanishes (pure
+torsion).  Products of End elements are `fields.Matrix.mul`'s row operations.
 """
 
 from __future__ import annotations
@@ -489,13 +490,16 @@ def is_indecomposable(rep: QuiverRep) -> IndecResult:
     or End is the field.  Otherwise the basis past the identity is searched
     for a Fitting splitting, an element's per-vertex matrices built only when
     the search reaches it, and "no" comes with the verified splitting.  Then
-    "yes" is certified when End is local, so has no idempotents but 0 and 1:
-    `_split_local` over any field, or an empty `_frobenius_fixed` for a
-    commutative End over F_p.  Failing both, the search goes on through the
-    seeded `_trials`.  A commutative End over F_p that is not local is then
-    split by `_fixed_split`; a non-commutative one has all its p^dim
-    elements tried when its dimension is at most `_MAX_END_DIM` and p^dim
-    at most `_MAX_CANDIDATES`.  What is left is "unknown".
+    "yes" is certified when End is local, so has no idempotents but 0 and 1,
+    by the one certificate that decides it: for a commutative End over F_p,
+    `_frobenius_fixed`, which is empty exactly when End is local; otherwise
+    (over Q, or End not commutative) `_split_local`.  A non-empty fixed
+    space proves End is not local, so `_split_local`, which only certifies a
+    local End, never runs on it.  Failing a certificate, the search goes on
+    through the seeded `_trials`.  A commutative End over F_p that is not
+    local is then split by `_fixed_split`; a non-commutative one has all its
+    p^dim elements tried when its dimension is at most `_MAX_END_DIM` and
+    p^dim at most `_MAX_CANDIDATES`.  What is left is "unknown".
     """
     vectors = _end_vectors(rep)
     dim = len(vectors)
@@ -504,10 +508,10 @@ def is_indecomposable(rep: QuiverRep) -> IndecResult:
     split = _first_split(rep, (_endo_from_vector(rep, v) for v in vectors[1:]))
     if split is not None:
         return IndecResult("no", dim, split)
-    if _split_local(rep, vectors):
-        return IndecResult("yes", dim)
     fixed = _frobenius_fixed(rep, vectors)
     if fixed == []:  # commutative over F_p, and local
+        return IndecResult("yes", dim)
+    if fixed is None and _split_local(rep, vectors):
         return IndecResult("yes", dim)
     split = _first_split(rep, _trials(rep, vectors))
     if split is None and fixed:

@@ -32,7 +32,7 @@ from .errors import (
     NotLocallyEpicError,
     PreconditionError,
 )
-from .fields import Field, column_lows, solve
+from .fields import Field, Subspace, column_lows, solve
 from .localization import Interval, barcode_by_reduction, canonical_bars
 from .presentation import GradedPresentation, PresentationMap, direct_sum, free_module, zero_module
 from .examples import strip_presentation
@@ -198,8 +198,10 @@ def delocalize_dim(module: GradedPresentation, d) -> int:
     e1, e2 = max(d[0], b1), max(d[1], b2)
     t1 = module.transition((d[0], e2), (e1, e2))  # axis-2 localization -> corner
     t2 = module.transition((e1, d[1]), (e1, e2))  # axis-1 localization -> corner
-    # kernel of [t1 | -t2]; the sign does not change the dimension.
-    return t1.ncols + t2.ncols - t1.hstack(t2).rank()
+    # kernel of [t1 | -t2]; the sign does not change the dimension, and the
+    # rank is the dimension of the span of both matrices' columns.
+    columns = [*zip(*t1.entries), *zip(*t2.entries)]
+    return t1.ncols + t2.ncols - Subspace.span(module.field, t1.nrows, columns).dim
 
 
 def intersection_rank(module: GradedPresentation, a, b, c) -> int:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from persloc.degrees import leq
@@ -25,6 +25,7 @@ from persloc.quiver import endomorphism_basis, is_indecomposable, random_rep
 
 F2 = Field(2)
 F5 = Field(5)
+F101 = Field(101)
 Q = Field(0)
 
 
@@ -271,6 +272,42 @@ def test_sparse_kernel_solves_wide_systems_with_many_free_columns(case):
     kernel = sparse_kernel(fld, ncols, [{j: x for j, x in enumerate(eq) if x != 0} for eq in equations])
     assert kernel == dense
     assert kernel.dim == ncols - len(rows)
+
+
+@st.composite
+def _products(draw):
+    """An n x k and a k x m matrix and a vector of length k, as plain ints or
+    Fractions, each drawn sparse (mostly zeros) or dense."""
+    fld = draw(st.sampled_from([F2, F5, F101, Q]))
+    n, k, m = (draw(st.integers(0, 6)) for _ in range(3))
+    if fld.char:
+        scalar = st.integers(-2 * fld.char, 2 * fld.char)
+    else:
+        scalar = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+    def entries(count):
+        entry = st.one_of(st.just(0), st.just(0), st.just(0), scalar) if draw(st.booleans()) else scalar
+        return [draw(entry) for _ in range(count)]
+
+    return fld, [entries(k) for _ in range(n)], [entries(m) for _ in range(k)], m, entries(k)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_products())
+@example((Q, [[Fraction(1, 2), 0]], [[0, 0], [Fraction(3), 0]], 2, [0, 0]))  # a zero product
+@example((Q, [[], []], [], 3, []))  # k = 0
+@example((F2, [[], []], [], 3, []))
+def test_products_are_the_sums_of_entry_products(case):
+    fld, a, b, m, v = case
+    k = len(b)
+    A, B = Matrix.from_rows(fld, a, k), Matrix.from_rows(fld, b, m)
+    want = tuple(tuple(fld.coerce(sum(row[t] * b[t][j] for t in range(k))) for j in range(m)) for row in a)
+    product = A.mul(B)
+    assert (product.nrows, product.ncols) == (len(a), m)
+    assert product.entries == want
+    image = A.apply([fld.coerce(x) for x in v])
+    assert image == tuple(fld.coerce(sum(map(lambda x, y: x * y, row, v))) for row in a)
+    assert [x for x in (*image, *(x for row in product.entries for x in row)) if not _is_canonical(fld, x)] == []
 
 
 def test_only_fields_reduces():

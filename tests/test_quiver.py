@@ -569,6 +569,20 @@ def _check_against_oracles(rep) -> str:
 F25_TUBE = _tube_on(F5, [[0, 2], [1, 0]])  # companion matrix of t^2 - 2: End = F_25
 
 
+def test_split_local_runs_only_where_the_frobenius_count_cannot_decide(monkeypatch):
+    # a commutative End over F_p is decided by its Frobenius fixed space
+    # alone; split locality is asked only over Q or for a non-commutative End
+    calls = []
+    real = quiver._split_local
+    monkeypatch.setattr(quiver, "_split_local", lambda rep, vectors: calls.append(rep) or real(rep, vectors))
+    for rep in (_tube(5, 3), _tube(2, 3), _tube(7, 2), F25_TUBE):
+        assert is_indecomposable(rep).verdict == "yes"
+    assert calls == []
+    rep = _tube(0, 2)
+    assert is_indecomposable(rep).verdict == "yes"
+    assert calls == [rep]
+
+
 @pytest.mark.parametrize(
     "rep",
     [*(_tube(p, level) for p, top in ((2, 5), (3, 4), (5, 4), (7, 3), (0, 3)) for level in range(2, top + 1)), F25_TUBE],
