@@ -10,22 +10,10 @@ from __future__ import annotations
 import time
 from typing import Callable
 
-from .complexes import (
-    empty_complex,
-    enumerate_complexes,
-    face_ring,
-    full_simplex,
-    kdim,
-    serre_chain,
-    serre_step,
-    skeleton,
-    supp_complex,
-)
+from . import complexes, quiver, twoparam
 from .examples import named_example
 from .fields import DEFAULT_FIELD, Field
 from .presentation import GradedPresentation
-from .quiver import in_leq_n, is_indecomposable, quiver_shape, to_quiver_rep
-from .twoparam import decompose, delocalize_dim, section_exists
 
 
 def _check_same_rank_pair(fld: Field) -> tuple[bool, str]:
@@ -42,8 +30,8 @@ def _check_same_rank_pair(fld: Field) -> tuple[bool, str]:
                             f"rank tables differ at {(a1, a2)} -> {(b1, b2)}: "
                             f"{ra} vs {rb}"
                         )
-    dm = decompose(m)
-    dn = decompose(n)
+    dm = twoparam.decompose(m)
+    dn = twoparam.decompose(n)
     expect_m = (((0, 0), 1), ((1, 1), 1))
     expect_n = (((0, 1), 1), ((1, 0), 1))
     if dm.vertical or dm.horizontal or dn.vertical or dn.horizontal:
@@ -58,7 +46,7 @@ def _check_same_rank_pair(fld: Field) -> tuple[bool, str]:
 
 
 def _check_non_split_section(fld: Field) -> tuple[bool, str]:
-    res = section_exists(named_example("notsplit_map", fld))
+    res = twoparam.section_exists(named_example("notsplit_map", fld))
     if res.exists:
         return False, "the non-split inclusion reported a section"
     if not (res.axis1_solvable and res.axis2_solvable):
@@ -66,7 +54,7 @@ def _check_non_split_section(fld: Field) -> tuple[bool, str]:
             "per-axis systems should be solvable, got "
             f"axis1={res.axis1_solvable} axis2={res.axis2_solvable}"
         )
-    control = section_exists(named_example("split_projection", fld))
+    control = twoparam.section_exists(named_example("split_projection", fld))
     if not control.exists or control.witness is None:
         return False, "the split projection control failed to produce a section"
     return True, "no compatible section, though each single axis splits; control splits"
@@ -74,16 +62,16 @@ def _check_non_split_section(fld: Field) -> tuple[bool, str]:
 
 def _check_rank2_indecomposable(fld: Field) -> tuple[bool, str]:
     module = named_example("m3_indecomposable", fld)
-    if not in_leq_n(module, 2):
+    if not quiver.in_leq_n(module, 2):
         return False, "transitions do not stabilize past degree 2"
-    rep = to_quiver_rep(module, 2)
+    rep = quiver.to_quiver_rep(module, 2)
     if rep.sink_dim != 2:
         return False, f"sink dimension {rep.sink_dim}, expected 2"
     for leg in range(3):
         for mat in rep.arrows[leg]:
             if mat.rank() != mat.ncols:
                 return False, "a leg map is not injective (torsion present)"
-    verdict = is_indecomposable(rep)
+    verdict = quiver.is_indecomposable(rep)
     if verdict.verdict != "yes":
         return False, f"indecomposability verdict was {verdict.verdict!r}"
     return True, (
@@ -98,24 +86,24 @@ def _check_delocalization_gap(fld: Field) -> tuple[bool, str]:
     )
     for d1 in range(4):
         for d2 in range(4):
-            got = delocalize_dim(cross, (d1, d2))
+            got = twoparam.delocalize_dim(cross, (d1, d2))
             want = two_axes.dim_at((d1, d2))
             if got != want:
                 return False, f"fiber-product dim at {(d1, d2)}: {got}, expected {want}"
-    if delocalize_dim(cross, (0, 0)) != 2:
+    if twoparam.delocalize_dim(cross, (0, 0)) != 2:
         return False, "origin dimension is not 2"
     free = named_example("quadrant:0,0", fld)
     for d1 in range(4):
         for d2 in range(4):
-            if delocalize_dim(free, (d1, d2)) != 1:
+            if twoparam.delocalize_dim(free, (d1, d2)) != 1:
                 return False, f"free module fiber product is not 1 at {(d1, d2)}"
     return True, "gluing the axis localizations doubles the origin fiber of the cross"
 
 
 def _check_face_ring_support(fld: Field) -> tuple[bool, str]:
     count = 0
-    for k in enumerate_complexes(3):
-        if supp_complex(face_ring(k, fld)) != k:
+    for k in complexes.enumerate_complexes(3):
+        if complexes.supp_complex(complexes.face_ring(k, fld)) != k:
             return False, f"support mismatch for the complex with faces {sorted(map(sorted, k.faces))}"
         count += 1
     return True, f"support(face ring) is the identity on all {count} complexes over 3 variables"
@@ -124,28 +112,28 @@ def _check_face_ring_support(fld: Field) -> tuple[bool, str]:
 def _check_skeleton_chain(fld: Field) -> tuple[bool, str]:
     for m in range(1, 5):
         for i in range(-2, m - 1):
-            if serre_step(skeleton(m, i)) != skeleton(m, i + 1):
+            if complexes.serre_step(complexes.skeleton(m, i)) != complexes.skeleton(m, i + 1):
                 return False, f"skeleton({m},{i}) did not step to skeleton({m},{i + 1})"
-        if kdim(empty_complex(m)) != m:
+        if complexes.kdim(complexes.empty_complex(m)) != m:
             return False, f"empty complex on {m} vertices has wrong dimension invariant"
-        if m >= 2 and kdim(skeleton(m, m - 2)) != 0:
+        if m >= 2 and complexes.kdim(complexes.skeleton(m, m - 2)) != 0:
             return False, "boundary complex dimension invariant is not 0"
-        if kdim(full_simplex(m)) != -1:
+        if complexes.kdim(complexes.full_simplex(m)) != -1:
             return False, "full simplex dimension invariant is not -1"
-        chain = serre_chain(empty_complex(m))
-        if len(chain) - 1 != kdim(empty_complex(m)) + 1:
+        chain = complexes.serre_chain(complexes.empty_complex(m))
+        if len(chain) - 1 != complexes.kdim(complexes.empty_complex(m)) + 1:
             return False, f"chain length mismatch on {m} vertices"
     return True, "skeleta step one level per quotient; chain lengths match the invariant"
 
 
 def _check_quiver_shape(fld: Field) -> tuple[bool, str]:
     for n in range(1, 11):
-        shape = quiver_shape(n)
+        shape = quiver.quiver_shape(n)
         if shape["num_vertices"] != 3 * n + 1 or shape["num_arrows"] != 3 * n:
             return False, f"wrong counts at leg length {n}"
-    if quiver_shape(1)["classification"] != "D4":
+    if quiver.quiver_shape(1)["classification"] != "D4":
         return False, "leg length 1 is not tagged D4"
-    if quiver_shape(2)["classification"] != "E6_affine":
+    if quiver.quiver_shape(2)["classification"] != "E6_affine":
         return False, "leg length 2 is not tagged E6_affine"
     return True, "3n+1 vertices and 3n arrows for n <= 10; D4 and affine E6 tags"
 

@@ -515,12 +515,12 @@ print(code, [n for n in names if type(sys.modules.get("persloc." + n)) is types.
 @pytest.mark.parametrize(
     "argv, unused",
     [
-        (["dims", "coordinate_cross.json"], ["quiver", "complexes", "twoparam", "verify", "svgplot"]),
-        (["indec", "m3_indecomposable.json", "-n", "2"], ["twoparam", "verify", "svgplot"]),
+        (["dims", str(FIXTURES / "coordinate_cross.json")], ["quiver", "complexes", "twoparam", "verify", "svgplot"]),
+        (["indec", str(FIXTURES / "m3_indecomposable.json"), "-n", "2"], ["twoparam", "verify", "svgplot"]),
+        (["verify-paper", "--list"], ["complexes", "quiver", "twoparam", "svgplot"]),
     ],
 )
 def test_a_command_runs_only_the_modules_it_uses(argv, unused):
-    argv = [argv[0], str(FIXTURES / argv[1]), *argv[2:]]
     probe = ",".join(["cli", "modfile", *unused])
     proc = subprocess.run(
         [sys.executable, "-c", _EXECUTED_AFTER_MAIN, probe, *argv],
