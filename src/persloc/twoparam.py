@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
 )
 from .fields import Field, Subspace, column_lows, solve
-from .localization import Interval, barcode_by_reduction, canonical_bars
+from .localization import Interval, barcode_by_reduction
 from .presentation import GradedPresentation, PresentationMap, direct_sum, free_module, zero_module
 from .examples import strip_presentation
 
@@ -52,16 +52,6 @@ class Decomposition:
     vertical: tuple[tuple[Interval, int], ...]
     horizontal: tuple[tuple[Interval, int], ...]
     quadrants: Corners
-
-    @classmethod
-    def make(cls, vertical, horizontal, quadrants) -> "Decomposition":
-        vert, horiz = canonical_bars(vertical), canonical_bars(horizontal)
-        quads = tuple(sorted(((tuple(c), m) for c, m in quadrants if m)))
-        if any(m < 0 for _, m in quads):
-            raise PreconditionError("negative multiplicity")
-        if any(iv.end is None for iv, _ in vert + horiz):
-            raise PreconditionError("strips are bounded intervals")
-        return cls(vert, horiz, quads)
 
 
 def intersection_table(module: GradedPresentation, dmax: int | None = None, emax: int | None = None) -> list[list[int]]:

@@ -1,13 +1,13 @@
 """Deterministic SVG rendering of decompositions."""
 
 from persloc.examples import named_example
-from persloc.localization import Interval
+from persloc.localization import Interval, canonical_bars
 from persloc.svgplot import render_svg
 from persloc.twoparam import Decomposition, decompose
 
 
 def test_empty_decomposition_axes_only():
-    empty = Decomposition.make([], [], [])
+    empty = Decomposition((), (), ())
     svg = render_svg(empty)
     assert svg.startswith("<svg")
     assert svg.rstrip().endswith("</svg>")
@@ -17,7 +17,7 @@ def test_empty_decomposition_axes_only():
 
 
 def test_single_quadrant_has_corner_dot():
-    deco = Decomposition.make([], [], [((2, 2), 1)])
+    deco = Decomposition((), (), (((2, 2), 1),))
     svg = render_svg(deco)
     assert svg.count("<circle") == 1
     # shaded region present
@@ -25,14 +25,14 @@ def test_single_quadrant_has_corner_dot():
 
 
 def test_strips_have_solid_and_dashed_edges():
-    deco = Decomposition.make([(Interval(0, 2), 1)], [(Interval(1, 3), 2)], [])
+    deco = Decomposition(canonical_bars([(Interval(0, 2), 1)]), canonical_bars([(Interval(1, 3), 2)]), ())
     svg = render_svg(deco)
     assert "stroke-dasharray" in svg
     assert "x2" in svg
 
 
 def test_multiplicity_labels():
-    deco = Decomposition.make([(Interval(0, 2), 3)], [], [])
+    deco = Decomposition(canonical_bars([(Interval(0, 2), 3)]), (), ())
     svg = render_svg(deco)
     assert "x3" in svg
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from persloc.degrees import box, leq
 from persloc.errors import DecompositionError, NotLocallyEpicError, PreconditionError
 from persloc.fields import DEFAULT_FIELD, Field, Matrix, Subspace
-from persloc.localization import Interval, barcode_by_reduction, localize, localized_barcode
+from persloc.localization import Interval, barcode_by_reduction, canonical_bars, localize, localized_barcode
 from persloc.presentation import (
     GradedPresentation,
     PresentationMap,
@@ -79,18 +79,20 @@ def test_quadrant_module_decomposes_to_corner():
 
 
 def test_decomposition_rejects_negative_multiplicity():
+    # each strip family of a Decomposition is a canonical_bars multiset
     with pytest.raises(PreconditionError):
-        Decomposition.make([(Interval(0, 1), -1)], [], [])
+        canonical_bars([(Interval(0, 1), -1)])
     with pytest.raises(PreconditionError):
-        Decomposition.make([], [], [((0, 0), -2)])
-    with pytest.raises(PreconditionError):
-        # an unbounded strip is not a strip
-        Decomposition.make([(Interval(0, None), 1)], [], [])
+        canonical_bars([(Interval(0, 2), 1), (Interval(1, 3), -2)])
 
 
 def test_decomposition_merges_equal_strips():
-    merged = Decomposition.make([(Interval(0, 2), 3)], [], [])
-    assert Decomposition.make([(Interval(0, 2), 1), (Interval(0, 2), 2)], [], []) == merged
+    merged = canonical_bars([(Interval(0, 2), 3)])
+    assert canonical_bars([(Interval(0, 2), 1), (Interval(0, 2), 2)]) == merged
+    assert canonical_bars([(Interval(1, 3), 1), (Interval(0, 2), 0), (Interval(0, 2), 3)]) == (
+        (Interval(0, 2), 3),
+        (Interval(1, 3), 1),
+    )
 
 
 def test_quadrant_count_conservation():
@@ -174,13 +176,14 @@ def test_decompose_canonicalizes_each_strip_family_once(monkeypatch):
         calls.append(1)
         return canonical_bars(bars)
 
-    for module in (localization, twoparam):
-        monkeypatch.setattr(module, "canonical_bars", counting)
+    monkeypatch.setattr(localization, "canonical_bars", counting)
     mod = random_presentation(11, m=2, max_gens=5, max_rels=8, max_degree=6)
     deco = decompose(mod)
     assert len(calls) == 2
     monkeypatch.undo()
-    assert deco == Decomposition.make(deco.vertical, deco.horizontal, deco.quadrants)
+    assert deco.vertical == canonical_bars(deco.vertical)
+    assert deco.horizontal == canonical_bars(deco.horizontal)
+    assert list(deco.quadrants) == sorted(deco.quadrants) and all(m > 0 for _, m in deco.quadrants)
 
 
 def test_finite_summands_invisible_in_quadrants():
