@@ -19,8 +19,9 @@ them.  The dense `_rref`, built on the row operations `Field.axpy` and
 `Field.scale`, gives ranks, `Matrix.kernel`, `solve` and `Subspace.span`, and
 `Subspace` is the one type that holds its output.  Dense products are row
 operations too: `Matrix.mul` builds each row of a product as a combination of
-the right factor's rows by `Field.axpy`, skipping zero coefficients.  The sparse `_store_low`
-(Zomorodian-Carlsson 2005) gives `column_lows` and `sparse_kernel`.
+the right factor's rows by `Field.axpy`, skipping zero coefficients.  The
+sparse `_store_low` (Zomorodian-Carlsson 2005) gives `column_lows` and
+`sparse_kernel`.
 """
 
 from __future__ import annotations
@@ -305,7 +306,7 @@ class Matrix:
 
     def apply(self, vec) -> tuple:
         """Matrix times column vector (length ncols) -> tuple of length nrows."""
-        vec = tuple(vec)
+        vec = list(vec)
         if len(vec) != self.ncols:
             raise AmbientMismatchError("vector length mismatch")
         norm = self.field.normalize
