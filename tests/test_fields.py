@@ -296,7 +296,6 @@ def _products(draw):
 @given(_products())
 @example((Q, [[Fraction(1, 2), 0]], [[0, 0], [Fraction(3), 0]], 2, [0, 0]))  # a zero product
 @example((Q, [[], []], [], 3, []))  # k = 0
-@example((F2, [[], []], [], 3, []))
 def test_products_are_the_sums_of_entry_products(case):
     fld, a, b, m, v = case
     k = len(b)
@@ -306,7 +305,7 @@ def test_products_are_the_sums_of_entry_products(case):
     assert (product.nrows, product.ncols) == (len(a), m)
     assert product.entries == want
     image = A.apply([fld.coerce(x) for x in v])
-    assert image == tuple(fld.coerce(sum(map(lambda x, y: x * y, row, v))) for row in a)
+    assert image == tuple(fld.coerce(sum(x * y for x, y in zip(row, v))) for row in a)
     assert [x for x in (*image, *(x for row in product.entries for x in row)) if not _is_canonical(fld, x)] == []
 
 
