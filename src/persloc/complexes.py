@@ -17,13 +17,12 @@ one more than the dimension-style invariant `kdim`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
 from . import degrees as dg
 from .errors import PreconditionError
-from .fields import DEFAULT_FIELD, Field
+from .fields import DEFAULT_FIELD, Field, Record
 from .presentation import GradedPresentation
 
 Face = frozenset[int]
@@ -57,8 +56,7 @@ def _subsets(vertices: Iterable[int], max_size: int | None = None) -> Iterator[F
             yield frozenset(comb)
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(Record):
     """Downward-closed family of subsets of {1..m}.
 
     `faces` empty is the empty complex; `faces = {frozenset()}` is the
@@ -66,22 +64,23 @@ class SimplicialComplex:
     distinct objects.
     """
 
-    m: int
-    faces: frozenset[Face]
+    __slots__ = ("m", "faces")
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
+    def __init__(self, m: int, faces: frozenset[Face]) -> None:
+        if m < 1:
             raise PreconditionError("need at least one vertex slot")
-        _require_variable_budget(self.m)
-        for f in self.faces:
-            if any(v < 1 or v > self.m for v in f):
-                raise PreconditionError(f"face {sorted(f)} outside 1..{self.m}")
+        _require_variable_budget(m)
+        for f in faces:
+            if any(v < 1 or v > m for v in f):
+                raise PreconditionError(f"face {sorted(f)} outside 1..{m}")
             for v in f:
-                if f - {v} not in self.faces:
+                if f - {v} not in faces:
                     raise PreconditionError(
                         f"family is not downward closed: {sorted(f)} present, "
                         f"{sorted(f - {v})} missing"
                     )
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "faces", faces)
 
     @classmethod
     def make(cls, m: int, faces: Iterable[Iterable[int]]) -> "SimplicialComplex":
@@ -253,12 +252,14 @@ def in_kernel_by_nilpotence(module: GradedPresentation, k: SimplicialComplex) ->
     )
 
 
-@dataclass(frozen=True)
-class SimpleDescriptor:
+class SimpleDescriptor(Record):
     """Labels one simple object: a minimal missing face and a degree shift."""
 
-    sigma: tuple[int, ...]
-    shift: tuple[int, ...]
+    __slots__ = ("sigma", "shift")
+
+    def __init__(self, sigma: tuple[int, ...], shift: tuple[int, ...]) -> None:
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "shift", shift)
 
 
 def simples(k: SimplicialComplex, fld: Field = DEFAULT_FIELD) -> list[tuple[SimpleDescriptor, GradedPresentation]]:

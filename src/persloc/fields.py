@@ -27,7 +27,6 @@ sparse `_store_low` (Zomorodian-Carlsson 2005) gives `column_lows` and
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -65,15 +64,62 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Field:
+def _compare(op):
+    """The method comparing two records of one type by `op` on their field tuples."""
+    def compare(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return op(self._values(self), other._values(other))
+    return compare
+
+
+class Record:
+    """An immutable value whose fields are its `__slots__`, in order, set by
+    its `__init__` through `object.__setattr__`.  Records of one type are
+    equal when their field tuples are, hash as that tuple and print as
+    Name(field=value, ...); a slot named `_x` is a cache, outside all three.
+    `class C(Record, order=True)` orders C by its field tuple."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, order: bool = False) -> None:
+        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        get = operator.attrgetter(*cls._fields)
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda x: (get(x),))
+        if order:
+            for op in (operator.lt, operator.le, operator.gt, operator.ge):
+                setattr(cls, f"__{op.__name__}__", _compare(op))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class Field(Record):
     """A coefficient field: characteristic p (prime) or 0 for the rationals."""
 
-    char: int = 5
+    __slots__ = ("char",)
 
-    def __post_init__(self) -> None:
-        if self.char != 0 and not _is_prime(self.char):
-            raise ValueError(f"characteristic must be 0 or a prime, got {self.char}")
+    def __init__(self, char: int = 5) -> None:
+        if char != 0 and not _is_prime(char):
+            raise ValueError(f"characteristic must be 0 or a prime, got {char}")
+        object.__setattr__(self, "char", char)
 
     @property
     def zero(self):
@@ -180,10 +226,12 @@ def _store_low(field: Field, stored: dict, vec: dict) -> int | None:
     """Reduce the sparse vec ({column: nonzero entry}) by `stored` while its
     low, its largest column, is a stored row's; store what is left at its low,
     scaled to 1 there, and return that low, or None when nothing is left."""
+    p = field.char
     while vec and (low := max(vec)) in stored:
         c = field.neg(vec[low])
         for k, y in stored[low].items():
-            vec[k] = field.normalize(vec.get(k, 0) + c * y)
+            x = vec.get(k, 0) + c * y
+            vec[k] = x % p if p else x  # over Q, x is a canonical Fraction already
         vec = {k: x for k, x in vec.items() if x != 0}
     if vec:
         stored[low] = dict(zip(vec, field.scale(vec.values(), field.inv(vec[low]))))
@@ -233,14 +281,16 @@ def sparse_kernel(field: Field, ncols: int, equations: Iterable[dict]) -> "Subsp
     return Subspace(field, ncols, tuple(map(tuple, rows.values())), tuple(free))
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Record):
     """Immutable dense matrix with exact entries over a fixed field."""
 
-    field: Field
-    nrows: int
-    ncols: int
-    entries: tuple[tuple, ...]
+    __slots__ = ("field", "nrows", "ncols", "entries")
+
+    def __init__(self, field: Field, nrows: int, ncols: int, entries: tuple[tuple, ...]) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "nrows", nrows)
+        object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, field: Field, rows, ncols: int | None = None) -> "Matrix":
@@ -352,8 +402,7 @@ def solve(field: Field, rows, rhs, ncols: int) -> tuple | None:
     return tuple(sol)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """A subspace of F^ambient held as its reduced row echelon basis.
 
     `rows` have strictly increasing pivot columns `pivots`, each pivot entry
@@ -361,10 +410,13 @@ class Subspace:
     given subspace is therefore unique, so `==` decides subspace equality.
     """
 
-    field: Field
-    ambient: int
-    rows: tuple[tuple, ...]
-    pivots: tuple[int, ...]
+    __slots__ = ("field", "ambient", "rows", "pivots")
+
+    def __init__(self, field: Field, ambient: int, rows: tuple[tuple, ...], pivots: tuple[int, ...]) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "pivots", pivots)
 
     @classmethod
     def span(cls, field: Field, ambient: int, vectors) -> "Subspace":

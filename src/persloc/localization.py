@@ -16,29 +16,28 @@ independent cross-check of the first, and `twoparam.decompose`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import degrees as dg
 from .errors import PreconditionError
-from .fields import column_lows
+from .fields import Record, column_lows
 from .presentation import GradedPresentation
 
 _INF = float("inf")
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
+class Interval(Record, order=True):
     """Half-open interval [start, end); end None means unbounded."""
 
-    start: int
-    end: int | None = None
+    __slots__ = ("start", "end")
 
-    def __post_init__(self) -> None:
-        if self.start < 0:
+    def __init__(self, start: int, end: int | None = None) -> None:
+        if start < 0:
             raise PreconditionError("interval starts in N")
-        if self.end is not None and self.end <= self.start:
-            raise PreconditionError(f"empty interval [{self.start}, {self.end})")
+        if end is not None and end <= start:
+            raise PreconditionError(f"empty interval [{start}, {end})")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
 
     def sort_key(self) -> tuple:
         return (self.start, _INF if self.end is None else self.end)
@@ -58,12 +57,14 @@ def canonical_bars(bars: Iterable[tuple[Interval, int]]) -> Bars:
     return tuple(sorted(merged.items(), key=lambda im: im[0].sort_key()))
 
 
-@dataclass(frozen=True)
-class Barcode:
+class Barcode(Record):
     """Multiset of intervals on one axis, sorted by (start, end)."""
 
-    axis: int
-    bars: Bars
+    __slots__ = ("axis", "bars")
+
+    def __init__(self, axis: int, bars: Bars) -> None:
+        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "bars", bars)
 
     @classmethod
     def make(cls, axis: int, bars: Iterable[tuple[Interval, int]]) -> "Barcode":

@@ -22,57 +22,60 @@ call, so callers that need one (a, b) repeatedly ask for it once.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from . import degrees as dg
 from .degrees import Degree
 from .errors import AmbientMismatchError, DegreeOrderError, HomogeneityError, PreconditionError
-from .fields import DEFAULT_FIELD, Field, Matrix, Subspace
+from .fields import DEFAULT_FIELD, Field, Matrix, Record, Subspace
 
 
-@dataclass(frozen=True)
-class _Slice:
+class _Slice(Record):
     """Canonical data of one graded piece M(d): reducing a vector of `gens`
     positions by `relations` leaves its coordinates at the non-pivot ones."""
 
-    gens: tuple[int, ...]        # eligible generator indices, ascending
-    positions: dict              # generator index -> its position in `gens`
-    coords: tuple[int, ...]      # non-pivot positions: the canonical basis
-    relations: Subspace          # span of the eligible relation columns
+    __slots__ = ("gens", "positions", "coords", "relations")
+
+    def __init__(self, gens: tuple[int, ...], positions: dict, coords: tuple[int, ...], relations: Subspace) -> None:
+        object.__setattr__(self, "gens", gens)  # eligible generator indices, ascending
+        object.__setattr__(self, "positions", positions)  # generator index -> its position in `gens`
+        object.__setattr__(self, "coords", coords)  # non-pivot positions: the canonical basis
+        object.__setattr__(self, "relations", relations)  # span of the eligible relation columns
 
     @property
     def dim(self) -> int:
         return len(self.coords)
 
 
-@dataclass(frozen=True)
-class GradedPresentation:
-    m: int
-    field: Field
-    gen_degrees: tuple[Degree, ...]
-    rel_degrees: tuple[Degree, ...]
-    rel_coeffs: Matrix
-    _slices: dict = field(default_factory=dict, compare=False, repr=False)
+class GradedPresentation(Record):
+    """A presented module; `_slices` caches each slice built, by degree."""
 
-    def __post_init__(self) -> None:
-        if self.m < 0:
+    __slots__ = ("m", "field", "gen_degrees", "rel_degrees", "rel_coeffs", "_slices")
+
+    def __init__(self, m: int, field: Field, gen_degrees: tuple, rel_degrees: tuple, rel_coeffs: Matrix) -> None:
+        if m < 0:
             raise PreconditionError("need a nonnegative number of variables")
-        for d in self.gen_degrees + self.rel_degrees:
-            if len(d) != self.m:
+        for d in gen_degrees + rel_degrees:
+            if len(d) != m:
                 raise AmbientMismatchError(f"degree {d} has wrong length")
             if not dg.is_nonnegative(d):
                 raise PreconditionError(f"negative degree {d}")
-        if self.rel_coeffs.nrows != len(self.gen_degrees) or self.rel_coeffs.ncols != len(self.rel_degrees):
+        if rel_coeffs.nrows != len(gen_degrees) or rel_coeffs.ncols != len(rel_degrees):
             raise AmbientMismatchError("coefficient matrix shape mismatch")
-        if self.rel_coeffs.field != self.field:
+        if rel_coeffs.field != field:
             raise AmbientMismatchError("coefficient matrix over wrong field")
-        for i, gd in enumerate(self.gen_degrees):
-            for j, rd in enumerate(self.rel_degrees):
-                if self.rel_coeffs.entries[i][j] != 0 and not dg.leq(gd, rd):
+        for i, gd in enumerate(gen_degrees):
+            for j, rd in enumerate(rel_degrees):
+                if rel_coeffs.entries[i][j] != 0 and not dg.leq(gd, rd):
                     raise HomogeneityError(
                         f"relation {j} (degree {rd}) has a coefficient on "
                         f"generator {i} (degree {gd}) but {gd} is not <= {rd}"
                     )
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "gen_degrees", gen_degrees)
+        object.__setattr__(self, "rel_degrees", rel_degrees)
+        object.__setattr__(self, "rel_coeffs", rel_coeffs)
+        object.__setattr__(self, "_slices", {})
 
     @classmethod
     def build(cls, m, fld, gen_degrees, relations) -> "GradedPresentation":
@@ -243,8 +246,7 @@ def random_presentation(
     return GradedPresentation.build(m, fld, gen_degrees, relations)
 
 
-@dataclass(frozen=True)
-class PresentationMap:
+class PresentationMap(Record):
     """A degree-preserving map between presented modules.
 
     `coeffs` has one row per target generator and one column per source
@@ -254,35 +256,35 @@ class PresentationMap:
     relation span, so the map is well defined.
     """
 
-    source: GradedPresentation
-    target: GradedPresentation
-    coeffs: Matrix
+    __slots__ = ("source", "target", "coeffs")
 
-    def __post_init__(self) -> None:
-        src, tgt = self.source, self.target
-        if src.m != tgt.m or src.field != tgt.field:
+    def __init__(self, source: GradedPresentation, target: GradedPresentation, coeffs: Matrix) -> None:
+        if source.m != target.m or source.field != target.field:
             raise AmbientMismatchError("map endpoints over different ambients")
-        if self.coeffs.nrows != tgt.num_gens or self.coeffs.ncols != src.num_gens:
+        if coeffs.nrows != target.num_gens or coeffs.ncols != source.num_gens:
             raise AmbientMismatchError("map coefficient matrix shape mismatch")
-        if self.coeffs.field != src.field:
+        if coeffs.field != source.field:
             raise AmbientMismatchError("map coefficients over wrong field")
-        for i, td in enumerate(tgt.gen_degrees):
-            for j, sd in enumerate(src.gen_degrees):
-                if self.coeffs.entries[i][j] != 0 and not dg.leq(td, sd):
+        for i, td in enumerate(target.gen_degrees):
+            for j, sd in enumerate(source.gen_degrees):
+                if coeffs.entries[i][j] != 0 and not dg.leq(td, sd):
                     raise HomogeneityError(
                         f"map hits target generator {i} (degree {td}) from "
                         f"source generator {j} (degree {sd}) but {td} is not <= {sd}"
                     )
         # well defined: each source relation must map into the relation span
         # of the target at its own degree.
-        for j, rd in enumerate(src.rel_degrees):
-            img = self.coeffs.apply(src.rel_coeffs.col(j))
-            coords = tgt._slice_coords(rd, [(i, x) for i, x in enumerate(img) if x != 0])
+        for j, rd in enumerate(source.rel_degrees):
+            img = coeffs.apply(source.rel_coeffs.col(j))
+            coords = target._slice_coords(rd, [(i, x) for i, x in enumerate(img) if x != 0])
             if coords is None or any(x != 0 for x in coords):
                 raise HomogeneityError(
                     f"source relation {j} (degree {rd}) does not map into the "
                     "target relation span; the map is not well defined"
                 )
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def m(self) -> int:

@@ -23,11 +23,10 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 
 from . import degrees as dg
 from .errors import DecompositionError, PreconditionError
-from .fields import DEFAULT_FIELD, Field, Matrix, Subspace, sparse_kernel
+from .fields import DEFAULT_FIELD, Field, Matrix, Record, Subspace, sparse_kernel
 from .localization import Interval, barcode_by_reduction, canonical_bars, presentation_bars
 from .presentation import GradedPresentation
 
@@ -86,8 +85,7 @@ def quiver_shape(n: int) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class QuiverRep:
+class QuiverRep(Record):
     """A representation: leg spaces, sink space, and the maps between them.
 
     `arrows[leg][j]` maps leg vertex j to vertex j+1 for j < n-1; the last
@@ -95,18 +93,19 @@ class QuiverRep:
     data flat, in the vertex and arrow order of `_star`.
     """
 
-    field: Field
-    n: int
-    sink_dim: int
-    leg_dims: tuple[tuple[int, ...], ...]
-    arrows: tuple[tuple[Matrix, ...], ...]
+    __slots__ = ("field", "n", "sink_dim", "leg_dims", "arrows")
 
-    def __post_init__(self) -> None:
-        _require_leg_length(self.n)
-        if len(self.leg_dims) != 3 or len(self.arrows) != 3:
+    def __init__(self, field: Field, n: int, sink_dim: int, leg_dims: tuple, arrows: tuple) -> None:
+        _require_leg_length(n)
+        if len(leg_dims) != 3 or len(arrows) != 3:
             raise PreconditionError("exactly three legs")
-        if any(len(leg) != self.n for leg in (*self.leg_dims, *self.arrows)):
+        if any(len(leg) != n for leg in (*leg_dims, *arrows)):
             raise PreconditionError("leg length mismatch")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "sink_dim", sink_dim)
+        object.__setattr__(self, "leg_dims", leg_dims)
+        object.__setattr__(self, "arrows", arrows)
         dims = self.dims
         for (s, t), mat in zip(_star(self.n), self.maps):
             if mat.ncols != dims[s] or mat.nrows != dims[t]:
@@ -475,11 +474,13 @@ def _idempotent_split(rep: QuiverRep, vectors: list) -> tuple[QuiverRep, QuiverR
     return None
 
 
-@dataclass(frozen=True)
-class IndecResult:
-    verdict: str  # "yes" | "no" | "unknown"
-    endo_dim: int
-    witness: tuple[QuiverRep, QuiverRep] | None = None
+class IndecResult(Record):
+    __slots__ = ("verdict", "endo_dim", "witness")
+
+    def __init__(self, verdict: str, endo_dim: int, witness: tuple[QuiverRep, QuiverRep] | None = None) -> None:
+        object.__setattr__(self, "verdict", verdict)  # "yes" | "no" | "unknown"
+        object.__setattr__(self, "endo_dim", endo_dim)
+        object.__setattr__(self, "witness", witness)
 
 
 def is_indecomposable(rep: QuiverRep) -> IndecResult:

@@ -19,7 +19,6 @@ a localized epimorphism admits a compatible pair of sections.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 
 from . import complexes
@@ -32,8 +31,8 @@ from .errors import (
     NotLocallyEpicError,
     PreconditionError,
 )
-from .fields import Field, Subspace, column_lows, solve
-from .localization import Interval, barcode_by_reduction
+from .fields import Field, Record, Subspace, column_lows, solve
+from .localization import Bars, barcode_by_reduction
 from .presentation import GradedPresentation, PresentationMap, direct_sum, free_module, zero_module
 from .examples import strip_presentation
 
@@ -45,13 +44,15 @@ def _require_two_params(module: GradedPresentation) -> None:
         raise PreconditionError(f"operation needs m = 2, module has m = {module.m}")
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Canonical multiset data: two strip families plus quadrant corners."""
 
-    vertical: tuple[tuple[Interval, int], ...]
-    horizontal: tuple[tuple[Interval, int], ...]
-    quadrants: Corners
+    __slots__ = ("vertical", "horizontal", "quadrants")
+
+    def __init__(self, vertical: Bars, horizontal: Bars, quadrants: Corners) -> None:
+        object.__setattr__(self, "vertical", vertical)
+        object.__setattr__(self, "horizontal", horizontal)
+        object.__setattr__(self, "quadrants", quadrants)
 
 
 def intersection_table(module: GradedPresentation, dmax: int | None = None, emax: int | None = None) -> list[list[int]]:
@@ -211,23 +212,27 @@ def intersection_rank(module: GradedPresentation, a, b, c) -> int:
 # -- sections of localized epimorphisms ---------------------------------
 
 
-@dataclass(frozen=True)
-class SectionWitness:
+class SectionWitness(Record):
     """Generator images of a compatible pair of sections, per axis."""
 
-    degrees: tuple[Degree, ...]          # target generator degrees
-    axis1_slices: tuple[Degree, ...]     # slice each axis-1 image lives in
-    axis2_slices: tuple[Degree, ...]
-    axis1_vectors: tuple[tuple, ...]
-    axis2_vectors: tuple[tuple, ...]
+    __slots__ = ("degrees", "axis1_slices", "axis2_slices", "axis1_vectors", "axis2_vectors")
+
+    def __init__(self, degrees, axis1_slices, axis2_slices, axis1_vectors, axis2_vectors) -> None:
+        object.__setattr__(self, "degrees", degrees)  # target generator degrees
+        object.__setattr__(self, "axis1_slices", axis1_slices)  # slice each axis-1 image lives in
+        object.__setattr__(self, "axis2_slices", axis2_slices)
+        object.__setattr__(self, "axis1_vectors", axis1_vectors)
+        object.__setattr__(self, "axis2_vectors", axis2_vectors)
 
 
-@dataclass(frozen=True)
-class SectionResult:
-    exists: bool
-    axis1_solvable: bool
-    axis2_solvable: bool
-    witness: SectionWitness | None
+class SectionResult(Record):
+    __slots__ = ("exists", "axis1_solvable", "axis2_solvable", "witness")
+
+    def __init__(self, exists: bool, axis1_solvable: bool, axis2_solvable: bool, witness: SectionWitness | None) -> None:
+        object.__setattr__(self, "exists", exists)
+        object.__setattr__(self, "axis1_solvable", axis1_solvable)
+        object.__setattr__(self, "axis2_solvable", axis2_solvable)
+        object.__setattr__(self, "witness", witness)
 
 
 def _check_section(f: PresentationMap, w: SectionWitness, e: Degree) -> None:

@@ -532,3 +532,40 @@ def test_a_command_runs_only_the_modules_it_uses(argv, unused):
     assert proc.returncode == 0, proc.stderr
     # the probe does see the modules the command ran
     assert proc.stdout.strip() == "0 ['cli', 'modfile']"
+
+
+# Run cli.main in a fresh interpreter, then name the modules of argv[1]
+# (comma-separated) that persloc imported: those loaded since just before
+# `from persloc import cli`, so what the interpreter's start-up (`site` and
+# its hooks) loaded does not count.
+_IMPORTED_BY_PERSLOC = """
+import contextlib, io, sys
+before = set(sys.modules)
+from persloc import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[2:])
+print(code, [n for n in sys.argv[1].split(",") if n in sys.modules and n not in before])
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dims", str(FIXTURES / "coordinate_cross.json")],
+        ["indec", str(FIXTURES / "m3_indecomposable.json"), "-n", "2"],
+        ["verify-paper"],  # runs every submodule
+    ],
+)
+def test_a_command_imports_neither_dataclasses_nor_inspect(argv):
+    # the two cost more start-up than anything else persloc could import
+    probe = ",".join(["persloc.cli", "dataclasses", "inspect"])
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORTED_BY_PERSLOC, probe, *argv],
+        capture_output=True,
+        text=True,
+        env=SRC_ENV,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the probe does see a module persloc imported
+    assert proc.stdout.strip() == "0 ['persloc.cli']"
