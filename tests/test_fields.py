@@ -275,6 +275,47 @@ def test_sparse_kernel_solves_wide_systems_with_many_free_columns(case):
 
 
 @st.composite
+def _columns_and_births(draw):
+    """Generators 0..n-1 born in a drawn order, and up to 8 dense columns over
+    them.  A column is drawn outright, mostly zeros, or as a multiple of an
+    earlier column plus a sparse vector, so that reducing it cancels entries
+    other than its low."""
+    fld = draw(st.sampled_from([F2, F5, F101, Q]))
+    n = draw(st.integers(1, 6))
+    born = draw(st.permutations(range(n)))
+    scalar = st.integers(0, fld.char - 1) if fld.char else st.integers(-3, 3)
+    sparse = st.lists(st.one_of(st.just(0), st.just(0), scalar), min_size=n, max_size=n)
+    columns = []
+    for _ in range(draw(st.integers(0, 8))):
+        col = [fld.coerce(x) for x in draw(sparse)]
+        if columns and draw(st.booleans()):
+            col = fld.axpy(col, fld.coerce(draw(scalar)), draw(st.sampled_from(columns)))
+        columns.append(col)
+    return fld, born, columns
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_columns_and_births())
+@example((F5, [0, 1, 2], [[1, 1, 1], [1, 1, 2], [2, 0, 3]]))  # reductions that cancel below the low
+def test_column_lows_are_the_lows_the_spans_gain(case):
+    # on coordinates latest-born first, a span's lows are its echelon pivots:
+    # column k's low is the one pivot the span of columns 0..k has and the
+    # span of columns 0..k-1 lacks, or None when there is none
+    fld, born, columns = case
+    n = len(born)
+    place = {g: n - 1 - k for k, g in enumerate(born)}
+    flipped = [[col[g] for g in sorted(range(n), key=place.get)] for col in columns]
+    want, before = [], set()
+    for k in range(len(columns)):
+        after = set(Subspace.span(fld, n, flipped[: k + 1]).pivots)
+        (gained,) = after - before or (None,)
+        want.append(None if gained is None else born[n - 1 - gained])
+        before = after
+    # columns come as (generator, coefficient) pairs, zeros included
+    assert list(fields.column_lows(fld, born, (enumerate(col) for col in columns))) == want
+
+
+@st.composite
 def _products(draw):
     """An n x k and a k x m matrix and a vector of length k, as plain ints or
     Fractions, each drawn sparse (mostly zeros) or dense."""
