@@ -223,16 +223,22 @@ def _rref(field: Field, rows: list, ncols: int) -> tuple[list, list[int]]:
 
 
 def _store_low(field: Field, stored: dict, vec: dict) -> int | None:
-    """Reduce the sparse vec ({column: nonzero entry}) by `stored` while its
-    low, its largest column, is a stored row's; store what is left at its low,
-    scaled to 1 there, and return that low, or None when nothing is left."""
+    """Reduce the sparse vec ({column: nonzero entry}) in place by `stored`
+    while its low, its largest column, is a stored row's; store what is left
+    at its low, scaled to 1 there, and return that low, or None when nothing
+    is left.  An entry is written as it is computed and deleted when it
+    becomes zero, so vec keeps its keys in first-seen order."""
     p = field.char
     while vec and (low := max(vec)) in stored:
-        c = field.neg(vec[low])
+        c = -vec[low]
         for k, y in stored[low].items():
             x = vec.get(k, 0) + c * y
-            vec[k] = x % p if p else x  # over Q, x is a canonical Fraction already
-        vec = {k: x for k, x in vec.items() if x != 0}
+            if p:
+                x %= p  # over Q, x is a canonical Fraction already
+            if x:
+                vec[k] = x
+            else:
+                del vec[k]
     if vec:
         stored[low] = dict(zip(vec, field.scale(vec.values(), field.inv(vec[low]))))
     return low if vec else None

@@ -16,6 +16,7 @@ independent cross-check of the first, and `twoparam.decompose`,
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from . import degrees as dg
@@ -147,23 +148,27 @@ def localized_barcode(module: GradedPresentation, axis: int) -> Barcode:
     return Barcode.make(axis, bars_from_rank_fn(rank, bound))
 
 
-def presentation_bars(fld, gens: Sequence[int], rels: Sequence[int], column: Callable) -> list[tuple[Interval, int]]:
-    """Bars of the one-parameter module with these generator and relation degrees.
+def presentation_bars(
+    fld, gens: Sequence[int], rels: Sequence[int], column: Callable, tail: Iterable = ()
+) -> tuple[list[tuple[Interval, int]], list]:
+    """Bars of the one-parameter module with these generator and relation
+    degrees, and the lows of the `tail` columns reduced after the relations.
 
-    `column(j)` is relation j's column as `column_lows` takes it, built when
-    reduced: holding every column at once costs memory.  Relations go in (degree,
-    index) order; one with low g is the bar [gens[g], rels[j]), dropped when
-    empty, and a generator that is no relation's low is [gens[g], inf).
+    `column(j)` is relation j's column as `column_lows` takes it, asked for
+    when reduced.  Relations go in (degree, index) order; one with low g is
+    the bar [gens[g], rels[j]), dropped when empty, and a generator that is
+    no relation's low is [gens[g], inf).
     """
     born = sorted(range(len(gens)), key=lambda g: (gens[g], g))
     killed = sorted(range(len(rels)), key=lambda j: (rels[j], j))
+    lows = column_lows(fld, born, chain(map(column, killed), tail))
     bars, dead = [], set()
-    for j, g in zip(killed, column_lows(fld, born, map(column, killed))):
+    for j, g in zip(killed, lows):  # zip stops at the last relation, before the tail
         if g is not None:
             dead.add(g)
             if gens[g] < rels[j]:
                 bars.append((Interval(gens[g], rels[j]), 1))
-    return bars + [(Interval(gens[g]), 1) for g in born if g not in dead]
+    return bars + [(Interval(gens[g]), 1) for g in born if g not in dead], list(lows)
 
 
 def barcode_by_reduction(module: GradedPresentation, axis: int) -> Barcode:
@@ -171,5 +176,5 @@ def barcode_by_reduction(module: GradedPresentation, axis: int) -> Barcode:
     if not 1 <= axis <= module.m:
         raise PreconditionError(f"axis {axis} not inside 1..{module.m}")
     gens, rels = ([d[axis - 1] for d in degrees] for degrees in (module.gen_degrees, module.rel_degrees))
-    bars = presentation_bars(module.field, gens, rels, lambda j: enumerate(module.rel_coeffs.col(j)))
+    bars, _ = presentation_bars(module.field, gens, rels, lambda j: enumerate(module.rel_coeffs.col(j)))
     return Barcode.make(axis, bars)

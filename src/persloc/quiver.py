@@ -551,7 +551,7 @@ def torsion_leg_split(rep: QuiverRep) -> tuple[tuple[tuple[Interval, int], ...],
             image = maps[c].col(j - offsets[c])
             return [(j, fld.one), *((offsets[c + 1] + r, fld.neg(x)) for r, x in enumerate(image))]
 
-        return presentation_bars(fld, gens, [c + 1 for c in gens], column)
+        return presentation_bars(fld, gens, [c + 1 for c in gens], column)[0]
 
     return tuple(canonical_bars(leg_bars(rep.leg_dims[leg], rep.arrows[leg])) for leg in range(3))
 

@@ -19,7 +19,7 @@ a localized epimorphism admits a compatible pair of sections.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, chain, islice
+from itertools import accumulate
 
 from . import complexes
 from . import degrees as dg
@@ -31,8 +31,8 @@ from .errors import (
     NotLocallyEpicError,
     PreconditionError,
 )
-from .fields import Field, Record, Subspace, column_lows, solve
-from .localization import Bars, barcode_by_reduction
+from .fields import Field, Record, Subspace, solve
+from .localization import Barcode, Bars, presentation_bars
 from .presentation import GradedPresentation, PresentationMap, direct_sum, free_module, zero_module
 from .examples import strip_presentation
 
@@ -124,29 +124,35 @@ def quadrant_corners(module: GradedPresentation) -> Corners:
 def decompose(module: GradedPresentation) -> Decomposition:
     """Full strip/quadrant data of the module after inverting variables.
 
-    Read off the presentation by the persistence column reduction of
-    `localization`.  Axis i: the finite bars of `barcode_by_reduction` are
-    its strips.  Corners: one `column_lows` pass in deg_2 birth order over
-    every relation column, then the unit vectors e_g in (deg_1, index)
-    order; one with low h is a quadrant at (deg_1 g, deg_2 h).  The corner
-    count is checked against the stable corner's dimension, reached through
-    the slices.
+    Read off the presentation by two passes of the persistence column
+    reduction behind `barcode_by_reduction`, over relation columns built
+    once.  Axis i: the finite bars of its pass are its strips.  Corners: the
+    axis-2 pass goes on past the relations to the unit vectors e_g in
+    (deg_1, index) order, and one with low h is a quadrant at
+    (deg_1 g, deg_2 h).  The relations enter that pass in (deg_2, index)
+    order, not in index order, and no corner moves: a unit column's low is
+    the one low that the span of the columns up to it has and the span of
+    the columns before it lacks, and the lows of a reduced basis are an
+    invariant of its span.  The corner count is checked against the stable
+    corner's dimension, reached through the slices.
     """
     _require_two_params(module)
     bound = module.stabilization_bound()
     # the bound's own box is never larger than the larger of these squares
     for limit in ((bound[0],) * 2, (bound[1],) * 2):
         dg.require_box_budget(limit)
-    fld, gens, rels, coeffs = module.field, module.gen_degrees, module.rel_degrees, module.rel_coeffs
-    strips = [barcode_by_reduction(module, axis).finite() for axis in (1, 2)]
-    born = [sorted(range(len(gens)), key=lambda g: (gens[g][axis], g)) for axis in (0, 1)]
-    units = ([(g, fld.one)] for g in born[0])
-    columns = chain((enumerate(coeffs.col(j)) for j in range(len(rels))), units)
-    heads = islice(column_lows(fld, born[1], columns), len(rels), None)
-    corners = [(gens[g][0], gens[h][1]) for g, h in zip(born[0], heads) if h is not None]
+    fld, gens, rels = module.field, module.gen_degrees, module.rel_degrees
+    entries = zip(*module.rel_coeffs.entries) if gens else [()] * len(rels)
+    columns = [[(g, x) for g, x in enumerate(col) if x != 0] for col in entries]
+    axes = [([d[i] for d in gens], [d[i] for d in rels]) for i in (0, 1)]
+    born = sorted(range(len(gens)), key=lambda g: (gens[g][0], g))
+    bars1, _ = presentation_bars(fld, *axes[0], columns.__getitem__)
+    bars2, heads = presentation_bars(fld, *axes[1], columns.__getitem__, ([(g, fld.one)] for g in born))
+    corners = [(gens[g][0], gens[h][1]) for g, h in zip(born, heads) if h is not None]
     stable = module.rank_invariant(bound, bound)
     if len(corners) != stable:
         raise DecompositionError(f"{len(corners)} quadrant corners, stable corner has dimension {stable}")
+    strips = [Barcode.make(axis, bars).finite() for axis, bars in ((1, bars1), (2, bars2))]
     # finite() bars are canonical and bounded, and counts are positive: make's checks hold already
     return Decomposition(*strips, tuple(sorted(Counter(corners).items())))
 

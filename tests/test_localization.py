@@ -212,8 +212,13 @@ def test_presentation_bars_handmade():
     # generators a at 0, b and c at 1; c dies at birth (an empty bar, dropped),
     # a + c kills a at 2, a zero column at 3 kills nothing, and b survives
     columns = [[0, 0, 1], [1, 0, 1], [0, 0, 0]]
-    bars = presentation_bars(F5, [0, 1, 1], [1, 2, 3], lambda j: enumerate(columns[j]))
+    bars, tail = presentation_bars(F5, [0, 1, 1], [1, 2, 3], lambda j: enumerate(columns[j]))
     assert bars == [(Interval(0, 2), 1), (Interval(1, None), 1)]
+    assert tail == []
+    # trailing unit columns reduce after the relations: only b's is no
+    # relation's low, and its low is b itself
+    units = ([(g, 1)] for g in range(3))
+    assert presentation_bars(F5, [0, 1, 1], [1, 2, 3], lambda j: enumerate(columns[j]), units) == (bars, [None, 1, None])
 
 
 def test_zero_module_barcode_empty():

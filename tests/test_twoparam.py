@@ -183,6 +183,36 @@ def test_decompose_canonicalizes_each_strip_family_once(monkeypatch):
     monkeypatch.undo()
     assert deco.vertical == canonical_bars(deco.vertical)
     assert deco.horizontal == canonical_bars(deco.horizontal)
+
+
+def test_decompose_makes_two_column_reductions_and_one_rank_query(monkeypatch):
+    # one pass per axis, the corners read off the end of the axis-2 pass; and
+    # the stable corner is still asked of the input once, through the slices
+    from persloc import fields, localization
+
+    passes, queried = [], []
+    column_lows, rank_invariant = fields.column_lows, GradedPresentation.rank_invariant
+
+    def counting_lows(*args):
+        passes.append(1)
+        return column_lows(*args)
+
+    def recording(self, a, b):
+        queried.append(self)
+        return rank_invariant(self, a, b)
+
+    for holder in (fields, localization, twoparam):
+        if getattr(holder, "column_lows", None) is column_lows:
+            monkeypatch.setattr(holder, "column_lows", counting_lows)
+    monkeypatch.setattr(GradedPresentation, "rank_invariant", recording)
+    mod = random_presentation(11, m=2, max_gens=5, max_rels=8, max_degree=6)
+    deco = decompose(mod)
+    assert len(passes) == 2
+    assert sum(q is mod for q in queried) == 1
+    monkeypatch.undo()
+    assert deco == Decomposition(
+        localized_barcode(mod, 1).finite(), localized_barcode(mod, 2).finite(), quadrant_corners(mod)
+    )
     assert list(deco.quadrants) == sorted(deco.quadrants) and all(m > 0 for _, m in deco.quadrants)
 
 
