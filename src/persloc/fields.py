@@ -64,31 +64,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _compare(op):
-    """The method comparing two records of one type by `op` on their field tuples."""
-    def compare(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return op(self._values(self), other._values(other))
-    return compare
-
-
 class Record:
     """An immutable value whose fields are its `__slots__`, in order, set by
     its `__init__` through `object.__setattr__`.  Records of one type are
     equal when their field tuples are, hash as that tuple and print as
-    Name(field=value, ...); a slot named `_x` is a cache, outside all three.
-    `class C(Record, order=True)` orders C by its field tuple."""
+    Name(field=value, ...); a slot named `_x` is a cache, outside all three."""
 
     __slots__ = ()
 
-    def __init_subclass__(cls, order: bool = False) -> None:
+    def __init_subclass__(cls) -> None:
         cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
         get = operator.attrgetter(*cls._fields)
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda x: (get(x),))
-        if order:
-            for op in (operator.lt, operator.le, operator.gt, operator.ge):
-                setattr(cls, f"__{op.__name__}__", _compare(op))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

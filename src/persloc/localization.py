@@ -27,7 +27,7 @@ from .presentation import GradedPresentation
 _INF = float("inf")
 
 
-class Interval(Record, order=True):
+class Interval(Record):
     """Half-open interval [start, end); end None means unbounded."""
 
     __slots__ = ("start", "end")

@@ -4,9 +4,9 @@ fields.
 Each of the fifteen records is built twice from the same data and once from
 other data.  Equality is type-strict, the hash is the hash of the field
 tuple (so set and dict orders follow the field values), instances refuse
-assignment and deletion, and the repr lists every field.  `Interval` alone is
-ordered, by (start, end) as a tuple is.  `GradedPresentation._slices` is a
-cache and stays out of equality, hash and repr.
+assignment and deletion, the repr lists every field, and no record is
+ordered: bars sort by `Interval.sort_key`.  `GradedPresentation._slices` is
+a cache and stays out of equality, hash and repr.
 """
 
 import copy
@@ -190,27 +190,17 @@ def test_slice_cache_is_outside_equality_hash_and_repr():
 _BOUNDS = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
 
 
-@pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
-def test_intervals_are_ordered_as_their_tuples(op):
-    for a in _BOUNDS:
-        for b in _BOUNDS:
-            assert op(Interval(*a), Interval(*b)) is op(a, b)
-    for a in range(3):
-        for b in range(3):
-            assert op(Interval(a), Interval(b)) is op((a, None), (b, None))
-    with pytest.raises(TypeError):  # None against an int, as in a tuple
-        op(Interval(1), Interval(1, 2))
-    with pytest.raises(TypeError):
-        op(Interval(1, 2), (1, 2))
-
-
 def test_intervals_sort_as_their_tuples():
-    ivs = [Interval(*b) for b in reversed(_BOUNDS)]
-    assert [(iv.start, iv.end) for iv in sorted(ivs)] == sorted(_BOUNDS)
+    # by `sort_key`, as `canonical_bars` lists bars: bounded ones as their
+    # (start, end) tuples, and an unbounded one after the bounded ones of its start
+    ivs = [Interval(1), *(Interval(*b) for b in reversed(_BOUNDS))]
+    want = [*_BOUNDS[:4], (1, None), _BOUNDS[4]]
+    assert [(iv.start, iv.end) for iv in sorted(ivs, key=Interval.sort_key)] == want
 
 
-@pytest.mark.parametrize("cls", [c for c in RECORDS if c is not Interval], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
 def test_other_records_are_not_ordered(cls):
     a, b = RECORDS[cls][1](0), RECORDS[cls][1](1)
-    with pytest.raises(TypeError):
-        a < b
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            op(a, b)
