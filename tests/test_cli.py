@@ -485,16 +485,16 @@ def test_delocalize_cli(capsys):
 def test_reader_closing_early_prints_no_traceback():
     # `persloc dims samerank_m --box 300,300 | head -c 10`: the report is far
     # larger than a pipe holds, so the final print meets a closed pipe
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "persloc", "dims", "samerank_m", "--box", "300,300"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=SRC_ENV,
-    )
-    assert proc.stdout.read(10) == b'{"command"'
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 1
+    ) as proc:
+        assert proc.stdout.read(10) == b'{"command"'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
     assert b"Traceback" not in err and b"Exception ignored" not in err
 
 
