@@ -21,7 +21,9 @@ them.  The dense `_rref`, built on the row operations `Field.axpy` and
 operations too: `Matrix.mul` builds each row of a product as a combination of
 the right factor's rows by `Field.axpy`, skipping zero coefficients.  The
 sparse `_store_low` (Zomorodian-Carlsson 2005) gives `column_lows` and
-`sparse_kernel`.
+`sparse_kernel`; it reduces a {column: entry} dict in place, writing each
+entry as it is computed and deleting one that becomes zero, so a stored row
+keeps its keys in the order they were first seen.
 """
 
 from __future__ import annotations

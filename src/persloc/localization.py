@@ -10,8 +10,11 @@ module.  `localized_barcode` recovers its interval multiset from M's rank
 function along axis i (others pinned) by inclusion-exclusion.  The one
 persistence column reduction, `presentation_bars`, reads the same bars off
 the presentation with no slice: `barcode_by_reduction` is that route, the
-independent cross-check of the first, and `twoparam.decompose`,
-`quiver.in_leq_n` and `quiver.torsion_leg_split` use it too.
+independent cross-check of the first, and `quiver.in_leq_n` and
+`quiver.torsion_leg_split` use it too.  `twoparam.decompose` calls
+`presentation_bars` once per axis on columns it builds once, and reads its
+corners off the lows of trailing columns that the axis-2 pass reduces after
+the relations.
 """
 
 from __future__ import annotations

@@ -3,12 +3,14 @@
 After inverting variables, every finitely presented two-parameter module
 splits uniquely into vertical strips (born at a, killed at b along axis 1,
 free along axis 2), horizontal strips (the mirror), and free quadrants.
-`decompose` reads all three off the presentation with the one persistence
-column reduction of `localization`: the strips are the finite bars of each
-axis, the quadrants the lows of the generators against every relation.  The
-slice routes are independent: `localized_barcode` for the strips, and
-`quadrant_corners`, inclusion-exclusion over the intersections of the two
-bifiltration images in the stable corner slice, for the corners.
+`decompose` reads all three off the presentation in two passes of the one
+persistence column reduction of `localization`, over relation columns built
+once: the strips are the finite bars of each axis's pass, and the quadrants
+the lows of the generators, reduced at the end of the axis-2 pass against
+every relation.  The slice routes are independent: `localized_barcode` for
+the strips, and `quadrant_corners`, inclusion-exclusion over the
+intersections of the two bifiltration images in the stable corner slice, for
+the corners.
 
 Also here: the fiber-product dimension of the two single-axis localizations
 over the corner (detects modules the decomposition glues differently), an
