@@ -183,6 +183,7 @@ def test_decompose_canonicalizes_each_strip_family_once(monkeypatch):
     monkeypatch.undo()
     assert deco.vertical == canonical_bars(deco.vertical)
     assert deco.horizontal == canonical_bars(deco.horizontal)
+    assert list(deco.quadrants) == sorted(deco.quadrants) and all(m > 0 for _, m in deco.quadrants)
 
 
 def test_decompose_makes_two_column_reductions_and_one_rank_query(monkeypatch):
@@ -213,7 +214,6 @@ def test_decompose_makes_two_column_reductions_and_one_rank_query(monkeypatch):
     assert deco == Decomposition(
         localized_barcode(mod, 1).finite(), localized_barcode(mod, 2).finite(), quadrant_corners(mod)
     )
-    assert list(deco.quadrants) == sorted(deco.quadrants) and all(m > 0 for _, m in deco.quadrants)
 
 
 def test_finite_summands_invisible_in_quadrants():
