@@ -10,12 +10,12 @@ The order of vertices and arrows is decided once, in `_star`.
 
 On top of the conversion: endomorphism algebras by solving the commutation
 system as sparse equations, splitting searches via Fitting decompositions,
-certified indecomposability from a locality certificate of the endomorphism
-algebra (for a commutative End over F_p, Berlekamp's count of the Frobenius
-fixed space, whose elements also split an End that is not local; otherwise,
-over Q or for a non-commutative End, split locality: End = k.1 + a nilpotent
-ideal), and interval decompositions of the legs when the sink vanishes (pure
-torsion).  Products of End elements are `fields.Matrix.mul`'s row operations.
+certified indecomposability from one exact locality certificate of the
+endomorphism algebra per field (over F_p, Berlekamp's count of the Frobenius
+fixed space modulo the commutator ideal, whose elements also split an End
+that is not local; over Q, the rank of the trace form), and interval
+decompositions of the legs when the sink vanishes (pure torsion).  Products
+of End elements are `fields.Matrix.mul`'s row operations.
 """
 
 from __future__ import annotations
@@ -32,11 +32,8 @@ from .presentation import GradedPresentation
 
 # most unknowns (the sum of d_v^2) of the commutation system behind End
 _MAX_END_UNKNOWNS = 1_500
-# a non-commutative End over F_p that neither certificate nor the split
-# search decides has all its p^dim elements tried, up to these sizes
-_MAX_END_DIM = 6
-_MAX_CANDIDATES = 5 ** _MAX_END_DIM
-# seeded random combinations tried by try_split after the basis itself
+# seeded random combinations tried after the basis itself, by try_split and
+# by is_indecomposable when its certificate finds End not local
 _TRIALS = 64
 
 
@@ -371,40 +368,15 @@ def _power_vector(endo: tuple[Matrix, ...], k: int) -> list:
     return _endo_to_vector(tuple(_mat_power(x, k) for x in endo))
 
 
-def _split_local(rep: QuiverRep, vectors: list) -> bool:
-    """Certificate A: is End = k.1 + N for a nilpotent N, over any field?
-
-    N is spanned by n_i = b_i - lambda_i.1 over the basis past the identity.
-    If End is split local, lambda_i is the residue of b_i: over F_p, b_i^q
-    for q = p^s >= total_dim is that scalar (the nilpotent part dies and
-    Frobenius fixes the scalar), so a power that is not a scalar declines;
-    over Q, lambda_i = trace(b_i)/total_dim.  N is nilpotent iff the chain
-    N^{j+1} = span(N^j N) reaches 0; in a nilpotent ideal every step
-    shrinks, so a step that does not shrink declines.  Reaching 0 certifies
-    a local End: every element of N is nilpotent, so lambda.1 + n is a unit
-    for lambda != 0, and the non-units form the subspace N.  `vectors` is
-    the flat basis, identity first.
-    """
+def _nilpotent(rep: QuiverRep, rows: list) -> bool:
+    """Is the ideal N spanned by the flat End elements `rows` nilpotent, so
+    does the chain N^{j+1} = span(N^j N) reach 0?  In a nilpotent N every
+    step shrinks, so a step that does not shrink declines."""
     fld = rep.field
-    total = rep.total_dim()
-    identity = vectors[0]
-    q = fld.char
-    while q and q < total:
-        q *= fld.char
-    nilpotent = []
-    for vec in vectors[1:]:
-        if q:
-            power = _power_vector(_endo_from_vector(rep, vec), q)
-            lam = power[identity.index(fld.one)]
-            if power != fld.scale(identity, lam):
-                return False
-        else:
-            lam = sum(x for x, i in zip(vec, identity) if i) / total
-        nilpotent.append(fld.axpy(vec, fld.neg(lam), identity))
-    chain = Subspace.span(fld, len(identity), nilpotent)
-    nil_endos = [_endo_from_vector(rep, n) for n in nilpotent]
+    endos = [_endo_from_vector(rep, row) for row in rows]
+    chain = Subspace.span(fld, len(rows[0]), rows)
     while chain.dim:
-        products = (_compose(_endo_from_vector(rep, row), n) for row in chain.rows for n in nil_endos)
+        products = (_compose(_endo_from_vector(rep, row), n) for row in chain.rows for n in endos)
         step = Subspace.span(fld, chain.ambient, map(_endo_to_vector, products))
         if step.dim >= chain.dim:
             return False
@@ -412,37 +384,86 @@ def _split_local(rep: QuiverRep, vectors: list) -> bool:
     return True
 
 
-def _frobenius_fixed(rep: QuiverRep, vectors: list) -> list | None:
-    """Certificate B: the flat x = x^p in the span of `vectors[1:]`, when End is commutative over F_p.
-
-    On a commutative F_p-algebra x -> x^p is linear, and its fixed space is a
-    subalgebra F_p x ... x F_p with one factor per local factor of End (as
-    in Berlekamp's algorithm).  So End is local iff the fixed space is k.1,
-    that is iff the returned basis of the fixed elements past the identity is
-    empty; this also covers an End whose residue field is larger than F_p.
-    None when End is over Q or not commutative.
+def _commutator_ideal(rep: QuiverRep, vectors: list) -> Subspace | None:
+    """The two-sided ideal C of End generated by the commutators of the flat
+    basis `vectors` (identity first); None as soon as it holds the identity.
+    Zero commutators are skipped, so a commutative End costs its pairwise
+    products and gives C = 0.  Otherwise the span is closed under products
+    with the basis on both sides, each reduced against the ideal built so far.
     """
     fld = rep.field
-    if not fld.char:
-        return None
     rest = [_endo_from_vector(rep, v) for v in vectors[1:]]
-    if any(_compose(a, b) != _compose(b, a) for a, b in itertools.combinations(rest, 2)):
+    products = ((_compose(a, b), _compose(b, a)) for a, b in itertools.combinations(rest, 2))
+    queue = [fld.axpy(_endo_to_vector(ab), -1, _endo_to_vector(ba)) for ab, ba in products if ab != ba]
+    ideal = Subspace.span(fld, len(vectors[0]), [])
+    while queue:
+        vec = ideal.reduce(queue.pop())
+        if any(vec):
+            ideal = Subspace.span(fld, ideal.ambient, [*ideal.rows, vec])
+            if ideal.contains_vector(vectors[0]):
+                return None
+            x = _endo_from_vector(rep, vec)
+            queue += (_endo_to_vector(_compose(*pair)) for b in rest for pair in ((b, x), (x, b)))
+    return ideal
+
+
+def _split_local(rep: QuiverRep, vectors: list) -> bool:
+    """Certificate over Q: is End = Q.1 + J, with J its radical?
+
+    By Dickson's criterion, in characteristic 0 the radical of the trace form
+    tr_V(xy) on End is J, so End = Q.1 + J iff the Gram matrix
+    G_ij = tr(b_i b_j) of the flat basis `vectors` has rank 1.  Then End is
+    local: every element of J is nilpotent, so lambda.1 + j is a unit for
+    lambda != 0.  tr(XY) is the sum over vertex blocks of X[r][c] Y[c][r],
+    read off the flat vectors through each block's transpose index, so no
+    End product is formed.
+    """
+    fld = rep.field
+    offsets = itertools.accumulate((d * d for d in rep.dims), initial=0)
+    transpose = [off + c * d + r for d, off in zip(rep.dims, offsets) for r in range(d) for c in range(d)]
+    gram = [[sum((a * y[t] for a, t in zip(x, transpose) if a != 0), fld.zero) for y in vectors] for x in vectors]
+    return Matrix(fld, len(vectors), len(vectors), tuple(map(tuple, gram))).rank() == 1
+
+
+def _frobenius_fixed(rep: QuiverRep, vectors: list) -> list | None:
+    """Certificate over F_p: the elements outside C + k.1 of a basis of the
+    flat x in the span of `vectors[1:]` with x^p - x in the commutator ideal
+    C; None when C is not nilpotent, so End is not local.
+
+    A finite division ring is a field (Wedderburn), so a local End has a
+    commutative End/J and C lies in J; conversely C in J gives
+    End/J = (End/C)/(J/C).  So End is local iff C is nilpotent and End/C is
+    local.  On the commutative End/C, x -> x^p is linear, and its fixed space
+    is F_p x ... x F_p with one factor per local factor (as in Berlekamp's
+    algorithm).  So End is local iff the returned list is empty; this also
+    covers a residue field larger than F_p.  For a commutative End, C = 0 and
+    the list is a basis of the fixed elements past the identity.
+    """
+    fld = rep.field
+    ideal = _commutator_ideal(rep, vectors)
+    if ideal is None or ideal.dim and not _nilpotent(rep, ideal.rows):
         return None
-    moved = [fld.axpy(_power_vector(b, fld.char), -1, vec) for b, vec in zip(rest, vectors[1:])]
-    kernel = Matrix.from_cols(fld, len(vectors[0]), moved).kernel()
-    return [_combine(fld, row, vectors[1:]) for row in kernel.rows]
+    moved = (fld.axpy(_power_vector(_endo_from_vector(rep, v), fld.char), -1, v) for v in vectors[1:])
+    kernel = Matrix.from_cols(fld, len(vectors[0]), map(ideal.reduce, moved)).kernel()
+    scalars = Subspace.span(fld, ideal.ambient, [*ideal.rows, vectors[0]])
+    fixed = (_combine(fld, row, vectors[1:]) for row in kernel.rows)
+    return [x for x in fixed if not scalars.contains_vector(x)]
 
 
 def _fixed_split(rep: QuiverRep, one: list, x: list) -> tuple[QuiverRep, QuiverRep]:
-    """A Fitting decomposition along a polynomial in a non-scalar x = x^p over
-    F_p, given with the identity `one` as flat vectors.
+    """A Fitting decomposition along a polynomial in an element x of
+    `_frobenius_fixed`, given with the identity `one` as flat vectors.
 
-    x acts on each of its eigenspaces by its own scalar of F_p, and has at
-    least two of them.  Over F_2, x is an idempotent other than 0 and 1.
-    Otherwise (x + c)^((p-1)/2) - 1 kills the eigenspaces whose eigenvalue
-    plus c is a nonzero square and is invertible on the rest; as c runs over
-    F_p this separates any two eigenvalues (the nonzero squares are not
-    invariant under a nonzero shift), so some c splits rep.
+    x^p - x lies in the nilpotent ideal C, so it is nilpotent and every
+    eigenvalue of x lies in F_p.  x has at least two of them: were c the
+    only one, x - c would be nilpotent and fixed mod C, so
+    x - c = (x - c)^(p^k) mod C would lie in C, but x is outside C + k.1.
+    Over F_2 the Fitting decomposition along x separates the eigenvalues 0
+    and 1.  Otherwise (x + c)^((p-1)/2) - 1 is nilpotent on the generalized
+    eigenspaces whose eigenvalue plus c is a nonzero square and invertible
+    on the rest; as c runs over F_p this separates any two eigenvalues (the
+    nonzero squares are not invariant under a nonzero shift), so some c
+    splits rep.
     """
     fld = rep.field
     if fld.char == 2:
@@ -454,24 +475,6 @@ def _fixed_split(rep: QuiverRep, one: list, x: list) -> tuple[QuiverRep, QuiverR
             yield _endo_from_vector(rep, fld.axpy(power, -1, one))
 
     return _first_split(rep, shifts())
-
-
-def _idempotent_split(rep: QuiverRep, vectors: list) -> tuple[QuiverRep, QuiverRep] | None:
-    """The split along the first idempotent of End other than 0 and 1, trying
-    all p^dim combinations of the flat basis in coefficient order; None when
-    there is none."""
-    fld = rep.field
-    for coeffs in itertools.product(range(fld.char), repeat=len(vectors)):
-        vec = _combine(fld, coeffs, vectors)
-        if vec == vectors[0] or not any(vec):
-            continue
-        endo = _endo_from_vector(rep, vec)
-        if all(x.mul(x) == x for x in endo):
-            split = _split_along(rep, endo)
-            if split is None:
-                raise DecompositionError("nontrivial idempotent produced a trivial splitting")
-            return split
-    return None
 
 
 class IndecResult(Record):
@@ -492,15 +495,13 @@ def is_indecomposable(rep: QuiverRep) -> IndecResult:
     for a Fitting splitting, an element's per-vertex matrices built only when
     the search reaches it, and "no" comes with the verified splitting.  Then
     "yes" is certified when End is local, so has no idempotents but 0 and 1,
-    by the one certificate that decides it: for a commutative End over F_p,
-    `_frobenius_fixed`, which is empty exactly when End is local; otherwise
-    (over Q, or End not commutative) `_split_local`.  A non-empty fixed
-    space proves End is not local, so `_split_local`, which only certifies a
-    local End, never runs on it.  Failing a certificate, the search goes on
-    through the seeded `_trials`.  A commutative End over F_p that is not
-    local is then split by `_fixed_split`; a non-commutative one has all its
-    p^dim elements tried when its dimension is at most `_MAX_END_DIM` and
-    p^dim at most `_MAX_CANDIDATES`.  What is left is "unknown".
+    by the field's one exact certificate: `_frobenius_fixed` over F_p, which
+    is empty exactly when End is local, and the trace form's rank over Q
+    (`_split_local`), which is 1 exactly when End = Q.1 + J.  Failing it, the
+    seeded `_trials` are tried, and over F_p then `_fixed_split` along the
+    first fixed element, which always splits.  What is left is "unknown":
+    over Q an End/J larger than Q, over F_p a commutator ideal that is not
+    nilpotent.
     """
     vectors = _end_vectors(rep)
     dim = len(vectors)
@@ -509,20 +510,16 @@ def is_indecomposable(rep: QuiverRep) -> IndecResult:
     split = _first_split(rep, (_endo_from_vector(rep, v) for v in vectors[1:]))
     if split is not None:
         return IndecResult("no", dim, split)
-    fixed = _frobenius_fixed(rep, vectors)
-    if fixed == []:  # commutative over F_p, and local
-        return IndecResult("yes", dim)
-    if fixed is None and _split_local(rep, vectors):
+    if rep.field.char:
+        fixed = _frobenius_fixed(rep, vectors)
+        local = fixed == []
+    else:
+        fixed, local = None, _split_local(rep, vectors)
+    if local:
         return IndecResult("yes", dim)
     split = _first_split(rep, _trials(rep, vectors))
     if split is None and fixed:
         split = _fixed_split(rep, vectors[0], fixed[0])
-    fld = rep.field
-    if split is None and fld.char and dim <= _MAX_END_DIM and fld.char**dim <= _MAX_CANDIDATES:
-        # only a non-commutative End gets here: a commutative one was split
-        split = _idempotent_split(rep, vectors)
-        if split is None:
-            return IndecResult("yes", dim)
     return IndecResult("unknown", dim) if split is None else IndecResult("no", dim, split)
 
 

@@ -414,7 +414,7 @@ def test_split_legs_on_sink_zero_module(capsys, tmp_path):
 
 def test_indec_over_a_large_prime_is_bounded(capsys, tmp_path):
     # End of the level-3 tube is k[N]/(N^3): 101^3 elements over F_101, too many to
-    # enumerate; the split-local certificate reads off that End is local
+    # enumerate; Berlekamp's count of the Frobenius fixed space reads off that End is local
     f = tmp_path / "tube.json"
     f.write_text(modfile.canonical_json(modfile.rep_to_obj(_tube(101, 3))))
     start = time.perf_counter()

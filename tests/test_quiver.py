@@ -4,9 +4,12 @@ endomorphism_basis is cross-checked by brute-force enumeration of all
 vertex-wise matrix tuples over F_2 on tiny representations, and its sparse
 solve against the commutation system written as one dense matrix;
 indecomposability verdicts are checked on knowns from both sides (certified
-yes on the rank-two example, witnessed no on direct sums), against the
-enumeration of all p^dim elements of End wherever that is feasible, and
-every yes against the Tits form of its dimension vector.
+yes on the rank-two example, witnessed no on direct sums), against an
+independent enumeration of all p^dim elements of End wherever that is
+feasible, and every yes against the Tits form of its dimension vector.  The
+locality certificates (the commutator ideal and Frobenius fixed space over
+F_p, the trace form over Q) are pinned on tubes, on a non-commutative End
+and on an End whose commutator ideal holds the identity.
 """
 
 import itertools
@@ -466,8 +469,8 @@ def test_split_search_skips_the_identity(monkeypatch):
 
 def _eager_decision(rep):
     """The verdict, endo_dim and witness from the whole basis built up front:
-    the split search along `basis[1:]`, then the two certificates; None when
-    neither decides."""
+    the split search along `basis[1:]`, then the field's certificate; None
+    when neither decides."""
     basis = endomorphism_basis(rep)
     vectors = [_endo_to_vector(b) for b in basis]
     if len(basis) <= 1:
@@ -475,7 +478,7 @@ def _eager_decision(rep):
     split = quiver._first_split(rep, basis[1:])
     if split is not None:
         return "no", len(basis), split
-    if _split_local(rep, vectors) or _frobenius_fixed(rep, vectors) == []:
+    if _frobenius_fixed(rep, vectors) == [] if rep.field.char else _split_local(rep, vectors):
         return "yes", len(basis), None
     return None
 
@@ -570,17 +573,32 @@ F25_TUBE = _tube_on(F5, [[0, 2], [1, 0]])  # companion matrix of t^2 - 2: End = 
 
 
 def test_split_local_runs_only_where_the_frobenius_count_cannot_decide(monkeypatch):
-    # a commutative End over F_p is decided by its Frobenius fixed space
-    # alone; split locality is asked only over Q or for a non-commutative End
-    calls = []
-    real = quiver._split_local
-    monkeypatch.setattr(quiver, "_split_local", lambda rep, vectors: calls.append(rep) or real(rep, vectors))
-    for rep in (_tube(5, 3), _tube(2, 3), _tube(7, 2), F25_TUBE):
-        assert is_indecomposable(rep).verdict == "yes"
-    assert calls == []
+    # over F_p the Frobenius fixed space mod the commutator ideal decides, for
+    # a commutative End or not; the trace form runs only over Q, and alone
+    calls = {"_split_local": [], "_frobenius_fixed": []}
+    for name in calls:
+        real = getattr(quiver, name)
+        spy = lambda rep, vectors, name=name, real=real: calls[name].append(rep) or real(rep, vectors)
+        monkeypatch.setattr(quiver, name, spy)
+    f_p = [_tube(5, 3), _tube(2, 3), _tube(7, 2), F25_TUBE, random_rep(81, fld=F5)]
+    for rep in f_p:
+        is_indecomposable(rep)
+    assert calls == {"_split_local": [], "_frobenius_fixed": f_p}
     rep = _tube(0, 2)
     assert is_indecomposable(rep).verdict == "yes"
-    assert calls == [rep]
+    assert calls == {"_split_local": [rep], "_frobenius_fixed": f_p}
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_trace_form_certifies_a_q_tube_with_no_end_product(level, monkeypatch):
+    # the Gram matrix tr(b_i b_j) is read off the flat basis through the
+    # transpose index; End = Q[N]/(N^L) is Q.1 + J, so it has rank 1
+    products = []
+    real = quiver._compose
+    monkeypatch.setattr(quiver, "_compose", lambda a, b: products.append(a) or real(a, b))
+    rep = _tube(0, level)
+    assert _split_local(rep, _end_vectors(rep))
+    assert (is_indecomposable(rep).verdict, products) == ("yes", [])
 
 
 @pytest.mark.parametrize(
@@ -642,27 +660,49 @@ def test_fixed_split_separates_the_eigenspaces_of_a_frobenius_fixed_element(fld)
             assert min(kernel.total_dim(), image.total_dim()) > 0
 
 
-def test_non_commutative_end_past_the_search_has_its_idempotents_enumerated(monkeypatch):
-    # End of dimension 3 over F_5 that is not commutative and not split
-    # local; with no trials left, the p^dim enumeration still finds the split
+def test_non_commutative_end_past_the_search_is_split_off_its_frobenius_fixed_space(monkeypatch):
+    # End of dimension 3 over F_5 that is not commutative: its commutator
+    # ideal C is nonzero and nilpotent, and End/C is not local, so the fixed
+    # space mod C has an element outside C + k.1; with no trials left, that
+    # element splits rep
     rep = random_rep(81, fld=F5)
     basis, vectors = endomorphism_basis(rep), _end_vectors(rep)
     assert len(basis) == 3
+    assert quiver._compose(basis[1], basis[2]) != quiver._compose(basis[2], basis[1])
+    ideal = quiver._commutator_ideal(rep, vectors)
+    assert ideal.dim and quiver._nilpotent(rep, ideal.rows)
     assert quiver._first_split(rep, basis[1:]) is None
-    assert not _split_local(rep, vectors)
-    assert _frobenius_fixed(rep, vectors) is None
+    fixed = _frobenius_fixed(rep, vectors)
+    assert fixed
     monkeypatch.setattr(quiver, "_TRIALS", 0)
     res = is_indecomposable(rep)
     assert res.verdict == _idempotent_oracle(rep) == "no"
-    assert res.witness == quiver._idempotent_split(rep, vectors)
+    assert res.witness == quiver._fixed_split(rep, vectors[0], fixed[0])
+
+
+def test_commutator_ideal_holding_the_identity_declines_the_certificate():
+    # End of R + R for a brick R is the matrix algebra M_2(F_5): its
+    # commutators generate all of it, so C holds the identity and is not
+    # nilpotent, and End is not local; the split search still finds a witness
+    brick = random_rep(6, n=1, max_dim=2, fld=F5)
+    assert len(endomorphism_basis(brick)) == 1 and brick.total_dim()
+    rep = brick.direct_sum(brick)
+    vectors = _end_vectors(rep)
+    assert len(vectors) == 4
+    assert quiver._commutator_ideal(rep, vectors) is None
+    assert _frobenius_fixed(rep, vectors) is None
+    res = is_indecomposable(rep)
+    assert res.verdict == "no"
+    kernel, image = res.witness
+    assert [a + b for a, b in zip(kernel.dims, image.dims)] == list(rep.dims)
+    assert min(kernel.total_dim(), image.total_dim()) > 0
 
 
 def test_non_split_local_end_is_certified_by_frobenius():
-    # End = F_25 has residue field F_25, not F_5: the split-local certificate
-    # declines and Berlekamp's count certifies
+    # End = F_25 has residue field F_25, not F_5, and Berlekamp's count
+    # certifies it: the fixed space of x -> x^p is F_5.1
     vectors = _end_vectors(F25_TUBE)
     assert len(vectors) == 2
-    assert not _split_local(F25_TUBE, vectors)
     assert _frobenius_fixed(F25_TUBE, vectors) == []
     assert is_indecomposable(F25_TUBE).verdict == "yes"
 
