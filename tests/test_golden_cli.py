@@ -31,11 +31,13 @@ from persloc.quiver import QuiverRep, random_rep
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
-# module files written by the CLI itself before the pinned invocations run
+# module and complex files written by the CLI itself before the pinned
+# invocations run; a `support` envelope is read back as a complex file
 GENERATED = {
     "rand2.json": "random --seeds 3,4 --params m=2,max_gens=6,max_rels=9,max_degree=5",
     "rand2q.json": "random --seeds 5 --params m=2,max_gens=5,max_rels=8,max_degree=4 --char 0",
     "rand3.json": "random --seeds 2 --params m=3,max_gens=4,max_rels=5,max_degree=2",
+    "supp_m.json": "support samerank_m",
 }
 
 
@@ -143,6 +145,7 @@ def _invocations() -> list[str]:
     for k in _COMPLEXES:
         out += [f"face-ring {k}", f"face-ring {k} --all-missing", f"simples {k}",
                 f"kdim {k}", f"serre-step {k}", f"serre-step {k} --iterate"]
+    out.append("in-kernel samerank_m supp_m.json")
     out += [
         "random --seed 7 --params m=2,max_gens=4",
         "random --seeds 1,2,3 --params m=3,max_gens=3,max_degree=3 --shift 1,0,2",
@@ -472,6 +475,7 @@ GOLDEN: dict[str, str] = {
     'kdim skeleton:4:-1': '0:eece41e360d5d35f45b30c6444a3b1114b4af734e2dca752cb6cfc0d674954b9',
     'serre-step skeleton:4:-1': '0:5989596f7a037a860e850f0b838fc303d957559cc610a7d5eae922a5e7b316b9',
     'serre-step skeleton:4:-1 --iterate': '0:3b8e569045f47ce9e9bb76a2e6ec987c56de5c43509e8c7eac03b02a798c8f7a',
+    'in-kernel samerank_m supp_m.json': '0:5478020172cfc0bcac5a6964a1d8d891c2df81a241989cd779692bcfa21cecad',
     'random --seed 7 --params m=2,max_gens=4': '0:eedbbf68648fd238e9c60b81b552296c9a9ee4c41482cd87cec8e849b0488794',
     'random --seeds 1,2,3 --params m=3,max_gens=3,max_degree=3 --shift 1,0,2': '0:58058e26bca161f2dbd017656acfb8703b506e388f9ea0886c831adbedfbe746',
     'random --seed 11 --char 0': '0:e174f62c4c426616ec5afa71dc4c5aa3f7a046153509f140ca04c26911de92da',
