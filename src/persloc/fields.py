@@ -16,14 +16,15 @@ keeps it so.
 
 Both row reductions of the package live here, and no other module calls
 them.  The dense `_rref`, built on the row operations `Field.axpy` and
-`Field.scale`, gives ranks, `Matrix.kernel`, `solve` and `Subspace.span`, and
+`Field.scale`, gives ranks, `Matrix.kernel` and `Subspace.span`, and
 `Subspace` is the one type that holds its output.  Dense products are row
 operations too: `Matrix.mul` builds each row of a product as a combination of
 the right factor's rows by `Field.axpy`, skipping zero coefficients.  The
-sparse `_store_low` (Zomorodian-Carlsson 2005) gives `column_lows` and
-`sparse_kernel`; it reduces a {column: entry} dict in place, writing each
-entry as it is computed and deleting one that becomes zero, so a stored row
-keeps its keys in the order they were first seen.
+sparse `_store_low` (Zomorodian-Carlsson 2005) gives `column_lows`, and every
+linear system: `sparse_kernel` and `solve`, which share one back-substitution
+pass over the stored lows.  It reduces a {column: entry} dict in place,
+writing each entry as it is computed and deleting one that becomes zero, so a
+stored row keeps its keys in the order they were first seen.
 """
 
 from __future__ import annotations
@@ -247,6 +248,18 @@ def column_lows(fld: Field, born: Sequence[int], columns: Iterable[Iterable]) ->
         yield None if low is None else born[low]
 
 
+def _solve_lows(field: Field, stored: dict, value: dict) -> dict:
+    """Extend `value`, {column: {seed: coefficient}}, to every stored low in one
+    increasing pass, solving each stored row; a column with no value is 0."""
+    for low in sorted(stored):
+        acc: dict = {}
+        for k, y in stored[low].items():
+            for f, x in value.get(k, {}).items():  # k == low has no value yet
+                acc[f] = acc.get(f, 0) + y * x
+        value[low] = {f: c for f, x in acc.items() if (c := field.neg(x)) != 0}
+    return value
+
+
 def sparse_kernel(field: Field, ncols: int, equations: Iterable[dict]) -> "Subspace":
     """Right kernel in F^ncols of sparse equations ({column: nonzero entry}),
     each reduced in place.
@@ -254,26 +267,37 @@ def sparse_kernel(field: Field, ncols: int, equations: Iterable[dict]) -> "Subsp
     A free column f, no stored row's low, gives the vector with 1 at f, 0 at
     the other free columns and the stored lows solved: it vanishes before f,
     so these vectors are the canonical basis as they stand.  All of them are
-    solved in one increasing pass over the stored lows, each column's value
-    held as a sparse {free column: coefficient} combination, and only then
-    written out as dense rows.
+    solved in one pass, `_solve_lows`, each column's value held as a sparse
+    {free column: coefficient} combination, and only then written out as
+    dense rows.
     """
     stored: dict = {}
     for eq in equations:
         _store_low(field, stored, eq)
     free = [f for f in range(ncols) if f not in stored]
-    value = {f: {f: field.one} for f in free}
-    for low in sorted(stored):
-        acc: dict = {}
-        for k, y in stored[low].items():
-            for f, x in value.get(k, {}).items():  # k == low has no value yet
-                acc[f] = acc.get(f, 0) + y * x
-        value[low] = {f: c for f, x in acc.items() if (c := field.neg(x)) != 0}
+    value = _solve_lows(field, stored, {f: {f: field.one} for f in free})
     rows = {f: [field.zero] * ncols for f in free}
     for col, combo in value.items():
         for f, x in combo.items():
             rows[f][col] = x
     return Subspace(field, ncols, tuple(map(tuple, rows.values())), tuple(free))
+
+
+def solve(field: Field, ncols: int, equations: Iterable[dict]) -> tuple | None:
+    """One solution in F^ncols of sparse equations ({column: nonzero entry},
+    the right-hand side at column ncols) with the free variables 0, or None.
+
+    Column j is reduced as ncols - j, so the stored lows are the pivots of
+    the dense reduced echelon form of [A | b], the right-hand side's a low
+    exactly when there is no solution.  Only that column is back-substituted.
+    """
+    stored: dict = {}
+    for eq in equations:
+        _store_low(field, stored, {ncols - c: x for c, x in eq.items()})
+    if 0 in stored:
+        return None
+    value = _solve_lows(field, stored, {0: {0: field.neg(field.one)}})
+    return tuple(value.get(ncols - j, {}).get(0, field.zero) for j in range(ncols))
 
 
 class Matrix(Record):
@@ -382,19 +406,6 @@ class Matrix(Record):
     def image(self) -> "Subspace":
         """Column span as a canonical subspace of F^nrows."""
         return Subspace.span(self.field, self.nrows, zip(*self.entries))
-
-
-def solve(field: Field, rows, rhs, ncols: int) -> tuple | None:
-    """One solution x of rows . x = rhs, free variables 0, read off the
-    reduced augmented rows; None when their last pivot is the rhs column."""
-    aug = [[*r, b] for r, b in zip(rows, rhs)]
-    aug, pivots = _rref(field, aug, ncols + 1)
-    if pivots and pivots[-1] == ncols:
-        return None
-    sol = [field.zero] * ncols
-    for r, pc in enumerate(pivots):
-        sol[pc] = aug[r][ncols]
-    return tuple(sol)
 
 
 class Subspace(Record):

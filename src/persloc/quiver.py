@@ -32,8 +32,8 @@ from .presentation import GradedPresentation
 
 # most unknowns (the sum of d_v^2) of the commutation system behind End
 _MAX_END_UNKNOWNS = 1_500
-# seeded random combinations tried after the basis itself, by try_split and
-# by is_indecomposable when its certificate finds End not local
+# seeded random combinations tried by is_indecomposable when its certificate
+# finds End not local and gives no element to split along
 _TRIALS = 64
 
 
@@ -333,7 +333,8 @@ def _first_split(rep: QuiverRep, endos) -> tuple[QuiverRep, QuiverRep] | None:
 
 
 def _trials(rep: QuiverRep, vectors: list):
-    """`_TRIALS` seeded random combinations of the whole flat basis, drawn one at a time."""
+    """`_TRIALS` seeded random combinations of the whole flat basis, drawn one
+    at a time: the last search, where no Frobenius fixed element exists."""
     fld = rep.field
     rng = random.Random(("split", 0, rep.total_dim(), fld.char).__repr__())
     for _ in range(_TRIALS):
@@ -345,18 +346,12 @@ def _trials(rep: QuiverRep, vectors: list):
 
 
 def try_split(rep: QuiverRep, basis: list[tuple[Matrix, ...]]) -> tuple[QuiverRep, QuiverRep] | None:
-    """Search for a direct-sum splitting via Fitting decompositions.
-
-    `basis` is `endomorphism_basis(rep)`.  Its elements after the identity
-    `basis[0]` are tried first, then the seeded `_trials`; the search stops
-    at the first split.  Returns (generalized kernel, generalized image) or
-    None if everything tried was nilpotent or invertible.  A basis of length
-    at most 1 spans only scalars, none of which splits, so it returns None at
-    once.
+    """The Fitting decomposition along the first element of
+    `endomorphism_basis(rep)` past the identity `basis[0]` that splits rep:
+    (generalized kernel, generalized image), or None when each is nilpotent
+    or invertible.  This is the first pass of `is_indecomposable`.
     """
-    if len(basis) <= 1:
-        return None
-    return _first_split(rep, basis[1:]) or _first_split(rep, _trials(rep, list(map(_endo_to_vector, basis))))
+    return _first_split(rep, basis[1:])
 
 
 def _compose(a: tuple[Matrix, ...], b: tuple[Matrix, ...]) -> tuple[Matrix, ...]:
@@ -497,11 +492,11 @@ def is_indecomposable(rep: QuiverRep) -> IndecResult:
     "yes" is certified when End is local, so has no idempotents but 0 and 1,
     by the field's one exact certificate: `_frobenius_fixed` over F_p, which
     is empty exactly when End is local, and the trace form's rank over Q
-    (`_split_local`), which is 1 exactly when End = Q.1 + J.  Failing it, the
-    seeded `_trials` are tried, and over F_p then `_fixed_split` along the
-    first fixed element, which always splits.  What is left is "unknown":
-    over Q an End/J larger than Q, over F_p a commutator ideal that is not
-    nilpotent.
+    (`_split_local`), which is 1 exactly when End = Q.1 + J.  Failing it
+    over F_p with fixed elements, `_fixed_split` along the first one always
+    splits.  Only where there is none, over Q or over F_p with a commutator
+    ideal that is not nilpotent, are the seeded `_trials` tried, and what
+    they leave is "unknown".
     """
     vectors = _end_vectors(rep)
     dim = len(vectors)
@@ -517,9 +512,7 @@ def is_indecomposable(rep: QuiverRep) -> IndecResult:
         fixed, local = None, _split_local(rep, vectors)
     if local:
         return IndecResult("yes", dim)
-    split = _first_split(rep, _trials(rep, vectors))
-    if split is None and fixed:
-        split = _fixed_split(rep, vectors[0], fixed[0])
+    split = _fixed_split(rep, vectors[0], fixed[0]) if fixed else _first_split(rep, _trials(rep, vectors))
     return IndecResult("unknown", dim) if split is None else IndecResult("no", dim, split)
 
 

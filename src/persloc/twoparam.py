@@ -15,7 +15,8 @@ the corners.
 Also here: the fiber-product dimension of the two single-axis localizations
 over the corner (detects modules the decomposition glues differently), an
 intersection refinement of the rank invariant, and a solver deciding whether
-a localized epimorphism admits a compatible pair of sections.
+a localized epimorphism admits a compatible pair of sections, from sparse
+linear equations solved by `fields.solve`.
 """
 
 from __future__ import annotations
@@ -284,10 +285,11 @@ def section_exists(f: PresentationMap) -> SectionResult:
     stabilized slice of the source, per axis localization, subject to: target
     relations map to zero (the assignment is a module map), the two
     assignments agree in the corner localization, and composing with f gives
-    the identity.  All three are finite linear conditions.  Each axis's
-    conditions (i) and (iii) form a system A1, A2 over that axis's unknowns,
-    solved alone for the axis flags; the full system is [A1 0; 0 A2] plus
-    the corner rows [C1 | -C2].  A witness is checked against the three
+    the identity.  All three are finite linear conditions, written once as
+    sparse equations over one column space, the axis-1 unknowns and then the
+    axis-2 unknowns.  Each axis's conditions (i) and (iii) are solved alone
+    for the axis flags, and together with the corner conditions (ii) for the
+    witness, all by `fields.solve`.  A witness is checked against the three
     conditions before it is returned.
     """
     src, tgt = f.source, f.target
@@ -302,72 +304,59 @@ def section_exists(f: PresentationMap) -> SectionResult:
         )
     e = dg.join(src.stabilization_bound(), tgt.stabilization_bound())
     gen_deg = tgt.gen_degrees
-    zero = fld.zero
+    g = len(gen_deg)
+    # axis 1 inverts the axis-2 variable and vice versa; unknown a*g + k is
+    # the image of generator k on axis a + 1, a vector of the source slice
+    pins = (lambda d: (d[0], e[1]), lambda d: (e[0], d[1]))
+    slices = tuple(pin(d) for pin in pins for d in gen_deg)
+    cols = list(accumulate((src.dim_at(s) for s in slices), initial=0))
+    width = cols[-1]
 
-    def block_row(widths, height: int, terms) -> list[list]:
-        """Rows of height `height` over unknowns of the given widths, holding
-        coeff * mat at the columns of unknown k for each (k, coeff, mat)."""
-        cols = list(accumulate(widths, initial=0))
-        rows = [[zero] * cols[-1] for _ in range(height)]
+    def equations(terms, rhs) -> list[dict]:
+        """Row by row, the sum of coeff * mat . x_k over (k, coeff, mat) in
+        terms equals rhs, as {column: nonzero entry} with rhs at `width`."""
+        eqs = [{width: b} if b != 0 else {} for b in rhs]
         for k, coeff, mat in terms:
-            for row, mat_row in zip(rows, mat.entries):
-                row[cols[k] : cols[k + 1]] = fld.scale(mat_row, coeff)
-        return rows
+            for eq, row in zip(eqs, mat.entries):
+                eq.update((cols[k] + c, x) for c, x in enumerate(fld.scale(row, coeff)) if x != 0)
+        return eqs
 
-    def axis_system(pin) -> tuple[tuple, list[int], list[list], list]:
-        """Conditions (i) and (iii) over one axis's unknowns: per target
-        generator of degree d, one vector of the source slice at pin(d)."""
-        slices = tuple(map(pin, gen_deg))
-        widths = [src.dim_at(s) for s in slices]
-        rows: list[list] = []
+    axes = []
+    for a, pin in enumerate(pins):
+        eqs = []
         # (i) target relations map to zero
         for j, rd in enumerate(tgt.rel_degrees):
             at = pin(rd)
             terms = [
-                (k, coeff, src.transition(slices[k], at))
+                (a * g + k, coeff, src.transition(slices[a * g + k], at))
                 for k, coeff in enumerate(tgt.rel_coeffs.col(j))
                 if coeff != 0
             ]
-            rows += block_row(widths, src.dim_at(at), terms)
-        rhs = [zero] * len(rows)
+            eqs += equations(terms, [fld.zero] * src.dim_at(at))
         # (iii) composing with f returns each generator
-        for k, at in enumerate(slices):
-            fm = f.slice_matrix(at)
-            rows += block_row(widths, fm.nrows, [(k, 1, fm)])
-            rhs += tgt._slice_coords(at, [(k, fld.one)])
-        return slices, widths, rows, rhs
-
-    # axis 1 inverts the axis-2 variable and vice versa
-    slices1, n1, rows1, rhs1 = axis_system(lambda d: (d[0], e[1]))
-    slices2, n2, rows2, rhs2 = axis_system(lambda d: (e[0], d[1]))
-    # (ii) the two assignments agree in the corner localization: [C1 | -C2]
-    g = len(gen_deg)
-    compat: list[list] = []
+        for k in range(g):
+            at = slices[a * g + k]
+            eqs += equations([(a * g + k, 1, f.slice_matrix(at))], tgt._slice_coords(at, [(k, fld.one)]))
+        axes.append(eqs)
+    corner = []  # (ii) the two assignments agree in the corner localization
     for k in range(g):
-        terms = [(k, 1, src.transition(slices1[k], e)), (g + k, -1, src.transition(slices2[k], e))]
-        compat += block_row(n1 + n2, src.dim_at(e), terms)
-    w1, w2 = sum(n1), sum(n2)
-    full = solve(
-        fld,
-        [r + [zero] * w2 for r in rows1] + [[zero] * w1 + r for r in rows2] + compat,
-        rhs1 + rhs2 + [zero] * len(compat),
-        w1 + w2,
-    )
+        terms = [(k, 1, src.transition(slices[k], e)), (g + k, -1, src.transition(slices[g + k], e))]
+        corner += equations(terms, [fld.zero] * src.dim_at(e))
+    full = solve(fld, width, [*axes[0], *axes[1], *corner])
     witness = None
     if full is not None:
-        cuts = list(accumulate(n1 + n2, initial=0))
-        vectors = tuple(tuple(full[a:b]) for a, b in zip(cuts, cuts[1:]))
+        vectors = tuple(full[a:b] for a, b in zip(cols, cols[1:]))
         witness = SectionWitness(
             degrees=gen_deg,
-            axis1_slices=slices1,
-            axis2_slices=slices2,
+            axis1_slices=slices[:g],
+            axis2_slices=slices[g:],
             axis1_vectors=vectors[:g],
             axis2_vectors=vectors[g:],
         )
         _check_section(f, witness, e)
     return SectionResult(
         exists=full is not None,
-        axis1_solvable=solve(fld, rows1, rhs1, w1) is not None,
-        axis2_solvable=solve(fld, rows2, rhs2, w2) is not None,
+        axis1_solvable=solve(fld, width, axes[0]) is not None,
+        axis2_solvable=solve(fld, width, axes[1]) is not None,
         witness=witness,
     )

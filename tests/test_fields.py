@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from persloc.degrees import leq
 from persloc import fields
-from persloc.fields import DEFAULT_FIELD, Field, Matrix, Subspace, _is_prime, _rref, sparse_kernel
+from persloc.fields import DEFAULT_FIELD, Field, Matrix, Subspace, _is_prime, _rref, solve, sparse_kernel
 from persloc.presentation import GradedPresentation, PresentationMap, random_presentation
 from persloc.quiver import endomorphism_basis, is_indecomposable, random_rep
 
@@ -272,6 +272,35 @@ def test_sparse_kernel_solves_wide_systems_with_many_free_columns(case):
     kernel = sparse_kernel(fld, ncols, [{j: x for j, x in enumerate(eq) if x != 0} for eq in equations])
     assert kernel == dense
     assert kernel.dim == ncols - len(rows)
+
+
+@pytest.mark.parametrize("fld", [F2, F5, F101, Q])
+def test_solve_sets_the_free_variables_to_zero(fld):
+    # A of drawn rank, b in its column space about half the time: x solves
+    # A x = b and is 0 off the pivots of A's row space, and None comes back
+    # exactly when b raises the rank
+    rng = random.Random(("solve", fld.char).__repr__())
+    outcomes = set()
+    for _ in range(200):
+        nrows, ncols = rng.randint(0, 6), rng.randint(1, 7)
+        rank = rng.randint(0, min(nrows, ncols))
+        a = rand_matrix(rng, fld, nrows, rank).mul(rand_matrix(rng, fld, rank, ncols))
+        if rng.random() < 0.5:
+            b = a.apply(rand_matrix(rng, fld, 1, ncols).entries[0])
+        else:
+            b = rand_matrix(rng, fld, 1, nrows).entries[0] if nrows else ()
+        equations = [
+            {j: x for j, x in enumerate((*row, y)) if x != 0} for row, y in zip(a.entries, b)
+        ]
+        x = solve(fld, ncols, equations)
+        augmented = Matrix(fld, nrows, ncols + 1, tuple((*row, y) for row, y in zip(a.entries, b)))
+        assert (x is None) == (a.rank() < augmented.rank())
+        outcomes.add(x is None)
+        if x is not None:
+            assert a.apply(x) == b
+            pivots = Subspace.span(fld, ncols, a.entries).pivots
+            assert all(x[j] == 0 for j in range(ncols) if j not in pivots)
+    assert outcomes == {True, False}
 
 
 @st.composite

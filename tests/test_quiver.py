@@ -621,20 +621,33 @@ def test_verdicts_match_the_idempotent_enumeration(seed, n, max_dim, fld, sink_z
     _check_against_oracles(random_rep(seed, n=n, max_dim=max_dim, sink_zero=sink_zero, fld=fld))
 
 
-@pytest.mark.parametrize("seed, n", [(14, 1), (38, 1), (166, 2), (268, 2), (282, 3)])
+# F_101 reps whose commutative End splits, at no basis element and at none of
+# the seeded trials: (seed, n) of random_rep with max_dim 3 at n = 1, else 2
+_TRIALS_MISS = [(14, 1), (38, 1), (166, 2), (268, 2), (282, 3)]
+
+
+def _trials_miss_rep(seed: int, n: int) -> QuiverRep:
+    return random_rep(seed, n=n, max_dim=3 if n == 1 else 2, fld=Field(101))
+
+
+def _assert_splits(rep, witness):
+    kernel, image = witness
+    assert [a + b for a, b in zip(kernel.dims, image.dims)] == list(rep.dims)
+    assert min(kernel.total_dim(), image.total_dim()) > 0
+
+
+@pytest.mark.parametrize("seed, n", _TRIALS_MISS)
 def test_commutative_end_the_trials_miss_is_split_off_its_frobenius_fixed_space(seed, n):
     # over F_101 a random combination of a basis of F_p x F_p is singular
     # with chance about 2/101, so the 64 trials miss these; the fixed space
     # of x -> x^p is larger than k.1 and one of its elements splits rep
-    rep = random_rep(seed, n=n, max_dim=3 if n == 1 else 2, fld=Field(101))
+    rep = _trials_miss_rep(seed, n)
     basis, vectors = endomorphism_basis(rep), _end_vectors(rep)
     assert quiver._first_split(rep, [*basis[1:], *quiver._trials(rep, vectors)]) is None
     assert len(_frobenius_fixed(rep, vectors)) >= 1
     res = is_indecomposable(rep)
     assert res.verdict == "no"
-    kernel, image = res.witness
-    assert [a + b for a, b in zip(kernel.dims, image.dims)] == list(rep.dims)
-    assert min(kernel.total_dim(), image.total_dim()) > 0
+    _assert_splits(rep, res.witness)
     assert _check_against_oracles(rep) == "no"
 
 
@@ -660,11 +673,10 @@ def test_fixed_split_separates_the_eigenspaces_of_a_frobenius_fixed_element(fld)
             assert min(kernel.total_dim(), image.total_dim()) > 0
 
 
-def test_non_commutative_end_past_the_search_is_split_off_its_frobenius_fixed_space(monkeypatch):
+def test_non_commutative_end_past_the_search_is_split_off_its_frobenius_fixed_space():
     # End of dimension 3 over F_5 that is not commutative: its commutator
     # ideal C is nonzero and nilpotent, and End/C is not local, so the fixed
-    # space mod C has an element outside C + k.1; with no trials left, that
-    # element splits rep
+    # space mod C has an element outside C + k.1, and that element splits rep
     rep = random_rep(81, fld=F5)
     basis, vectors = endomorphism_basis(rep), _end_vectors(rep)
     assert len(basis) == 3
@@ -674,7 +686,6 @@ def test_non_commutative_end_past_the_search_is_split_off_its_frobenius_fixed_sp
     assert quiver._first_split(rep, basis[1:]) is None
     fixed = _frobenius_fixed(rep, vectors)
     assert fixed
-    monkeypatch.setattr(quiver, "_TRIALS", 0)
     res = is_indecomposable(rep)
     assert res.verdict == _idempotent_oracle(rep) == "no"
     assert res.witness == quiver._fixed_split(rep, vectors[0], fixed[0])
@@ -717,6 +728,23 @@ def test_level6_tube_is_certified_quickly(char, level):
     elapsed = time.perf_counter() - start
     assert (res.verdict, res.endo_dim) == ("yes", level)
     assert elapsed < 2, elapsed
+
+
+def test_trials_run_only_where_the_certificate_gives_no_fixed_element(monkeypatch):
+    # over F_p an End the certificate finds not local is split along its
+    # first Frobenius fixed element, with no trial drawn; over Q there is no
+    # fixed element, and the trials run and miss
+    entered = []
+    real = quiver._trials
+    monkeypatch.setattr(quiver, "_trials", lambda rep, vectors: entered.append(rep) or real(rep, vectors))
+    for rep in [*(_trials_miss_rep(seed, n) for seed, n in _TRIALS_MISS), random_rep(81, fld=F5)]:
+        res = is_indecomposable(rep)
+        assert res.verdict == "no"
+        _assert_splits(rep, res.witness)
+    assert entered == []
+    rep = random_rep(220, fld=Field(0))
+    assert is_indecomposable(rep).verdict == "unknown"
+    assert entered == [rep]
 
 
 def test_unknown_when_no_certificate_or_split_applies():

@@ -351,8 +351,8 @@ def test_section_witness_is_verified(monkeypatch):
     # a solver answer that is not a section must not come back as a witness
     solve = twoparam.solve
 
-    def corrupted(fld, rows, rhs, ncols):
-        sol = solve(fld, rows, rhs, ncols)
+    def corrupted(fld, ncols, equations):
+        sol = solve(fld, ncols, equations)
         return None if sol is None else (fld.normalize(sol[0] + 1),) + sol[1:]
 
     monkeypatch.setattr(twoparam, "solve", corrupted)
