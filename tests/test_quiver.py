@@ -668,9 +668,7 @@ def test_fixed_split_separates_the_eigenspaces_of_a_frobenius_fixed_element(fld)
         fixed = _frobenius_fixed(rep, vectors)
         assert len(fixed) == len(vertices) - 1
         for x in fixed:
-            kernel, image = quiver._fixed_split(rep, vectors[0], x)
-            assert [a + b for a, b in zip(kernel.dims, image.dims)] == list(rep.dims)
-            assert min(kernel.total_dim(), image.total_dim()) > 0
+            _assert_splits(rep, quiver._fixed_split(rep, vectors[0], x))
 
 
 def test_non_commutative_end_past_the_search_is_split_off_its_frobenius_fixed_space():
@@ -704,9 +702,7 @@ def test_commutator_ideal_holding_the_identity_declines_the_certificate():
     assert _frobenius_fixed(rep, vectors) is None
     res = is_indecomposable(rep)
     assert res.verdict == "no"
-    kernel, image = res.witness
-    assert [a + b for a, b in zip(kernel.dims, image.dims)] == list(rep.dims)
-    assert min(kernel.total_dim(), image.total_dim()) > 0
+    _assert_splits(rep, res.witness)
 
 
 def test_non_split_local_end_is_certified_by_frobenius():
