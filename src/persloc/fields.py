@@ -20,11 +20,11 @@ them.  The dense `_rref`, built on the row operations `Field.axpy` and
 `Subspace` is the one type that holds its output.  Dense products are row
 operations too: `Matrix.mul` builds each row of a product as a combination of
 the right factor's rows by `Field.axpy`, skipping zero coefficients.  The
-sparse `_store_low` (Zomorodian-Carlsson 2005) gives `column_lows`, and every
-linear system: `sparse_kernel` and `solve`, which share one back-substitution
-pass over the stored lows.  It reduces a {column: entry} dict in place,
-writing each entry as it is computed and deleting one that becomes zero, so a
-stored row keeps its keys in the order they were first seen.
+sparse `_store_low` (Zomorodian-Carlsson 2005) gives `column_lows`,
+`sparse_kernel` and `solve`, the last two sharing one back-substitution pass
+over the stored lows, `_solve_lows`.  It reduces a {column: entry} dict in
+place, writing each entry as it is computed and deleting one that becomes
+zero, so a stored row keeps its keys in the order they were first seen.
 """
 
 from __future__ import annotations
@@ -288,8 +288,9 @@ def solve(field: Field, ncols: int, equations: Iterable[dict]) -> tuple | None:
     the right-hand side at column ncols) with the free variables 0, or None.
 
     Column j is reduced as ncols - j, so the stored lows are the pivots of
-    the dense reduced echelon form of [A | b], the right-hand side's a low
-    exactly when there is no solution.  Only that column is back-substituted.
+    the dense reduced echelon form of [A | b], and the right-hand side's
+    column, numbered 0, is a low exactly when there is no solution.  Only
+    that column is back-substituted.
     """
     stored: dict = {}
     for eq in equations:
