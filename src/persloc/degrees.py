@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from itertools import product
 from typing import Collection, Iterable, Iterator
 
@@ -15,26 +16,26 @@ MAX_BOX_DEGREES = 100_000
 
 
 def as_degree(values: Iterable[int], m: int | None = None) -> Degree:
-    d = tuple(int(x) for x in values)
+    d = tuple(map(int, values))
     if m is not None and len(d) != m:
         raise ValueError(f"degree {d} has {len(d)} components, expected {m}")
     return d
 
 
 def leq(a: Degree, b: Degree) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def join(a: Degree, b: Degree) -> Degree:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def add(a: Degree, b: Degree) -> Degree:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def is_nonnegative(a: Degree) -> bool:
-    return all(x >= 0 for x in a)
+    return min(a, default=0) >= 0
 
 
 def zero(m: int) -> Degree:

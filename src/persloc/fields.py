@@ -15,23 +15,24 @@ where values enter the program: `Field.coerce` runs only in
 keeps it so.
 
 Both row reductions of the package live here, and no other module calls
-them.  The dense `_rref`, built on the row operations `Field.axpy` and
-`Field.scale`, gives ranks, `Matrix.kernel` and `Subspace.span`, and
-`Subspace` is the one type that holds its output.  Dense products are row
-operations too: `Matrix.mul` builds each row of a product as a combination of
-the right factor's rows by `Field.axpy`, skipping zero coefficients.  The
-sparse `_store_low` (Zomorodian-Carlsson 2005) gives `column_lows`,
-`sparse_kernel` and `solve`, the last two sharing one back-substitution pass
-over the stored lows, `_solve_lows`.  It reduces a {column: entry} dict in
-place, writing each entry as it is computed and deleting one that becomes
-zero, so a stored row keeps its keys in the order they were first seen.
+them.  The dense `_rref`, on the row operations `Field.axpy` and
+`Field.scale`, gives ranks, `Subspace.span` and, in one pass over the rows
+read right to left, `Matrix.kernel`; `Subspace` is the one type that holds
+its output.  `Matrix.mul` builds each row of a product from the right
+factor's rows by `Field.axpy`, skipping zero coefficients.  The sparse
+`_store_low` (Zomorodian-Carlsson 2005) gives `column_lows`, `sparse_kernel`
+and `solve`, which back-substitute one free column at a time, and only when
+asked, by `_back_substitute`.  It reduces a {column: entry} dict in place,
+writing each entry as it is computed and deleting one that becomes zero, so
+a stored row keeps its keys in the order they were first seen.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import AmbientMismatchError
 
@@ -248,57 +249,60 @@ def column_lows(fld: Field, born: Sequence[int], columns: Iterable[Iterable]) ->
         yield None if low is None else born[low]
 
 
-def _solve_lows(field: Field, stored: dict, value: dict) -> dict:
-    """Extend `value`, {column: {seed: coefficient}}, to every stored low in one
-    increasing pass, solving each stored row; a column with no value is 0."""
-    for low in sorted(stored):
-        acc: dict = {}
-        for k, y in stored[low].items():
-            for f, x in value.get(k, {}).items():  # k == low has no value yet
-                acc[f] = acc.get(f, 0) + y * x
-        value[low] = {f: c for f, x in acc.items() if (c := field.neg(x)) != 0}
+def _back_substitute(field: Field, stored: dict, f: int) -> dict:
+    """{column: nonzero entry} of the kernel vector with 1 at the free column f and
+    0 at the other free columns: each stored low above f, in turn, solves its row."""
+    value = {f: field.one}
+    for low in sorted(k for k in stored if k > f):
+        if not value.keys().isdisjoint(row := stored[low]):
+            if x := field.neg(sum(y * value[k] for k, y in row.items() if k in value)):
+                value[low] = x
     return value
 
 
-def sparse_kernel(field: Field, ncols: int, equations: Iterable[dict]) -> "Subspace":
-    """Right kernel in F^ncols of sparse equations ({column: nonzero entry}),
-    each reduced in place.
-
-    A free column f, no stored row's low, gives the vector with 1 at f, 0 at
-    the other free columns and the stored lows solved: it vanishes before f,
-    so these vectors are the canonical basis as they stand.  All of them are
-    solved in one pass, `_solve_lows`, each column's value held as a sparse
-    {free column: coefficient} combination, and only then written out as
-    dense rows.
-    """
+def sparse_kernel(field: Field, ncols: int, equations: Iterable[dict]) -> tuple[tuple[int, ...], Callable]:
+    """The right kernel in F^ncols of sparse equations ({column: nonzero
+    entry}), each reduced in place: its free columns, and the function giving
+    a free column's row, back-substituted when asked for.  The row of f
+    vanishes before f, so these rows are the canonical basis as they stand."""
     stored: dict = {}
     for eq in equations:
         _store_low(field, stored, eq)
-    free = [f for f in range(ncols) if f not in stored]
-    value = _solve_lows(field, stored, {f: {f: field.one} for f in free})
-    rows = {f: [field.zero] * ncols for f in free}
-    for col, combo in value.items():
-        for f, x in combo.items():
-            rows[f][col] = x
-    return Subspace(field, ncols, tuple(map(tuple, rows.values())), tuple(free))
+
+    def row(f: int) -> tuple:
+        return tuple(map(_back_substitute(field, stored, f).get, range(ncols), repeat(field.zero)))
+
+    return tuple(f for f in range(ncols) if f not in stored), row
+
+
+def _reduce_system(field: Field, ncols: int, equations: Iterable[dict]) -> dict:
+    """The stored rows of `solve`'s equations, column j reduced as ncols - j."""
+    stored: dict = {}
+    for eq in equations:
+        _store_low(field, stored, {ncols - c: x for c, x in eq.items()})
+    return stored
+
+
+def reduced_rows(field: Field, ncols: int, equations: Iterable[dict]) -> list[dict] | None:
+    """Equations as `solve` takes them, reduced to rows with distinct pivots,
+    or None when they have no solution; `solve` takes the rows back unreduced."""
+    stored = _reduce_system(field, ncols, equations)
+    return None if 0 in stored else [{ncols - c: x for c, x in row.items()} for row in stored.values()]
 
 
 def solve(field: Field, ncols: int, equations: Iterable[dict]) -> tuple | None:
     """One solution in F^ncols of sparse equations ({column: nonzero entry},
     the right-hand side at column ncols) with the free variables 0, or None.
 
-    Column j is reduced as ncols - j, so the stored lows are the pivots of
-    the dense reduced echelon form of [A | b], and the right-hand side's
-    column, numbered 0, is a low exactly when there is no solution.  Only
-    that column is back-substituted.
+    Column j is reduced as ncols - j, so the stored lows are the pivots of the
+    dense reduced echelon form of [A | b], and the right-hand side's column,
+    numbered 0, is a low exactly when there is none; only it is back-substituted.
     """
-    stored: dict = {}
-    for eq in equations:
-        _store_low(field, stored, {ncols - c: x for c, x in eq.items()})
+    stored = _reduce_system(field, ncols, equations)
     if 0 in stored:
         return None
-    value = _solve_lows(field, stored, {0: {0: field.neg(field.one)}})
-    return tuple(value.get(ncols - j, {}).get(0, field.zero) for j in range(ncols))
+    value = _back_substitute(field, stored, 0)
+    return tuple(field.neg(value.get(ncols - j, 0)) for j in range(ncols))
 
 
 class Matrix(Record):
@@ -390,19 +394,21 @@ class Matrix(Record):
         return len(pivots)
 
     def kernel(self) -> "Subspace":
-        """Right kernel {v : A v = 0} as a canonical subspace of F^ncols."""
-        rr, pivots = _rref(self.field, list(self.entries), self.ncols)
+        """Right kernel {v : A v = 0} as a canonical subspace of F^ncols, from one
+        `_rref` of the rows read right to left, so a free column's vector vanishes before it."""
+        last = self.ncols - 1
+        rr, pivots = _rref(self.field, [row[::-1] for row in self.entries], self.ncols)
         pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
-        neg = self.field.neg
+        free = tuple(f for f in range(self.ncols) if last - f not in pivot_set)
+        neg, zero = self.field.neg, self.field.zero
         basis = []
         for f in free:
-            v = [self.field.zero] * self.ncols
+            v = [zero] * self.ncols
             v[f] = self.field.one
             for r, pc in enumerate(pivots):
-                v[pc] = neg(rr[r][f])
-            basis.append(v)
-        return Subspace.span(self.field, self.ncols, basis)
+                v[last - pc] = neg(rr[r][last - f])
+            basis.append(tuple(v))
+        return Subspace(self.field, self.ncols, tuple(basis), free)
 
     def image(self) -> "Subspace":
         """Column span as a canonical subspace of F^nrows."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 
 from . import degrees as dg
@@ -237,32 +238,40 @@ def _combine(fld: Field, coeffs, vectors: list[list]) -> list:
     return vec
 
 
-def _end_vectors(rep: QuiverRep) -> list:
-    """`endomorphism_basis` as flat row-major vectors, the identity first."""
+def _end_rows(rep: QuiverRep) -> tuple:
+    """The dimension of End and its basis as flat row-major vectors, the
+    identity first, each past it back-substituted only when it is reached."""
     fld = rep.field
     dims = rep.dims
     _require_end_unknowns(dims)
     offsets = list(itertools.accumulate((d * d for d in dims), initial=0))
-    # X_w A - A X_u = 0, entrywise over (r, c) in dw x du; u != w, so each
-    # unknown appears at most once per equation
-    equations = (
-        {
-            **{offsets[w] + r * a.nrows + k: x for k, x in enumerate(col) if x != 0},
-            **{offsets[u] + k * a.ncols + c: fld.neg(x) for k, x in enumerate(a.entries[r]) if x != 0},
-        }
-        for (u, w), a in zip(_star(rep.n), rep.maps)
-        for cols in [list(zip(*a.entries))]  # each column built once per arrow
-        for r in range(a.nrows)
-        for c, col in enumerate(cols)
-    )
-    kernel = sparse_kernel(fld, offsets[-1], equations)
+
+    def equations():
+        # X_w A - A X_u = 0 entrywise over (r, c) in d_w x d_u, each built in
+        # one dict; u != w, so no unknown appears twice
+        for (u, w), a in zip(_star(rep.n), rep.maps):
+            cols = [[(k, x) for k, x in enumerate(col) if x != 0] for col in zip(*a.entries)]
+            for r, row in enumerate(a.entries):
+                negs = [(offsets[u] + k * a.ncols, fld.neg(x)) for k, x in enumerate(row) if x != 0]
+                for c, col in enumerate(cols):
+                    eq = {offsets[w] + r * a.nrows + k: x for k, x in col}
+                    for at, x in negs:
+                        eq[at + c] = x
+                    yield eq
+
+    free, row = sparse_kernel(fld, offsets[-1], equations())
     id_vec = [fld.one if i == j else fld.zero for d in dims for i in range(d) for j in range(d)]
-    # the identity is the sum of id[p] * row over the kernel pivots p, so it
+    # the identity is the sum of id[p] * row over the free columns p, so it
     # replaces the last row with id[p] != 0 and every other row stays
-    last = max((i for i, p in enumerate(kernel.pivots) if id_vec[p] != 0), default=None)
+    last = max((i for i, p in enumerate(free) if id_vec[p] != 0), default=None)
     if last is None:  # the zero rep, whose identity is zero
-        return []
-    return [id_vec, *kernel.rows[:last], *kernel.rows[last + 1 :]]
+        return 0, iter(())
+    return len(free), itertools.chain([id_vec], map(row, free[:last] + free[last + 1 :]))
+
+
+def _end_vectors(rep: QuiverRep) -> list:
+    """`endomorphism_basis` as flat row-major vectors, the identity first."""
+    return list(_end_rows(rep)[1])
 
 
 def endomorphism_basis(rep: QuiverRep) -> list[tuple[Matrix, ...]]:
@@ -271,8 +280,8 @@ def endomorphism_basis(rep: QuiverRep) -> list[tuple[Matrix, ...]]:
     An endomorphism is one square matrix per vertex, in `_star` vertex
     order.  The commutation system X_target A = A X_source over all arrows is
     solved as sparse equations by `fields.sparse_kernel`, refusing more than
-    `_MAX_END_UNKNOWNS` unknowns, and every basis vector is turned into its
-    per-vertex matrices.
+    `_MAX_END_UNKNOWNS` unknowns, and every basis row is back-substituted and
+    turned into its per-vertex matrices.
     """
     return [_endo_from_vector(rep, v) for v in _end_vectors(rep)]
 
@@ -291,9 +300,11 @@ def _restrict_arrow(a: Matrix, src: Subspace, tgt: Subspace) -> Matrix:
     Coordinates in the target basis are read off its pivots; membership is
     checked so a non-invariant subspace cannot slip through.
     """
+    p = a.field.char
     cols = []
     for v in src.rows:
-        img = a.apply(v)
+        img = [sum(map(operator.mul, row, v)) for row in a.entries]  # canonical over Q, where v != 0
+        img = [x % p for x in img] if p else img
         if not tgt.contains_vector(img):
             raise DecompositionError("subspace is not arrow-invariant")
         cols.append([img[p] for p in tgt.pivots])
@@ -484,11 +495,11 @@ class IndecResult(Record):
 def is_indecomposable(rep: QuiverRep) -> IndecResult:
     """Certified decision when possible, honest "unknown" otherwise.
 
-    The endomorphism algebra is solved once, as flat vectors (`_end_vectors`).
-    "yes" is certified at once when it has dimension at most 1: the zero rep,
-    or End is the field.  Otherwise the basis past the identity is searched
-    for a Fitting splitting, an element's per-vertex matrices built only when
-    the search reaches it, and "no" comes with the verified splitting.  Then
+    End is reduced once (`_end_rows`), and its dimension, the count of free
+    columns, at most 1 certifies "yes" at once: the zero rep, or End is the
+    field.  Otherwise the basis past the identity is searched for a Fitting
+    splitting, an element back-substituted and built only when the search
+    reaches it, and "no" comes with the verified splitting.  Then
     "yes" is certified when End is local, so has no idempotents but 0 and 1,
     by the field's one exact certificate: `_frobenius_fixed` over F_p, which
     is empty exactly when End is local, and the trace form's rank over Q
@@ -498,13 +509,14 @@ def is_indecomposable(rep: QuiverRep) -> IndecResult:
     ideal that is not nilpotent, are the seeded `_trials` tried, and what
     they leave is "unknown".
     """
-    vectors = _end_vectors(rep)
-    dim = len(vectors)
+    dim, rows = _end_rows(rep)
     if dim <= 1:
         return IndecResult("yes", dim)
-    split = _first_split(rep, (_endo_from_vector(rep, v) for v in vectors[1:]))
-    if split is not None:
-        return IndecResult("no", dim, split)
+    vectors = [next(rows)]  # the rows reached so far, which the certificates read
+    for v in rows:
+        vectors.append(v)
+        if split := _split_along(rep, _endo_from_vector(rep, v)):
+            return IndecResult("no", dim, split)
     if rep.field.char:
         fixed = _frobenius_fixed(rep, vectors)
         local = fixed == []

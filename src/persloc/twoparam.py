@@ -34,7 +34,7 @@ from .errors import (
     NotLocallyEpicError,
     PreconditionError,
 )
-from .fields import Field, Record, Subspace, solve
+from .fields import Field, Record, Subspace, reduced_rows, solve
 from .localization import Barcode, Bars, presentation_bars
 from .presentation import GradedPresentation, PresentationMap, direct_sum, free_module, zero_module
 from .examples import strip_presentation
@@ -287,10 +287,11 @@ def section_exists(f: PresentationMap) -> SectionResult:
     assignments agree in the corner localization, and composing with f gives
     the identity.  All three are finite linear conditions, written once as
     sparse equations over one column space, the axis-1 unknowns and then the
-    axis-2 unknowns.  Each axis's conditions (i) and (iii) are solved alone
-    for the axis flags, and together with the corner conditions (ii) for the
-    witness, all by `fields.solve`.  A witness is checked against the three
-    conditions before it is returned.
+    axis-2 unknowns.  Each axis's conditions (i) and (iii) are reduced once,
+    by `fields.reduced_rows`, for its flag.  When both are consistent, their
+    rows and the corner conditions (ii) give the witness by `fields.solve`,
+    with no axis equation reduced again.  A witness is checked against the
+    three conditions before it is returned.
     """
     src, tgt = f.source, f.target
     if src.m != 2:
@@ -337,12 +338,12 @@ def section_exists(f: PresentationMap) -> SectionResult:
         for k in range(g):
             at = slices[a * g + k]
             eqs += equations([(a * g + k, 1, f.slice_matrix(at))], tgt._slice_coords(at, [(k, fld.one)]))
-        axes.append(eqs)
+        axes.append(reduced_rows(fld, width, eqs))
     corner = []  # (ii) the two assignments agree in the corner localization
     for k in range(g):
         terms = [(k, 1, src.transition(slices[k], e)), (g + k, -1, src.transition(slices[g + k], e))]
         corner += equations(terms, [fld.zero] * src.dim_at(e))
-    full = solve(fld, width, [*axes[0], *axes[1], *corner])
+    full = None if None in axes else solve(fld, width, [*axes[0], *axes[1], *corner])
     witness = None
     if full is not None:
         vectors = tuple(full[a:b] for a, b in zip(cols, cols[1:]))
@@ -356,7 +357,7 @@ def section_exists(f: PresentationMap) -> SectionResult:
         _check_section(f, witness, e)
     return SectionResult(
         exists=full is not None,
-        axis1_solvable=solve(fld, width, axes[0]) is not None,
-        axis2_solvable=solve(fld, width, axes[1]) is not None,
+        axis1_solvable=axes[0] is not None,
+        axis2_solvable=axes[1] is not None,
         witness=witness,
     )

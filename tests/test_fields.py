@@ -134,6 +134,30 @@ def test_kernel_vectors_annihilate():
             assert all(x == fld.zero for x in mat.apply(v))
 
 
+@st.composite
+def _matrices(draw):
+    """Matrices over F_2, F_5, F_101 and Q, zero rows and columns likely."""
+    fld = draw(st.sampled_from([F2, F5, F101, Q]))
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 7))
+    scalar = st.integers(0, fld.char - 1) if fld.char else st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    entry = st.one_of(st.just(fld.zero), scalar.map(fld.coerce))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    return Matrix(fld, nrows, ncols, tuple(map(tuple, rows)))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_matrices())
+def test_kernel_from_one_reduction_is_canonical(mat):
+    # one _rref of the reversed rows: every row is annihilated, the dimension
+    # is the nullity, and re-reducing the rows changes nothing
+    fld = mat.field
+    ker = mat.kernel()
+    assert all(x == 0 for v in ker.rows for x in mat.apply(v))
+    assert ker.dim == mat.ncols - mat.rank()
+    assert Subspace.span(fld, mat.ncols, ker.rows) == ker
+    assert [x for v in ker.rows for x in v if not _is_canonical(fld, x)] == []
+
+
 def test_subspace_dims_against_enumeration():
     # dim(U), dim(U+W), dim(U cap W) versus literal element counts in F_2^d
     rng = random.Random("enumerate-f2")
@@ -235,6 +259,12 @@ def test_rref_agrees_with_subspace(case):
     assert all(x == 0 for x in red) == (len(grown) == len(pivots)) == sub.contains_vector(probe)
 
 
+def _sparse_kernel_space(fld, ncols, equations) -> Subspace:
+    """Every row of `sparse_kernel`, as the subspace they are the canonical basis of."""
+    free, row = sparse_kernel(fld, ncols, equations)
+    return Subspace(fld, ncols, tuple(map(row, free)), free)
+
+
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(_rows_and_probe())
 def test_sparse_kernel_is_the_dense_kernel(case):
@@ -242,7 +272,7 @@ def test_sparse_kernel_is_the_dense_kernel(case):
     fld, ncols, rows, _ = case
     equations = [{j: x for j, x in enumerate(row) if x != 0} for row in rows]
     dense = Matrix(fld, len(rows), ncols, tuple(map(tuple, rows))).kernel()
-    assert sparse_kernel(fld, ncols, equations) == dense
+    assert _sparse_kernel_space(fld, ncols, equations) == dense
 
 
 @st.composite
@@ -269,7 +299,7 @@ def _wide_systems(draw):
 def test_sparse_kernel_solves_wide_systems_with_many_free_columns(case):
     fld, ncols, rows, equations = case
     dense = Matrix(fld, len(rows), ncols, tuple(map(tuple, rows))).kernel()
-    kernel = sparse_kernel(fld, ncols, [{j: x for j, x in enumerate(eq) if x != 0} for eq in equations])
+    kernel = _sparse_kernel_space(fld, ncols, [{j: x for j, x in enumerate(eq) if x != 0} for eq in equations])
     assert kernel == dense
     assert kernel.dim == ncols - len(rows)
 
@@ -380,9 +410,9 @@ def test_products_are_the_sums_of_entry_products(case):
 
 
 def test_only_fields_reduces():
-    # the dense and the sparse row reduction live in fields, and no other
-    # module defines, imports or reaches into either
-    reducers = {"_rref", "_store_low"}
+    # the dense and the sparse row reduction and the sparse back-substitution
+    # live in fields, and no other module defines, imports or reaches into them
+    reducers = {"_rref", "_store_low", "_back_substitute"}
     assert all(callable(getattr(fields, name)) for name in reducers)
     package = Path(fields.__file__).parent
     for path in sorted(package.glob("*.py")):

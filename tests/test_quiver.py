@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from persloc import cli, quiver
+from persloc import cli, fields, quiver
 from persloc.degrees import MAX_BOX_DEGREES, box, with_axis
 from persloc.errors import PreconditionError
 from persloc.fields import DEFAULT_FIELD, Field, Matrix, Subspace
@@ -504,6 +504,26 @@ def test_lazy_split_search_matches_the_eager_one(monkeypatch):
             assert built == [vectors[1]]
             at_first += 1
     assert at_first >= len(reps) // 2
+
+
+def test_end_rows_are_back_substituted_only_when_read(monkeypatch):
+    # End is reduced once; a rep split at basis[1] back-substitutes that one
+    # kernel row, and a tube, certified "yes", reads every row past the
+    # identity, which stands in for one of them
+    solved = []
+    real = fields._back_substitute
+    monkeypatch.setattr(fields, "_back_substitute", lambda fld, stored, f: solved.append(f) or real(fld, stored, f))
+    free1 = to_quiver_rep(free_module(3, (0, 0, 0), F5), 1)
+    double = free1.direct_sum(free1)
+    res = is_indecomposable(double)
+    assert (res.verdict, res.endo_dim, len(solved)) == ("no", 4, 1)
+    for rep in (_tube(5, 3), _tube(0, 2), F25_TUBE):
+        solved.clear()
+        res = is_indecomposable(rep)
+        assert res.verdict == "yes"
+        assert len(solved) == len(set(solved)) == res.endo_dim - 1
+    solved.clear()
+    assert len(endomorphism_basis(double)) == 4 and len(solved) == 3
 
 
 @pytest.mark.parametrize("fld", [F2, F5, Field(0)])

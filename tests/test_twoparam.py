@@ -427,6 +427,53 @@ def test_free_cover_sections_imply_both_axis_sections(case, data):
         assert res.axis1_solvable and res.axis2_solvable
 
 
+def _free_cover_map(seed: int) -> PresentationMap:
+    """The free module on a random target's generators plus up to three
+    shifted extra generators, each sent to a multiple of one of them."""
+    rng = random.Random(("free-cover", seed).__repr__())
+    fld = _SECTION_FIELDS[seed % 3]
+    tgt = random_presentation(seed, m=2, max_gens=3, max_rels=4, max_degree=3, fld=fld)
+    g = tgt.num_gens
+    degrees, cols = list(tgt.gen_degrees), [[int(i == j) for i in range(g)] for j in range(g)]
+    for _ in range(rng.randint(0, 3) if g else 0):
+        j = rng.randrange(g)
+        degrees.append((tgt.gen_degrees[j][0] + rng.randint(0, 2), tgt.gen_degrees[j][1] + rng.randint(0, 2)))
+        cols.append([rng.randint(0, 4) if i == j else 0 for i in range(g)])
+    src = GradedPresentation.build(2, fld, degrees, [])
+    return PresentationMap(src, tgt, Matrix.from_cols(fld, g, [[fld.coerce(x) for x in col] for col in cols]))
+
+
+def test_each_axis_system_is_reduced_once(monkeypatch):
+    # the axis flags come from one reduction each; the full solve runs only
+    # when both are consistent, on their rows and the corner equations, and
+    # gives the solution of the axis and corner equations solved from scratch
+    reduced, solved = [], []
+    real_rows, real_solve = twoparam.reduced_rows, twoparam.solve
+    monkeypatch.setattr(twoparam, "reduced_rows", lambda *args: reduced.append(args) or real_rows(*args))
+    monkeypatch.setattr(twoparam, "solve", lambda *args: solved.append(args) or real_solve(*args))
+    flags = set()
+    for seed in range(45):
+        reduced.clear(), solved.clear()
+        res = section_exists(_free_cover_map(seed))
+        assert len(reduced) == 2
+        axes = [real_rows(*args) for args in reduced]
+        assert [rows is not None for rows in axes] == [res.axis1_solvable, res.axis2_solvable]
+        assert [real_solve(*args) is not None for args in reduced] == [res.axis1_solvable, res.axis2_solvable]
+        flags.add((res.axis1_solvable, res.axis2_solvable))
+        if None in axes:
+            assert solved == [] and not res.exists
+            continue
+        (fld, width, equations), = solved
+        corner = equations[len(axes[0]) + len(axes[1]) :]
+        assert equations[: len(equations) - len(corner)] == [*axes[0], *axes[1]]
+        scratch = real_solve(fld, width, [*reduced[0][2], *reduced[1][2], *corner])
+        assert (scratch is not None) == res.exists
+        if res.exists:
+            w = res.witness
+            assert tuple(x for vec in (*w.axis1_vectors, *w.axis2_vectors) for x in vec) == scratch
+    assert flags == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_intersection_table_checks_the_bifiltration(monkeypatch):
     # images that shrink, or that never fill the corner, are refused
     mod = named_example("samerank_m")
