@@ -300,11 +300,11 @@ def _restrict_arrow(a: Matrix, src: Subspace, tgt: Subspace) -> Matrix:
     Coordinates in the target basis are read off its pivots; membership is
     checked so a non-invariant subspace cannot slip through.
     """
-    p = a.field.char
+    char = a.field.char
     cols = []
     for v in src.rows:
-        img = [sum(map(operator.mul, row, v)) for row in a.entries]  # canonical over Q, where v != 0
-        img = [x % p for x in img] if p else img
+        img = [sum(map(operator.mul, row, v)) for row in a.entries]  # over Q, sums of Fractions
+        img = [x % char for x in img] if char else img
         if not tgt.contains_vector(img):
             raise DecompositionError("subspace is not arrow-invariant")
         cols.append([img[p] for p in tgt.pivots])
