@@ -1,7 +1,10 @@
 """Command-line behavior: envelopes, exit codes, determinism, coverage."""
 
+import argparse
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -95,6 +98,69 @@ def test_exit_2_on_usage_parse_failures(capsys):
         assert report["command"] == ["persloc", *argv]
         assert report["error"]["kind"] == "usage"
         assert report["error"]["type"] == "UsageError"
+
+
+def _declarations(parser: argparse.ArgumentParser) -> list:
+    """The top-level parser and each subcommand in order: its name, its help
+    text and every action's declaration."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    parsers = [(parser.prog, parser.description, parser)]
+    parsers += [(name, helps[name], p) for name, p in sub.choices.items()]
+    return [
+        [
+            name,
+            help_text,
+            [
+                [
+                    type(a).__name__,
+                    a.option_strings,
+                    a.dest,
+                    a.nargs,
+                    a.const,
+                    a.default,
+                    getattr(a.type, "__name__", a.type),
+                    None if a.choices is None else list(a.choices),
+                    a.required,
+                    a.help,
+                    a.metavar,
+                ]
+                for a in p._actions
+            ],
+        ]
+        for name, help_text, p in parsers
+    ]
+
+
+def test_parser_declarations_are_pinned():
+    # argparse lays out --help text differently across Python versions, so the
+    # declarations behind it are pinned instead; a change to any subcommand's
+    # name, help, arguments or their order moves the digest
+    text = json.dumps(_declarations(cli.build_parser()))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DECLARATIONS_SHA256
+
+
+DECLARATIONS_SHA256 = "f86c43e4a0c92103e3e843645180477682ee289169d6427569a6416230d53bc8"
+
+
+def _readme_command_lines() -> list[list[str]]:
+    """The argv of each `persloc ...` line in the README's "Command line" block."""
+    text = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [line.split("#")[0].split()[1:] for line in block.splitlines() if line.startswith("persloc ")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_command_lines()
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in lines} == set(sub.choices)
+    for argv in lines:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, (argv, out)
+        assert out.count("\n") == 1, argv
+        assert json.loads(out)["command"] == ["persloc", *argv]
 
 
 def test_box_limits_of_dims_and_delocalize(capsys):

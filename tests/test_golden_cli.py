@@ -174,6 +174,10 @@ def _invocations() -> list[str]:
         "random --seed 1 --params bogus=3",
         "endo samerank_m",
         "section-exists nomap.json",
+        # argparse usage errors: a required argument missing, then an invalid int
+        "dims", "rank samerank_m", "ibar samerank_m 0,0 0,0", "barcode samerank_m",
+        "quiverize m3_indecomposable", "in-kernel samerank_m", "face-ring", "indec",
+        "section-exists", "indec m3_indecomposable -n x",
     ]
     return out
 
@@ -518,6 +522,16 @@ GOLDEN: dict[str, str] = {
     'random --seed 1 --params bogus=3': '2:06c9c9a21da5a7da5ea4c35ce3ff32a059b1f61757af73d2b9e4e9dc947bac74',
     'endo samerank_m': '2:d76020bd53b74b1423730e380fc218d6084340741b1d5f37a2b5bba698296ad3',
     'section-exists nomap.json': '1:d8fd998563f6ca6b3a7db3e29944e39991a913d53359366568b2eba638db4867',
+    'dims': '2:9daa9513cbea481ed12c48523c9f53e88812536296cedd726d4f54f090eb9f57',
+    'rank samerank_m': '2:cf387b29284267ee47ca3ba6bf7166830abfc8f7474c0f9305f5483fcf09f936',
+    'ibar samerank_m 0,0 0,0': '2:ee4c430c3b1eca43646cad6a9cb1f120ae0326e8b17200263249c82e45d243a5',
+    'barcode samerank_m': '2:7b09f70232e84ce760c8ebf4620a6bca7db88f4e692e44d4e679959968d9327c',
+    'quiverize m3_indecomposable': '2:aa5212ab9dd7b162983339f349a3986c8c3f7a38ed7d49f62e33a415e14fd621',
+    'in-kernel samerank_m': '2:c2890dfa288ea2cd5ec56015b79384163ed718b43056d31181db137383f71f07',
+    'face-ring': '2:5f91a45b3c69aa78d5379ae7f2241e2b73d306ea491054236fb6af73fa4b82c6',
+    'indec': '2:e3ca529d69ed3f49a9a3c8be641871902ab7816da644309aed944c3d771c5efc',
+    'section-exists': '2:23ae3ab667db89c846325f60cb6df814ec267e665ca117c0c151c031296c1037',
+    'indec m3_indecomposable -n x': '2:efde915a087a75c62c7dc1627e34bf9392b9b340b7d90dd99a5a4a257b608340',
 }
 
 
