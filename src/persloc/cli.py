@@ -11,10 +11,10 @@ parser rejects, bad argument literals, degree pairs out of order).  Errors
 are reports too; only ``--help`` prints plain text.
 
 Module and map arguments accept a JSON file path or a built-in example name
-(see ``persloc random --help`` and the README for formats).  Complex
-arguments accept a file path or the shorthands ``skeleton:m:i``, ``full:m``,
-``empty:m``.  Report envelopes produced by one command are accepted as input
-files by the next.
+(formats: README, "File formats"; the error report for an unknown name lists
+the examples).  Complex arguments accept a file path or the shorthands
+``skeleton:m:i``, ``full:m``, ``empty:m``.  Report envelopes produced by one
+command are accepted as input files by the next.
 """
 
 from __future__ import annotations
@@ -450,37 +450,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("dims", parents=[common], help="slice dimension table over a box")
-    p.add_argument("module")
+    def command(name: str, help_text: str, handler, *positionals: str) -> argparse.ArgumentParser:
+        """A subcommand with the common options, these plain positionals and this handler."""
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for dest in positionals:
+            p.add_argument(dest)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("dims", "slice dimension table over a box", _cmd_dims, "module")
     p.add_argument("--box", metavar="D1,D2,...", help="box limit (default: stabilization bound)")
     p.add_argument("--sigma", metavar="I,J,...", help="invert these variables first")
-    p.set_defaults(handler=_cmd_dims)
 
-    p = sub.add_parser("rank", parents=[common], help="rank of the transition map a -> b")
-    p.add_argument("module")
-    p.add_argument("a")
-    p.add_argument("b")
+    p = command("rank", "rank of the transition map a -> b", _cmd_rank, "module", "a", "b")
     p.add_argument("--sigma", metavar="I,J,...", help="invert these variables first")
-    p.set_defaults(handler=_cmd_rank)
 
-    p = sub.add_parser(
-        "ibar", parents=[common], help="dimension of im(a -> c) meet im(b -> c)"
-    )
-    p.add_argument("module")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("c")
-    p.set_defaults(handler=_cmd_ibar)
+    command("ibar", "dimension of im(a -> c) meet im(b -> c)", _cmd_ibar, "module", "a", "b", "c")
 
-    p = sub.add_parser("barcode", parents=[common], help="one-axis interval decomposition")
-    p.add_argument("module")
+    p = command("barcode", "one-axis interval decomposition", _cmd_barcode, "module")
     p.add_argument("--axis", type=int, required=True)
-    p.set_defaults(handler=_cmd_barcode)
 
-    p = sub.add_parser(
-        "decompose", parents=[common], help="strips and quadrants of a two-parameter module"
-    )
-    p.add_argument("module")
+    p = command("decompose", "strips and quadrants of a two-parameter module", _cmd_decompose, "module")
     p.add_argument("--svg", metavar="PATH", help="also draw the decomposition")
     p.add_argument(
         "--same-as",
@@ -492,70 +482,40 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also emit a presentation realizing the decomposition",
     )
-    p.set_defaults(handler=_cmd_decompose)
 
-    p = sub.add_parser(
-        "delocalize", parents=[common], help="fiber-product dimension table over a box"
-    )
-    p.add_argument("module")
+    p = command("delocalize", "fiber-product dimension table over a box", _cmd_delocalize, "module")
     p.add_argument("--box", metavar="D1,D2")
-    p.set_defaults(handler=_cmd_delocalize)
 
-    p = sub.add_parser("support", parents=[common], help="support complex of a module")
-    p.add_argument("module")
-    p.set_defaults(handler=_cmd_support)
-
-    p = sub.add_parser(
-        "in-kernel",
-        parents=[common],
-        help="does the module die after inverting along the complex",
+    command("support", "support complex of a module", _cmd_support, "module")
+    command(
+        "in-kernel", "does the module die after inverting along the complex", _cmd_in_kernel, "module", "complex"
     )
-    p.add_argument("module")
-    p.add_argument("complex")
-    p.set_defaults(handler=_cmd_in_kernel)
 
-    p = sub.add_parser("face-ring", parents=[common], help="cyclic module presenting a complex")
-    p.add_argument("complex")
+    p = command("face-ring", "cyclic module presenting a complex", _cmd_face_ring, "complex")
     p.add_argument("--all-missing", action="store_true", help="one relation per missing face")
-    p.set_defaults(handler=_cmd_face_ring)
 
-    p = sub.add_parser("simples", parents=[common], help="simple objects of the quotient")
-    p.add_argument("complex")
-    p.set_defaults(handler=_cmd_simples)
+    command("simples", "simple objects of the quotient", _cmd_simples, "complex")
+    command("kdim", "iterated-quotient dimension invariant", _cmd_kdim, "complex")
 
-    p = sub.add_parser("kdim", parents=[common], help="iterated-quotient dimension invariant")
-    p.add_argument("complex")
-    p.set_defaults(handler=_cmd_kdim)
-
-    p = sub.add_parser("serre-step", parents=[common], help="adjoin the minimal missing faces")
-    p.add_argument("complex")
+    p = command("serre-step", "adjoin the minimal missing faces", _cmd_serre_step, "complex")
     p.add_argument("--iterate", action="store_true", help="iterate to the full simplex")
-    p.set_defaults(handler=_cmd_serre_step)
 
-    p = sub.add_parser(
-        "quiverize", parents=[common], help="three-parameter module to star-quiver rep"
-    )
-    p.add_argument("module")
+    p = command("quiverize", "three-parameter module to star-quiver rep", _cmd_quiverize, "module")
     p.add_argument("-n", type=int, required=True, help="leg length")
-    p.set_defaults(handler=_cmd_quiverize)
 
     for name, help_text, handler in (
         ("endo", "endomorphism algebra basis", _cmd_endo),
         ("indec", "certified indecomposability check", _cmd_indec),
         ("split-legs", "per-leg intervals of a sink-zero rep", _cmd_split_legs),
     ):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+        p = command(name, help_text, handler)
         p.add_argument("input", help="quiver-rep file, or module (then -n is required)")
         p.add_argument("-n", type=int, default=None, help="leg length for module input")
-        p.set_defaults(handler=handler)
 
-    p = sub.add_parser(
-        "section-exists", parents=[common], help="compatible section pair of a localized epi"
-    )
+    p = command("section-exists", "compatible section pair of a localized epi", _cmd_section_exists)
     p.add_argument("map", help="map file or built-in map name")
-    p.set_defaults(handler=_cmd_section_exists)
 
-    p = sub.add_parser("random", parents=[common], help="seeded random presentation")
+    p = command("random", "seeded random presentation", _cmd_random)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--seeds", metavar="S1,S2,...", help="direct sum of several samples")
     p.add_argument(
@@ -564,13 +524,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="m, max_gens, max_rels, max_degree (defaults 2,5,8,6)",
     )
     p.add_argument("--shift", metavar="E1,E2,...", help="shift the result by this degree")
-    p.set_defaults(handler=_cmd_random)
 
-    p = sub.add_parser(
-        "verify-paper", parents=[common], help="run the built-in verification suite"
-    )
+    p = command("verify-paper", "run the built-in verification suite", _cmd_verify_paper)
     p.add_argument("--list", action="store_true", help="list checks without running them")
-    p.set_defaults(handler=_cmd_verify_paper)
 
     return parser
 
