@@ -100,10 +100,14 @@ def test_exit_2_on_usage_parse_failures(capsys):
         assert report["error"]["type"] == "UsageError"
 
 
+def _subparsers(parser: argparse.ArgumentParser) -> argparse._SubParsersAction:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
 def _declarations(parser: argparse.ArgumentParser) -> list:
     """The top-level parser and each subcommand in order: its name, its help
     text and every action's declaration."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = _subparsers(parser)
     helps = {a.dest: a.help for a in sub._choices_actions}
     parsers = [(parser.prog, parser.description, parser)]
     parsers += [(name, helps[name], p) for name, p in sub.choices.items()]
@@ -154,8 +158,7 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
     shutil.copytree(FIXTURES, tmp_path / "fixtures")
     monkeypatch.chdir(tmp_path)
     lines = _readme_command_lines()
-    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert {argv[0] for argv in lines} == set(sub.choices)
+    assert {argv[0] for argv in lines} == set(_subparsers(cli.build_parser()).choices)
     for argv in lines:
         code, out, _ = run(capsys, *argv)
         assert code == 0, (argv, out)
