@@ -6,12 +6,15 @@ other data.  Equality is type-strict, the hash is the hash of the field
 tuple (so set and dict orders follow the field values), instances refuse
 assignment and deletion, the repr lists every field, and no record is
 ordered: bars sort by `Interval.sort_key`.  `GradedPresentation._slices` is
-a cache and stays out of equality, hash and repr.
+a cache and stays out of equality, hash and repr.  A constructor call with a
+field too few or too many, an unknown keyword or a field given twice raises
+`TypeError`.
 """
 
 import copy
 import operator
 import pickle
+import re
 
 import pytest
 
@@ -161,6 +164,36 @@ def test_keyword_construction_is_positional_construction(cls):
     values = _values(cls, x)
     assert cls(*values) == x
     assert cls(**dict(zip(names, values))) == x
+
+
+# class -> how many of its last fields have defaults
+_DEFAULTED = {Field: 1, Interval: 1, IndecResult: 1}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_wrong_constructor_calls_raise_type_error(cls):
+    names, build = RECORDS[cls]
+    values = _values(cls, build(1))
+    required = len(names) - _DEFAULTED.get(cls, 0)
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    with pytest.raises(TypeError, match="'unknown'"):
+        cls(*values, unknown=None)
+    with pytest.raises(TypeError, match=f"'{names[0]}'"):
+        cls(*values, **{names[0]: values[0]})
+    if required:  # Field has a default for its one field
+        with pytest.raises(TypeError, match=re.escape(names[required - 1])):
+            cls(*values[: required - 1])
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_a_subclass_instance_is_not_equal_to_its_parent_instance(cls):
+    x = RECORDS[cls][1](1)
+    sub = type("Sub", (cls,), {})
+    twin = sub(*_values(cls, x))
+    assert type(twin) is sub and _values(cls, twin) == _values(cls, x)
+    assert twin != x and x != twin
+    assert twin == sub(*_values(cls, x))
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
