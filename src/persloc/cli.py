@@ -80,7 +80,10 @@ def _read_json(path: str):
     p = Path(path)
     if not p.is_file():
         raise ParseError(f"{path}: no such file")
-    return modfile.loads(p.read_text(encoding="utf-8"), source=path)
+    try:
+        return modfile.loads(p.read_text(encoding="utf-8"), source=path)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
 def _looks_like_path(spec: str) -> bool:

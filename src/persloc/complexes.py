@@ -79,8 +79,7 @@ class SimplicialComplex(Record):
                         f"family is not downward closed: {sorted(f)} present, "
                         f"{sorted(f - {v})} missing"
                     )
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "faces", faces)
+        super().__init__(m, faces)
 
     @classmethod
     def make(cls, m: int, faces: Iterable[Iterable[int]]) -> "SimplicialComplex":
@@ -256,10 +255,6 @@ class SimpleDescriptor(Record):
     """Labels one simple object: a minimal missing face and a degree shift."""
 
     __slots__ = ("sigma", "shift")
-
-    def __init__(self, sigma: tuple[int, ...], shift: tuple[int, ...]) -> None:
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "shift", shift)
 
 
 def simples(k: SimplicialComplex, fld: Field = DEFAULT_FIELD) -> list[tuple[SimpleDescriptor, GradedPresentation]]:

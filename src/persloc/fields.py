@@ -69,17 +69,33 @@ def _is_prime(n: int) -> bool:
 
 
 class Record:
-    """An immutable value whose fields are its `__slots__`, in order, set by
-    its `__init__` through `object.__setattr__`.  Records of one type are
-    equal when their field tuples are, hash as that tuple and print as
-    Name(field=value, ...); a slot named `_x` is a cache, outside all three."""
+    """An immutable value whose fields are its `__slots__` not named `_x`, in
+    order.  `__init__` takes them by position or keyword and raises `TypeError`,
+    naming the fields, on a missing, extra, unknown or doubled one; a record with
+    checks or defaults sets its fields with one `super().__init__(...)` call.
+    Two of one type are equal when their field tuples are; a record hashes as
+    that tuple and prints as Name(field=value, ...).  A `_x` slot is a cache."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        cls._setters = tuple(getattr(cls, n).__set__ for n in cls._fields)
+        cls._signature = f"{cls.__name__}({', '.join(cls._fields)})"
         get = operator.attrgetter(*cls._fields)
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda x: (get(x),))
+
+    def __init__(self, *values, **named) -> None:
+        if named:
+            rest = self._fields[len(values):]
+            if wrong := [n for n in named if n not in rest]:
+                raise TypeError(f"{self._signature} got unknown or doubled fields {wrong}")
+            values += tuple(named[n] for n in rest if n in named)
+        setters = self._setters
+        if len(values) != len(setters):
+            raise TypeError(f"{self._signature} takes {len(setters)} fields, got {len(values)}")
+        for i, value in enumerate(values):
+            setters[i](self, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -110,7 +126,7 @@ class Field(Record):
     def __init__(self, char: int = 5) -> None:
         if char != 0 and not _is_prime(char):
             raise ValueError(f"characteristic must be 0 or a prime, got {char}")
-        object.__setattr__(self, "char", char)
+        super().__init__(char)
 
     @property
     def zero(self):
@@ -310,12 +326,6 @@ class Matrix(Record):
 
     __slots__ = ("field", "nrows", "ncols", "entries")
 
-    def __init__(self, field: Field, nrows: int, ncols: int, entries: tuple[tuple, ...]) -> None:
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "nrows", nrows)
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "entries", entries)
-
     @classmethod
     def from_rows(cls, field: Field, rows, ncols: int | None = None) -> "Matrix":
         """The matrix with the given rows; `ncols` is the width when there are none."""
@@ -424,12 +434,6 @@ class Subspace(Record):
     """
 
     __slots__ = ("field", "ambient", "rows", "pivots")
-
-    def __init__(self, field: Field, ambient: int, rows: tuple[tuple, ...], pivots: tuple[int, ...]) -> None:
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "pivots", pivots)
 
     @classmethod
     def span(cls, field: Field, ambient: int, vectors) -> "Subspace":

@@ -40,8 +40,7 @@ class Interval(Record):
             raise PreconditionError("interval starts in N")
         if end is not None and end <= start:
             raise PreconditionError(f"empty interval [{start}, {end})")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
+        super().__init__(start, end)
 
     def sort_key(self) -> tuple:
         return (self.start, _INF if self.end is None else self.end)
@@ -65,10 +64,6 @@ class Barcode(Record):
     """Multiset of intervals on one axis, sorted by (start, end)."""
 
     __slots__ = ("axis", "bars")
-
-    def __init__(self, axis: int, bars: Bars) -> None:
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "bars", bars)
 
     @classmethod
     def make(cls, axis: int, bars: Iterable[tuple[Interval, int]]) -> "Barcode":

@@ -30,16 +30,13 @@ from .fields import DEFAULT_FIELD, Field, Matrix, Record, Subspace
 
 
 class _Slice(Record):
-    """Canonical data of one graded piece M(d): reducing a vector of `gens`
-    positions by `relations` leaves its coordinates at the non-pivot ones."""
+    """Canonical data of one graded piece M(d): `gens` are the eligible
+    generator indices, ascending, and `positions` maps each to its place in
+    `gens`; reducing a vector of `gens` positions by `relations`, the span of
+    the eligible relation columns, leaves its coordinates at the non-pivot
+    positions `coords`, the canonical basis."""
 
     __slots__ = ("gens", "positions", "coords", "relations")
-
-    def __init__(self, gens: tuple[int, ...], positions: dict, coords: tuple[int, ...], relations: Subspace) -> None:
-        object.__setattr__(self, "gens", gens)  # eligible generator indices, ascending
-        object.__setattr__(self, "positions", positions)  # generator index -> its position in `gens`
-        object.__setattr__(self, "coords", coords)  # non-pivot positions: the canonical basis
-        object.__setattr__(self, "relations", relations)  # span of the eligible relation columns
 
     @property
     def dim(self) -> int:
@@ -70,11 +67,7 @@ class GradedPresentation(Record):
                         f"relation {j} (degree {rd}) has a coefficient on "
                         f"generator {i} (degree {gd}) but {gd} is not <= {rd}"
                     )
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "gen_degrees", gen_degrees)
-        object.__setattr__(self, "rel_degrees", rel_degrees)
-        object.__setattr__(self, "rel_coeffs", rel_coeffs)
+        super().__init__(m, field, gen_degrees, rel_degrees, rel_coeffs)
         object.__setattr__(self, "_slices", {})
 
     @classmethod
@@ -282,9 +275,7 @@ class PresentationMap(Record):
                     f"source relation {j} (degree {rd}) does not map into the "
                     "target relation span; the map is not well defined"
                 )
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "coeffs", coeffs)
+        super().__init__(source, target, coeffs)
 
     @property
     def m(self) -> int:

@@ -99,11 +99,7 @@ class QuiverRep(Record):
             raise PreconditionError("exactly three legs")
         if any(len(leg) != n for leg in (*leg_dims, *arrows)):
             raise PreconditionError("leg length mismatch")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "sink_dim", sink_dim)
-        object.__setattr__(self, "leg_dims", leg_dims)
-        object.__setattr__(self, "arrows", arrows)
+        super().__init__(field, n, sink_dim, leg_dims, arrows)
         dims = self.dims
         for (s, t), mat in zip(_star(self.n), self.maps):
             if mat.ncols != dims[s] or mat.nrows != dims[t]:
@@ -487,9 +483,7 @@ class IndecResult(Record):
     __slots__ = ("verdict", "endo_dim", "witness")
 
     def __init__(self, verdict: str, endo_dim: int, witness: tuple[QuiverRep, QuiverRep] | None = None) -> None:
-        object.__setattr__(self, "verdict", verdict)  # "yes" | "no" | "unknown"
-        object.__setattr__(self, "endo_dim", endo_dim)
-        object.__setattr__(self, "witness", witness)
+        super().__init__(verdict, endo_dim, witness)  # verdict: "yes" | "no" | "unknown"
 
 
 def is_indecomposable(rep: QuiverRep) -> IndecResult:

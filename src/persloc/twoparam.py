@@ -35,7 +35,7 @@ from .errors import (
     PreconditionError,
 )
 from .fields import Field, Record, Subspace, reduced_rows, solve
-from .localization import Barcode, Bars, presentation_bars
+from .localization import Barcode, presentation_bars
 from .presentation import GradedPresentation, PresentationMap, direct_sum, free_module, zero_module
 from .examples import strip_presentation
 
@@ -51,11 +51,6 @@ class Decomposition(Record):
     """Canonical multiset data: two strip families plus quadrant corners."""
 
     __slots__ = ("vertical", "horizontal", "quadrants")
-
-    def __init__(self, vertical: Bars, horizontal: Bars, quadrants: Corners) -> None:
-        object.__setattr__(self, "vertical", vertical)
-        object.__setattr__(self, "horizontal", horizontal)
-        object.__setattr__(self, "quadrants", quadrants)
 
 
 def intersection_table(module: GradedPresentation, dmax: int | None = None, emax: int | None = None) -> list[list[int]]:
@@ -222,26 +217,14 @@ def intersection_rank(module: GradedPresentation, a, b, c) -> int:
 
 
 class SectionWitness(Record):
-    """Generator images of a compatible pair of sections, per axis."""
+    """Generator images of a compatible pair of sections at the target generator
+    `degrees`, per axis; `axis1_slices` names the slice each axis-1 image lives in."""
 
     __slots__ = ("degrees", "axis1_slices", "axis2_slices", "axis1_vectors", "axis2_vectors")
-
-    def __init__(self, degrees, axis1_slices, axis2_slices, axis1_vectors, axis2_vectors) -> None:
-        object.__setattr__(self, "degrees", degrees)  # target generator degrees
-        object.__setattr__(self, "axis1_slices", axis1_slices)  # slice each axis-1 image lives in
-        object.__setattr__(self, "axis2_slices", axis2_slices)
-        object.__setattr__(self, "axis1_vectors", axis1_vectors)
-        object.__setattr__(self, "axis2_vectors", axis2_vectors)
 
 
 class SectionResult(Record):
     __slots__ = ("exists", "axis1_solvable", "axis2_solvable", "witness")
-
-    def __init__(self, exists: bool, axis1_solvable: bool, axis2_solvable: bool, witness: SectionWitness | None) -> None:
-        object.__setattr__(self, "exists", exists)
-        object.__setattr__(self, "axis1_solvable", axis1_solvable)
-        object.__setattr__(self, "axis2_solvable", axis2_solvable)
-        object.__setattr__(self, "witness", witness)
 
 
 def _check_section(f: PresentationMap, w: SectionWitness, e: Degree) -> None:

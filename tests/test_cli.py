@@ -269,6 +269,24 @@ def test_overlong_integer_literal_is_one_domain_envelope(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["dims", "{}"], ["support", "{}"], ["in-kernel", "samerank_m", "{}"], ["indec", "{}"], ["section-exists", "{}"]],
+    ids=lambda argv: argv[0],
+)
+def test_non_utf8_file_is_one_domain_envelope(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(capsys, *(a.format(bad) for a in argv))
+    assert code == 1
+    assert out.count("\n") == 1
+    report = json.loads(out)
+    assert report["error"]["kind"] == "domain"
+    assert report["error"]["type"] == "ParseError"
+    assert str(bad) in report["error"]["message"]
+    assert "Traceback" not in err
+
+
 def test_exit_1_on_domain_violations(capsys, tmp_path):
     # quiver window violation
     deep = {

@@ -11,13 +11,16 @@ field too few or too many, an unknown keyword or a field given twice raises
 `TypeError`.
 """
 
+import ast
 import copy
 import operator
 import pickle
 import re
+from pathlib import Path
 
 import pytest
 
+from persloc import fields
 from persloc.complexes import SimpleDescriptor, SimplicialComplex
 from persloc.examples import named_example
 from persloc.fields import Field, Matrix, Subspace
@@ -184,6 +187,44 @@ def test_wrong_constructor_calls_raise_type_error(cls):
     if required:  # Field has a default for its one field
         with pytest.raises(TypeError, match=re.escape(names[required - 1])):
             cls(*values[: required - 1])
+
+
+# the records with no checks and no defaults take `Record.__init__` as it is
+_CHECK_FREE = [Matrix, Subspace, _Slice, Barcode, SimpleDescriptor, Decomposition, SectionWitness, SectionResult]
+
+
+@pytest.mark.parametrize("cls", _CHECK_FREE, ids=lambda c: c.__name__)
+def test_record_constructor_errors_name_the_fields(cls):
+    names, build = RECORDS[cls]
+    values = _values(cls, build(1))
+    signature = f"{cls.__name__}({', '.join(names)})"
+    wrong_calls = [
+        ((*values, None), {}, f"takes {len(names)} fields, got {len(names) + 1}"),
+        (values[:-1], {}, f"takes {len(names)} fields, got {len(names) - 1}"),
+        (values, {names[0]: values[0], "other": None}, f"got unknown or doubled fields {[names[0], 'other']}"),
+    ]
+    for args, named, message in wrong_calls:
+        with pytest.raises(TypeError, match="^" + re.escape(f"{signature} {message}") + "$"):
+            cls(*args, **named)
+
+
+def test_only_record_sets_fields():
+    # Record.__init__ sets every field through its slot; the one other call
+    # gives each GradedPresentation a fresh `_slices` cache
+    package = Path(fields.__file__).parent
+    calls = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exempt = set()
+        if path.name == "fields.py":
+            record = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Record")
+            exempt = {id(n) for n in ast.walk(record)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__" and id(node) not in exempt:
+                calls.append((path.name, ast.unparse(node)))
+    assert calls == [("presentation.py", "object.__setattr__(self, '_slices', {})")]
+    for cls in _CHECK_FREE:
+        assert "__init__" not in vars(cls), cls.__name__
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
