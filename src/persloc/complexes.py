@@ -5,7 +5,8 @@ in sigma leaves a nonzero module; the collection of such subsets is downward
 closed, so it is an abstract simplicial complex (possibly empty, possibly
 containing only the empty face: the two are different and both matter).
 `supp_complex` decides each face from M's slices at its generator degrees;
-`annihilated_by_monomial_power`, the independent route, walks the bound box.
+`annihilated_by_monomial_power`, the independent route, walks the bound box
+on its critical-value grid.
 
 Face rings realize every complex as a module support; minimal missing faces
 index both the Stanley-Reisner relations and the simple objects left after
@@ -17,7 +18,7 @@ one more than the dimension-style invariant `kdim`.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Iterator
 
 from . import degrees as dg
@@ -219,7 +220,9 @@ def annihilated_by_monomial_power(module: GradedPresentation, face: Iterable[int
     empty face's monomial is 1: the step is zero and the walk checks that
     every slice vanishes.  This box walk is the route independent of
     `supp_complex`, which reads generator degrees; the box is held to
-    `degrees.MAX_BOX_DEGREES` degrees.
+    `degrees.MAX_BOX_DEGREES` degrees.  It visits only degrees whose
+    coordinates are 0 or critical values: a box degree d has the slices of its
+    floor on that grid, and so has d + step, whose nonzero coordinates pass all.
     """
     m = module.m
     face = frozenset(int(i) for i in face)
@@ -229,10 +232,11 @@ def annihilated_by_monomial_power(module: GradedPresentation, face: Iterable[int
     dg.require_box_budget(bound)
     power = 1 + max(bound, default=0)
     step = tuple(power if (i + 1) in face else 0 for i in range(m))
+    grid = product(*(sorted({0, *(d[i] for d in module.gen_degrees + module.rel_degrees)}) for i in range(m)))
     # a zero slice maps to zero: skipping it builds no target slice
     return not any(
         module.dim_at(d) and not module.transition(d, dg.add(d, step)).is_zero()
-        for d in dg.box(bound)
+        for d in grid
     )
 
 

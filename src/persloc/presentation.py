@@ -14,14 +14,20 @@ bases, which makes them strictly functorial (composition holds on the nose).
 m may be 0 (every variable inverted, see `localization.localize`): one vector
 space at degree ().  Module files and `random_presentation` still need m >= 1.
 
-Slices are the only cache: each is built once per degree and kept on the
-module.  A transition matrix is rebuilt from the two cached slices on every
-call, so callers that need one (a, b) repeatedly ask for it once.
+M(d) depends only on the eligible set, the presentation degrees at or below d.
+The first slice compares d with each degree; from the second on, one `bisect`
+per axis of the module's critical-value grid gives the set.  Slices, the only
+cache, are built once per eligible set, not per degree.  A transition matrix
+is rebuilt from the two cached slices on each call, so callers that need one
+(a, b) repeatedly ask for it once.
 """
 
 from __future__ import annotations
 
+import operator
 import random
+from bisect import bisect_right
+from itertools import accumulate
 
 from . import degrees as dg
 from .degrees import Degree
@@ -44,9 +50,12 @@ class _Slice(Record):
 
 
 class GradedPresentation(Record):
-    """A presented module; `_slices` caches each slice built, by degree."""
+    """A presented module; `_slices` caches each slice by the bitmask of its
+    eligible generators and relations.  `_grid`, set at the second slice request,
+    holds the full mask and, per axis, the sorted distinct degree coordinates,
+    each with the mask of the degrees at or below it."""
 
-    __slots__ = ("m", "field", "gen_degrees", "rel_degrees", "rel_coeffs", "_slices")
+    __slots__ = ("m", "field", "gen_degrees", "rel_degrees", "rel_coeffs", "_slices", "_grid")
 
     def __init__(self, m: int, field: Field, gen_degrees: tuple, rel_degrees: tuple, rel_coeffs: Matrix) -> None:
         if m < 0:
@@ -94,19 +103,34 @@ class GradedPresentation(Record):
 
     # -- slices -----------------------------------------------------------
 
+    def _critical_grid(self) -> tuple:
+        degrees = self.gen_degrees + self.rel_degrees
+        axes = []
+        for coords in zip(*degrees):  # none when m = 0 (every mask full) or there are no degrees (every mask 0)
+            bits = dict.fromkeys(sorted(coords), 0)
+            for k, x in enumerate(coords):
+                bits[x] |= 1 << k
+            axes.append((tuple(bits), tuple(accumulate(bits.values(), operator.or_, initial=0))))
+        object.__setattr__(self, "_grid", ((1 << len(degrees)) - 1, tuple(axes)))
+        return self._grid
+
     def _slice(self, d: Degree) -> _Slice:
-        cached = self._slices.get(d)
+        if not self._slices:  # a module sliced once, as `decompose` slices each input, builds no grid
+            mask, axes = sum(1 << k for k, e in enumerate(self.gen_degrees + self.rel_degrees) if dg.leq(e, d)), ()
+        else:
+            mask, axes = getattr(self, "_grid", None) or self._critical_grid()
+        for x, (values, masks) in zip(d, axes):
+            mask &= masks[bisect_right(values, x)]
+        cached = self._slices.get(mask)
         if cached is not None:
             return cached
-        gens = tuple(i for i, gd in enumerate(self.gen_degrees) if dg.leq(gd, d))
-        rels = [j for j, rd in enumerate(self.rel_degrees) if dg.leq(rd, d)]
-        cols = [[self.rel_coeffs.entries[i][j] for i in gens] for j in rels]
+        ng, bits = len(self.gen_degrees), format(mask, "b")[::-1]  # bit k at index k
+        gens = tuple(i for i, b in enumerate(bits[:ng]) if b == "1")
+        rows = [self.rel_coeffs.entries[i] for i in gens]
+        cols = [[row[j] for row in rows] for j, b in enumerate(bits[ng:]) if b == "1"]
         relations = Subspace.span(self.field, len(gens), cols)
-        pivot_set = set(relations.pivots)
-        coords = tuple(k for k in range(len(gens)) if k not in pivot_set)
-        positions = {g: k for k, g in enumerate(gens)}
-        sl = _Slice(gens, positions, coords, relations)
-        self._slices[d] = sl
+        coords = tuple(sorted(set(range(len(gens))).difference(relations.pivots)))
+        sl = self._slices[mask] = _Slice(gens, dict(zip(gens, range(len(gens)))), coords, relations)
         return sl
 
     def _slice_coords(self, d: Degree, terms) -> list | None:

@@ -294,14 +294,18 @@ def _restrict_arrow(a: Matrix, src: Subspace, tgt: Subspace) -> Matrix:
     """Matrix of A between invariant subspaces, in their echelon bases.
 
     Coordinates in the target basis are read off its pivots; membership is
-    checked so a non-invariant subspace cannot slip through.
+    checked, unless the target is the full space, so a non-invariant subspace
+    cannot slip through.  Between two full spaces the matrix is A itself.
     """
+    full = tgt.dim == tgt.ambient
+    if full and src.dim == src.ambient:
+        return a
     char = a.field.char
     cols = []
     for v in src.rows:
         img = [sum(map(operator.mul, row, v)) for row in a.entries]  # over Q, sums of Fractions
         img = [x % char for x in img] if char else img
-        if not tgt.contains_vector(img):
+        if not full and not tgt.contains_vector(img):
             raise DecompositionError("subspace is not arrow-invariant")
         cols.append([img[p] for p in tgt.pivots])
     return Matrix.from_cols(a.field, tgt.dim, cols)
@@ -312,10 +316,18 @@ def _split_along(rep: QuiverRep, endo: tuple[Matrix, ...]) -> tuple[QuiverRep, Q
 
     At a vertex of dimension d, kernel and image of X^d are the generalized
     kernel and the stable image of X (both chains settle within d steps).
+    The image is reduced only when the kernel is neither 0 nor everything;
+    otherwise it is the full or the zero space.
     """
     powers = [_mat_power(x, x.nrows) for x in endo]
     kernels = [x.kernel() for x in powers]
-    images = [x.image() for x in powers]
+    images = []
+    for x, k in zip(powers, kernels):
+        if 0 < k.dim < k.ambient:
+            images.append(x.image())
+        else:
+            rows = () if k.dim else Matrix.identity(x.field, k.ambient).entries
+            images.append(Subspace(x.field, k.ambient, rows, tuple(range(len(rows)))))
     total_k = sum(s.dim for s in kernels)
     total_i = sum(s.dim for s in images)
     if total_k == 0 or total_i == 0:

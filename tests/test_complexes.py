@@ -26,10 +26,10 @@ from persloc.complexes import (
     skeleton,
     supp_complex,
 )
-from persloc.degrees import box, drop
+from persloc.degrees import add, box, drop
 from persloc.errors import PreconditionError
 from persloc.examples import named_example
-from persloc.fields import DEFAULT_FIELD
+from persloc.fields import DEFAULT_FIELD, Field
 from persloc.localization import localize
 from persloc.presentation import GradedPresentation, direct_sum, free_module, random_presentation, zero_module
 
@@ -173,6 +173,39 @@ def test_annihilated_by_monomial_power():
     assert not annihilated_by_monomial_power(cross, frozenset({1}))
     assert annihilated_by_monomial_power(zero_module(2, F5), frozenset())
     assert not annihilated_by_monomial_power(cross, frozenset())
+
+
+def _full_box_walk(mod, face):
+    """The nilpotence walk over every degree of the bound box."""
+    bound = mod.stabilization_bound()
+    power = 1 + max(bound, default=0)
+    step = tuple(power if i in face else 0 for i in range(1, mod.m + 1))
+    return not any(mod.dim_at(d) and not mod.transition(d, add(d, step)).is_zero() for d in box(bound))
+
+
+@pytest.mark.parametrize("fld", [Field(2), F5, Field(0)], ids=str)
+def test_grid_walk_equals_the_full_box_walk(fld):
+    answers = set()
+    for m in (1, 2, 3):
+        for seed in range(10):
+            params = dict(m=m, max_gens=3, max_rels=5, max_degree=5 if m < 3 else 3, fld=fld)
+            mod = random_presentation(seed, **params)
+            for face in complexes._subsets(range(1, m + 1)):
+                got = annihilated_by_monomial_power(mod, face)
+                assert got == _full_box_walk(random_presentation(seed, **params), face), (m, seed, face)
+                answers.add(got)
+    assert answers == {True, False}
+
+
+def test_nilpotence_walk_reads_the_grid_of_a_far_quadrant():
+    # the 301^2 bound box has the grid {0, 300}^2; the box budget stays on the real bound
+    mod = named_example("quadrant:300,300", F5)
+    assert not annihilated_by_monomial_power(mod, frozenset())
+    assert len(mod._slices) <= 4
+    far = named_example("quadrant:400,400", F5)
+    with pytest.raises(PreconditionError, match="holds 160801 degrees"):
+        annihilated_by_monomial_power(far, frozenset())
+    assert not far._slices
 
 
 def test_kernel_complex_membership():

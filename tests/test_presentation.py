@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persloc.degrees import box, join, leq
+from persloc.degrees import add, box, join, leq
 from persloc.errors import DegreeOrderError, HomogeneityError
 from persloc.fields import DEFAULT_FIELD, Field, Matrix, Subspace
+from persloc.localization import localize
 from persloc.presentation import (
     GradedPresentation,
     PresentationMap,
@@ -210,3 +211,59 @@ def test_rank_is_span_of_generators_eligible_at_source(case):
     rank = mod.rank_invariant(a, b)
     assert rank == Subspace.span(mod.field, mod.dim_at(b), images).dim
     assert rank <= min(mod.dim_at(a), mod.dim_at(b))
+
+
+def _scanned_slice(mod, d):
+    """The slice at d from the direct eligibility scan: every generator and
+    relation degree compared with d."""
+    gens = tuple(i for i, gd in enumerate(mod.gen_degrees) if leq(gd, d))
+    rels = [j for j, rd in enumerate(mod.rel_degrees) if leq(rd, d)]
+    relations = Subspace.span(mod.field, len(gens), [[mod.rel_coeffs.entries[i][j] for i in gens] for j in rels])
+    coords = tuple(k for k in range(len(gens)) if k not in relations.pivots)
+    return (gens, {g: k for k, g in enumerate(gens)}, coords, relations), (gens, tuple(rels))
+
+
+def _assert_grid_slices_match_the_scan(mod):
+    # every degree of the box two past the bound, read off the grid and as the
+    # first slice of a fresh module, and one slice per eligible set
+    eligible = set()
+    for d in box(add(mod.stabilization_bound(), (2,) * mod.m)):
+        want, key = _scanned_slice(mod, d)
+        first = GradedPresentation(mod.m, mod.field, mod.gen_degrees, mod.rel_degrees, mod.rel_coeffs)._slice(d)
+        for sl in (mod._slice(d), first):
+            assert (sl.gens, sl.positions, sl.coords, sl.relations) == want, (mod, d)
+        eligible.add(key)
+    assert len(mod._slices) == len(eligible)
+
+
+@pytest.mark.parametrize("fld", [Field(2), F5, Field(0)], ids=str)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_grid_slices_equal_the_eligibility_scan(m, fld):
+    for seed in range(6):
+        mod = random_presentation(seed, m=m, max_degree=6 if m < 3 else 4, fld=fld)
+        _assert_grid_slices_match_the_scan(mod)
+        # m = 0: every variable inverted, one slice at ()
+        whole = localize(mod, range(1, m + 1))
+        _assert_grid_slices_match_the_scan(whole)
+        assert whole.dim_at(()) == mod.dim_at(mod.stabilization_bound())
+
+
+def test_grid_axis_with_no_degree_at_zero():
+    # axis 1 starts at 2 and axis 2 at 3: below either, nothing is eligible
+    mod = GradedPresentation.build(2, F5, [(2, 3), (4, 3)], [((4, 5), [1, 4]), ((5, 3), [0, 1])])
+    _assert_grid_slices_match_the_scan(mod)
+    assert mod._slice((1, 9)) is mod._slice((0, 0)) is mod._slice((9, 2))
+    assert mod._slice((0, 0)).gens == ()
+    assert mod._slice((3, 4)) is mod._slice((2, 3))
+
+
+def test_a_module_sliced_once_builds_no_grid():
+    # `decompose` asks each module for the one slice at its bound
+    mod = random_presentation(3, m=2, fld=F5)
+    bound = mod.stabilization_bound()
+    mod.dim_at(bound)
+    assert not hasattr(mod, "_grid")
+    mod.dim_at((0, 0))
+    assert hasattr(mod, "_grid")
+    assert mod._slice(bound) is mod._slice(add(bound, (3, 1)))
+    assert len(mod._slices) == 2

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from persloc import cli, fields, quiver
 from persloc.degrees import MAX_BOX_DEGREES, box, with_axis
-from persloc.errors import PreconditionError
+from persloc.errors import DecompositionError, PreconditionError
 from persloc.fields import DEFAULT_FIELD, Field, Matrix, Subspace
 from persloc.localization import Interval, bars_from_rank_fn
 from persloc.presentation import GradedPresentation, direct_sum, free_module, random_presentation
@@ -524,6 +524,91 @@ def test_end_rows_are_back_substituted_only_when_read(monkeypatch):
         assert len(solved) == len(set(solved)) == res.endo_dim - 1
     solved.clear()
     assert len(endomorphism_basis(double)) == 4 and len(solved) == 3
+
+
+def _fitting_reference(rep, endo):
+    """The Fitting split along endo from `Matrix.kernel()` and `Matrix.image()`
+    of X^d at every vertex, with each arrow restricted by hand."""
+    kernels, images = [], []
+    for x in endo:
+        power = Matrix.identity(x.field, x.nrows)
+        for _ in range(x.nrows):
+            power = power.mul(x)
+        kernels.append(power.kernel())
+        images.append(power.image())
+    if not sum(s.dim for s in kernels) or not sum(s.dim for s in images):
+        return None
+
+    def restrict(a, src, tgt):
+        images = [a.apply(v) for v in src.rows]
+        assert all(tgt.contains_vector(img) for img in images)
+        return Matrix.from_cols(a.field, tgt.dim, [[img[p] for p in tgt.pivots] for img in images])
+
+    def side(spaces):
+        arrows = [restrict(a, spaces[u], spaces[w]) for (u, w), a in zip(_star(rep.n), rep.maps)]
+        return QuiverRep.from_flat(rep.field, rep.n, [s.dim for s in spaces], arrows)
+
+    return side(kernels), side(images)
+
+
+def _endos_to_split_along(rep, rng, extra):
+    """The End basis of rep and `extra` random combinations of it."""
+    vectors = _end_vectors(rep)
+    mixes = [[rng.randrange(5) for _ in vectors] for _ in range(extra if vectors else 0)]
+    return [_endo_from_vector(rep, v) for v in vectors + [_combine(rep.field, c, vectors) for c in mixes]]
+
+
+@pytest.mark.parametrize("fld", [F2, F5, Field(101), Field(0)], ids=str)
+def test_split_along_equals_the_kernel_and_image_reference(fld):
+    rng = random.Random(("fitting", fld.char).__repr__())
+    kinds, splits = set(), 0
+    for seed in range(40):
+        rep = random_rep(seed, fld=fld)
+        for endo in _endos_to_split_along(rep, rng, 3):
+            split = quiver._split_along(rep, endo)
+            assert split == _fitting_reference(rep, endo), (seed, endo)
+            splits += split is not None
+            for x in endo:
+                kinds.add("zero" if not x.nrows else "mixed" if 0 < x.kernel().dim < x.nrows else "pure")
+    assert splits and kinds == {"zero", "mixed", "pure"}
+
+
+@pytest.mark.parametrize("p, level", [(5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (7, 4)])
+def test_split_along_a_benchmark_tube_never_splits(p, level):
+    rep = _tube(p, level)
+    for endo in _endos_to_split_along(rep, random.Random(level), 4):
+        assert quiver._split_along(rep, endo) is None
+        assert _fitting_reference(rep, endo) is None
+
+
+def test_fitting_image_is_reduced_only_at_a_mixed_vertex(monkeypatch):
+    reduced = []
+    real = Matrix.image
+    monkeypatch.setattr(Matrix, "image", lambda self: reduced.append(self.nrows) or real(self))
+    free1 = to_quiver_rep(free_module(3, (0, 0, 0), F5), 1)
+    double = free1.direct_sum(free1)
+    identity = tuple(Matrix.identity(F5, d) for d in double.dims)
+    assert quiver._split_along(double, identity) is None
+    assert quiver._split_along(double, tuple(Matrix(F5, d, d, ((0,) * d,) * d) for d in double.dims)) is None
+    assert reduced == []
+    # the projection onto the first copy: its kernel is the second copy at every vertex
+    first = tuple(Matrix.from_rows(F5, [[int(i == j == 0) for j in range(d)] for i in range(d)], d) for d in double.dims)
+    split = quiver._split_along(double, first)
+    assert reduced == [d for d in double.dims if d]
+    assert split is not None and split == _fitting_reference(double, first)
+
+
+def test_restrict_arrow_refuses_a_non_invariant_subspace():
+    swap = Matrix.from_rows(F5, [[0, 1], [1, 0]])
+    line = Subspace.span(F5, 2, [(1, 0)])
+    zero = Subspace.span(F5, 2, [])
+    full = Subspace.span(F5, 2, [(1, 0), (0, 1)])
+    for tgt in (line, zero):
+        with pytest.raises(DecompositionError, match="not arrow-invariant"):
+            quiver._restrict_arrow(swap, line, tgt)
+    assert quiver._restrict_arrow(swap, full, full) is swap
+    assert quiver._restrict_arrow(swap, line, full) == Matrix.from_rows(F5, [[0], [1]])
+    assert quiver._restrict_arrow(swap, zero, line) == Matrix(F5, 1, 0, ((),))
 
 
 @pytest.mark.parametrize("fld", [F2, F5, Field(0)])

@@ -209,8 +209,9 @@ def test_record_constructor_errors_name_the_fields(cls):
 
 
 def test_only_record_sets_fields():
-    # Record.__init__ sets every field through its slot; the one other call
-    # gives each GradedPresentation a fresh `_slices` cache
+    # Record.__init__ sets every field through its slot; the two other calls
+    # give each GradedPresentation a fresh `_slices` cache and, on its first
+    # slice request, its critical-value `_grid`
     package = Path(fields.__file__).parent
     calls = []
     for path in sorted(package.glob("*.py")):
@@ -222,7 +223,10 @@ def test_only_record_sets_fields():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__" and id(node) not in exempt:
                 calls.append((path.name, ast.unparse(node)))
-    assert calls == [("presentation.py", "object.__setattr__(self, '_slices', {})")]
+    assert calls == [
+        ("presentation.py", "object.__setattr__(self, '_slices', {})"),
+        ("presentation.py", "object.__setattr__(self, '_grid', ((1 << len(degrees)) - 1, tuple(axes)))"),
+    ]
     for cls in _CHECK_FREE:
         assert "__init__" not in vars(cls), cls.__name__
 
