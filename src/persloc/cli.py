@@ -405,17 +405,7 @@ def _cmd_random(args, fld: Field, inputs: list) -> dict:
             raise PreconditionError(
                 f"{len(seeds)} seeds at {key}={params[key]} draw more than {budget[key]} in total"
             )
-    samples = [
-        random_presentation(
-            s,
-            m=params["m"],
-            max_gens=params["max_gens"],
-            max_rels=params["max_rels"],
-            max_degree=params["max_degree"],
-            fld=fld,
-        )
-        for s in seeds
-    ]
+    samples = [random_presentation(s, fld=fld, **params) for s in seeds]
     module = direct_sum(*samples)
     if args.shift:
         module = module.shift(_parse_degree(args.shift, params["m"], "--shift"))

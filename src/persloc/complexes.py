@@ -220,9 +220,11 @@ def annihilated_by_monomial_power(module: GradedPresentation, face: Iterable[int
     empty face's monomial is 1: the step is zero and the walk checks that
     every slice vanishes.  This box walk is the route independent of
     `supp_complex`, which reads generator degrees; the box is held to
-    `degrees.MAX_BOX_DEGREES` degrees.  It visits only degrees whose
-    coordinates are 0 or critical values: a box degree d has the slices of its
-    floor on that grid, and so has d + step, whose nonzero coordinates pass all.
+    `degrees.MAX_BOX_DEGREES` degrees.  It visits only the degrees whose
+    coordinates are generator coordinates: below an axis's least generator
+    coordinate the slice is 0, and if f is d's floor on that grid then
+    M(f) -> M(d) is onto, so a nonzero M(d) -> M(d + step) gives a nonzero
+    M(f) -> M(d + step), which factors through M(f) -> M(f + step).
     """
     m = module.m
     face = frozenset(int(i) for i in face)
@@ -232,7 +234,7 @@ def annihilated_by_monomial_power(module: GradedPresentation, face: Iterable[int
     dg.require_box_budget(bound)
     power = 1 + max(bound, default=0)
     step = tuple(power if (i + 1) in face else 0 for i in range(m))
-    grid = product(*(sorted({0, *(d[i] for d in module.gen_degrees + module.rel_degrees)}) for i in range(m)))
+    grid = product(*(sorted({d[i] for d in module.gen_degrees}) for i in range(m)))
     # a zero slice maps to zero: skipping it builds no target slice
     return not any(
         module.dim_at(d) and not module.transition(d, dg.add(d, step)).is_zero()

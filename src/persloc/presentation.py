@@ -14,6 +14,11 @@ bases, which makes them strictly functorial (composition holds on the nose).
 m may be 0 (every variable inverted, see `localization.localize`): one vector
 space at degree ().  Module files and `random_presentation` still need m >= 1.
 
+A presentation is checked once, where it enters: `GradedPresentation.build`
+coerces the coefficients and checks degrees and homogeneity.  The constructor
+trusts its fields, so the modules derived from checked ones (shifts, direct
+sums, cokernels, localizations) are built without checking again.
+
 M(d) depends only on the eligible set, the presentation degrees at or below d.
 The first slice compares d with each degree; from the second on, one `bisect`
 per axis of the module's critical-value grid gives the set.  Slices, the only
@@ -50,7 +55,10 @@ class _Slice(Record):
 
 
 class GradedPresentation(Record):
-    """A presented module; `_slices` caches each slice by the bitmask of its
+    """A presented module.  The constructor trusts its fields: outside data
+    enters through `build`, which checks it, and `shift`, `direct_sum`,
+    `PresentationMap.cokernel` and `localization.localize` build from modules
+    already checked.  `_slices` caches each slice by the bitmask of its
     eligible generators and relations.  `_grid`, set at the second slice request,
     holds the full mask and, per axis, the sorted distinct degree coordinates,
     each with the mask of the degrees at or below it."""
@@ -58,24 +66,6 @@ class GradedPresentation(Record):
     __slots__ = ("m", "field", "gen_degrees", "rel_degrees", "rel_coeffs", "_slices", "_grid")
 
     def __init__(self, m: int, field: Field, gen_degrees: tuple, rel_degrees: tuple, rel_coeffs: Matrix) -> None:
-        if m < 0:
-            raise PreconditionError("need a nonnegative number of variables")
-        for d in gen_degrees + rel_degrees:
-            if len(d) != m:
-                raise AmbientMismatchError(f"degree {d} has wrong length")
-            if not dg.is_nonnegative(d):
-                raise PreconditionError(f"negative degree {d}")
-        if rel_coeffs.nrows != len(gen_degrees) or rel_coeffs.ncols != len(rel_degrees):
-            raise AmbientMismatchError("coefficient matrix shape mismatch")
-        if rel_coeffs.field != field:
-            raise AmbientMismatchError("coefficient matrix over wrong field")
-        for i, gd in enumerate(gen_degrees):
-            for j, rd in enumerate(rel_degrees):
-                if rel_coeffs.entries[i][j] != 0 and not dg.leq(gd, rd):
-                    raise HomogeneityError(
-                        f"relation {j} (degree {rd}) has a coefficient on "
-                        f"generator {i} (degree {gd}) but {gd} is not <= {rd}"
-                    )
         super().__init__(m, field, gen_degrees, rel_degrees, rel_coeffs)
         object.__setattr__(self, "_slices", {})
 
@@ -83,15 +73,28 @@ class GradedPresentation(Record):
     def build(cls, m, fld, gen_degrees, relations) -> "GradedPresentation":
         """Construct from degree lists; relations are (degree, coeff row) pairs.
 
-        The coefficients are outside input: they are coerced into the field.
+        The one check of outside input: the coefficients are coerced into the
+        field, then the row lengths, m >= 0, nonnegative degrees and
+        homogeneity (generator-major) are checked, in that order.
         """
         gen_degrees = tuple(dg.as_degree(d, m) for d in gen_degrees)
         rel_degrees = tuple(dg.as_degree(d, m) for d, _ in relations)
         cols = [[fld.coerce(x) for x in c] for _, c in relations]
         if any(len(c) != len(gen_degrees) for c in cols):
             raise AmbientMismatchError("relation coefficient vector length mismatch")
-        mat = Matrix.from_cols(fld, len(gen_degrees), cols)
-        return cls(m, fld, gen_degrees, rel_degrees, mat)
+        if m < 0:
+            raise PreconditionError("need a nonnegative number of variables")
+        for d in gen_degrees + rel_degrees:
+            if not dg.is_nonnegative(d):
+                raise PreconditionError(f"negative degree {d}")
+        for i, gd in enumerate(gen_degrees):
+            for j, rd in enumerate(rel_degrees):
+                if cols[j][i] != 0 and not dg.leq(gd, rd):
+                    raise HomogeneityError(
+                        f"relation {j} (degree {rd}) has a coefficient on "
+                        f"generator {i} (degree {gd}) but {gd} is not <= {rd}"
+                    )
+        return cls(m, fld, gen_degrees, rel_degrees, Matrix.from_cols(fld, len(gen_degrees), cols))
 
     @property
     def num_gens(self) -> int:

@@ -1,0 +1,315 @@
+"""Hand-written mutants of `src/persloc`, each run against the narrow tests that must see it.
+
+Run from anywhere, with pytest importable:
+
+    python tests/mutation.py            # every entry
+    python tests/mutation.py NAME ...   # only the named entries
+    python tests/mutation.py --list
+
+pytest does not collect this file: its name does not start with `test_`.
+
+Each entry names a file under `src/persloc/`, the exact old text, the new text,
+the test node ids, and its verdict.  For each entry the script copies `src/`
+to a fresh temporary directory, checks that the old text occurs there exactly
+once, replaces it, and runs the node ids with `pytest -x` in a subprocess that
+imports `persloc` from the copy (it checks `persloc.__file__` before the tests
+start, so an installed `persloc` cannot shadow the mutant).  A `killed` entry
+must make pytest report a failure; an `equivalent` entry must pass, and its
+`why` says why no test can fail on it.  First, the unmutated copy must pass
+every named test, so that a failure is the mutant's.  The table is a check: a
+change that edits or drops an entry says so in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# argv: the copy's src directory, then pytest's arguments
+_BOOT = """
+import os, sys
+src = os.path.realpath(sys.argv[1])
+sys.path.insert(0, src)
+import persloc  # an import error exits with 1, which the unmutated run refuses
+if not os.path.realpath(persloc.__file__).startswith(src + os.sep):
+    print(f"persloc imported from {persloc.__file__}, not from the copy {src}")
+    sys.exit(99)  # pytest itself exits with 0 to 5
+import pytest
+sys.exit(pytest.main(sys.argv[2:]))
+"""
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple
+    verdict: str  # "killed" or "equivalent"
+    why: str = ""
+
+
+_PRES = "tests/test_presentation.py::"
+_CPLX = "tests/test_complexes.py::"
+_QUIV = "tests/test_quiver.py::"
+
+_ROW_CHECK = '''        if any(len(c) != len(gen_degrees) for c in cols):
+            raise AmbientMismatchError("relation coefficient vector length mismatch")
+'''
+_M_CHECK = '''        if m < 0:
+            raise PreconditionError("need a nonnegative number of variables")
+'''
+_DEGREE_CHECK = '''        for d in gen_degrees + rel_degrees:
+            if not dg.is_nonnegative(d):
+                raise PreconditionError(f"negative degree {d}")
+'''
+
+MUTANTS = (
+    # -- the checks of outside input, all in `GradedPresentation.build` --
+    Mutant(
+        "build drops the row-length check",
+        "presentation.py",
+        _ROW_CHECK,
+        "",
+        (_PRES + "test_build_refuses_bad_input_with_its_message",),
+        "killed",
+    ),
+    Mutant(
+        "build drops the m >= 0 check",
+        "presentation.py",
+        _M_CHECK,
+        "",
+        (_PRES + "test_build_refuses_bad_input_with_its_message",),
+        "killed",
+    ),
+    Mutant(
+        "build drops the nonnegative-degree check",
+        "presentation.py",
+        _DEGREE_CHECK,
+        "",
+        (_PRES + "test_build_refuses_bad_input_with_its_message",),
+        "killed",
+    ),
+    Mutant(
+        "build drops the homogeneity check",
+        "presentation.py",
+        "if cols[j][i] != 0 and not dg.leq(gd, rd):",
+        "if False:",
+        (_PRES + "test_build_rejects_inhomogeneous",),
+        "killed",
+    ),
+    Mutant(
+        "build scans homogeneity relation-major",
+        "presentation.py",
+        """        for i, gd in enumerate(gen_degrees):
+            for j, rd in enumerate(rel_degrees):
+                if cols[j][i]""",
+        """        for j, rd in enumerate(rel_degrees):
+            for i, gd in enumerate(gen_degrees):
+                if cols[j][i]""",
+        (_PRES + "test_build_names_the_first_inhomogeneous_pair_generator_major",),
+        "killed",
+    ),
+    Mutant(
+        "build checks the degrees before the row lengths",
+        "presentation.py",
+        _ROW_CHECK + _M_CHECK + _DEGREE_CHECK,
+        _M_CHECK + _DEGREE_CHECK + _ROW_CHECK,
+        (_PRES + "test_build_refuses_bad_input_with_its_message",),
+        "killed",
+    ),
+    Mutant(
+        "build checks m >= 0 before the row lengths",
+        "presentation.py",
+        _ROW_CHECK + _M_CHECK,
+        _M_CHECK + _ROW_CHECK,
+        (_PRES + "test_build_refuses_bad_input_with_its_message",),
+        "equivalent",
+        "with m < 0 any degree fails in `dg.as_degree` before both checks, and with no degree there is no "
+        "relation, so the row-length check cannot fire: the two checks never both apply",
+    ),
+    # -- the nilpotence walk on the generator-coordinate grid --
+    Mutant(
+        "nilpotence walk drops the first generator's coordinates",
+        "complexes.py",
+        "d in module.gen_degrees})",
+        "d in module.gen_degrees[1:]})",
+        (_CPLX + "test_annihilated_by_monomial_power",),
+        "killed",
+    ),
+    Mutant(
+        "nilpotence walk drops the last generator's coordinates",
+        "complexes.py",
+        "d in module.gen_degrees})",
+        "d in module.gen_degrees[:-1]})",
+        (_CPLX + "test_annihilated_by_monomial_power",),
+        "killed",
+    ),
+    Mutant(
+        "nilpotence walk reads relation coordinates instead",
+        "complexes.py",
+        "d in module.gen_degrees})",
+        "d in module.rel_degrees})",
+        (_CPLX + "test_annihilated_by_monomial_power",),
+        "killed",
+    ),
+    Mutant(
+        "nilpotence walk also visits relation coordinates",
+        "complexes.py",
+        "d in module.gen_degrees})",
+        "d in module.gen_degrees + module.rel_degrees})",
+        (_CPLX + "test_nilpotence_walk_visits_generator_coordinates_only",),
+        "killed",
+    ),
+    Mutant(
+        "nilpotence walk also visits 0",
+        "complexes.py",
+        "sorted({d[i] for d in module.gen_degrees})",
+        "sorted({0, *(d[i] for d in module.gen_degrees)})",
+        (_CPLX + "test_nilpotence_walk_visits_generator_coordinates_only",),
+        "killed",
+    ),
+    # -- the critical-value grid of the slices --
+    Mutant(
+        "grid prefix masks off by one",
+        "presentation.py",
+        "accumulate(bits.values(), operator.or_, initial=0)",
+        "accumulate(bits.values(), operator.or_)",
+        (_PRES + "test_grid_axis_with_no_degree_at_zero",),
+        "killed",
+    ),
+    Mutant(
+        "grid bisects left",
+        "presentation.py",
+        "from bisect import bisect_right",
+        "from bisect import bisect_left as bisect_right",
+        (_PRES + "test_grid_axis_with_no_degree_at_zero",),
+        "killed",
+    ),
+    Mutant(
+        "first-slice scan compares the wrong way",
+        "presentation.py",
+        "if dg.leq(e, d)), ()",
+        "if dg.leq(d, e)), ()",
+        (_PRES + "test_grid_axis_with_no_degree_at_zero",),
+        "killed",
+    ),
+    Mutant(
+        "every slice request scans",
+        "presentation.py",
+        "if not self._slices:",
+        "if True:",
+        (_PRES + "test_a_module_sliced_once_builds_no_grid",),
+        "killed",
+    ),
+    Mutant(
+        "relation bits shifted by one",
+        "presentation.py",
+        "enumerate(bits[ng:])",
+        "enumerate(bits[ng + 1:])",
+        (_PRES + "test_grid_axis_with_no_degree_at_zero",),
+        "killed",
+    ),
+    # -- the Fitting split and the restricted arrows --
+    Mutant(
+        "Fitting split swaps the full and zero images",
+        "quiver.py",
+        "rows = () if k.dim else Matrix.identity(x.field, k.ambient).entries",
+        "rows = Matrix.identity(x.field, k.ambient).entries if k.dim else ()",
+        (_QUIV + "test_split_along_equals_the_kernel_and_image_reference[F_5]",),
+        "killed",
+    ),
+    Mutant(
+        "Fitting split reduces the image at a nilpotent vertex too",
+        "quiver.py",
+        "if 0 < k.dim < k.ambient:",
+        "if 0 < k.dim <= k.ambient:",
+        (_QUIV + "test_fitting_image_is_reduced_only_at_a_mixed_vertex",),
+        "killed",
+    ),
+    Mutant(
+        "restricted arrow skips the membership check for a zero target",
+        "quiver.py",
+        "if not full and not tgt.contains_vector(img):",
+        "if tgt.dim and not full and not tgt.contains_vector(img):",
+        (_QUIV + "test_restrict_arrow_refuses_a_non_invariant_subspace",),
+        "killed",
+    ),
+    Mutant(
+        "restricted arrow returns A whenever the target is full",
+        "quiver.py",
+        "if full and src.dim == src.ambient:",
+        "if full:",
+        (_QUIV + "test_restrict_arrow_refuses_a_non_invariant_subspace",),
+        "killed",
+    ),
+)
+
+
+def _run(src: str, tests) -> int:
+    """pytest's exit status for `tests` against the persloc package under `src`."""
+    argv = [sys.executable, "-c", _BOOT, src, "-x", "-q", "-p", "no:cacheprovider", *tests]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]).rstrip(os.pathsep))
+    done = subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    if done.returncode not in (0, 1):  # not a verdict: show why
+        sys.stdout.write(done.stdout[-2000:])
+    return done.returncode
+
+
+def _copy(where: str) -> str:
+    src = os.path.join(where, "src")
+    shutil.copytree(os.path.join(ROOT, "src"), src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return src
+
+
+def _apply(src: str, mutant: Mutant) -> None:
+    path = os.path.join(src, "persloc", mutant.file)
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    count = text.count(mutant.old)
+    if count != 1:
+        raise SystemExit(f"{mutant.name}: old text occurs {count} times in {mutant.file}, expected once")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text.replace(mutant.old, mutant.new))
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--list"]:
+        for mutant in MUTANTS:
+            print(f"{mutant.verdict:<10} {mutant.name}")
+        return 0
+    chosen = [mutant for mutant in MUTANTS if not argv or mutant.name in argv]
+    if unknown := set(argv) - {mutant.name for mutant in MUTANTS}:
+        raise SystemExit(f"unknown entries {sorted(unknown)}; see --list")
+    for mutant in chosen:
+        if mutant.verdict not in ("killed", "equivalent") or (mutant.verdict == "equivalent") != bool(mutant.why):
+            raise SystemExit(f"{mutant.name}: verdict {mutant.verdict!r} needs a `why` exactly when equivalent")
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="persloc-mutation-") as where:
+        tests = list(dict.fromkeys(t for mutant in chosen for t in mutant.tests))
+        status = _run(_copy(os.path.join(where, "base")), tests)
+        if status != 0:
+            print(f"the unmutated copy does not pass the named tests (exit status {status})")
+            return 1
+        wrong = 0
+        for k, mutant in enumerate(chosen):
+            src = _copy(os.path.join(where, str(k)))
+            _apply(src, mutant)
+            status = _run(src, mutant.tests)
+            # 1: a test failed; 0: all passed; anything else is a usage, collection or import problem
+            got = {0: "equivalent", 1: "killed"}.get(status, f"error (exit status {status})")
+            wrong += got != mutant.verdict
+            print(f"{'ok' if got == mutant.verdict else 'WRONG':<6} {got:<10} {mutant.name}")
+    print(f"{len(chosen)} mutants, {wrong} not as the table says, {time.perf_counter() - start:.1f} s")
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -172,9 +172,13 @@ def test_box_limits_of_dims_and_delocalize(capsys):
         code, report, _ = run_json(capsys, *argv)
         assert code == 2, argv
         assert report["error"]["type"] == "UsageError"
-    # support and in-kernel walked the 61^4 stabilization box of this module;
-    # the Moebius barcode behind barcode and decompose walked a 3001^2 grid;
-    # quiverize and indec built 3n+1 slices for any leg length n
+    # each is refused at entry by the 100,000-degree budget, which stays on the
+    # real bound whatever the command then walks: dims and delocalize on their
+    # --box; support (which reads generator degrees) and in-kernel (whose
+    # nilpotence walk visits generator coordinates only) on the 61^4
+    # stabilization box; barcode on the 3001^2 grid of its Moebius walk;
+    # decompose, which walks no grid, on the 3001^2 square of its bound's
+    # larger coordinate; quiverize and indec on the 3n+1 star-quiver vertices
     big = "quadrant:60,60,60,60"
     for argv in (
         ["dims", "samerank_m", "--box", "3000,3000"],

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from persloc import modfile, twoparam
 from persloc.degrees import add, box, join, leq
-from persloc.errors import DegreeOrderError, HomogeneityError
+from persloc.errors import AmbientMismatchError, DegreeOrderError, HomogeneityError, PreconditionError
+from persloc.examples import named_example
 from persloc.fields import DEFAULT_FIELD, Field, Matrix, Subspace
 from persloc.localization import localize
 from persloc.presentation import (
@@ -31,6 +33,61 @@ def test_build_rejects_inhomogeneous():
     # a relation in degree (0,0) cannot involve a generator born at (1,0)
     with pytest.raises(HomogeneityError):
         GradedPresentation.build(2, F5, [(1, 0)], [((0, 0), [1])])
+
+
+@pytest.mark.parametrize(
+    "m, gens, relations, error, message",
+    [
+        (-1, [], [], PreconditionError, "need a nonnegative number of variables"),
+        (2, [(0, 0), (1, -1)], [], PreconditionError, "negative degree (1, -1)"),
+        (2, [], [((-1, 0), [])], PreconditionError, "negative degree (-1, 0)"),
+        (2, [(0, 0), (0, 0)], [((1, 1), [1])], AmbientMismatchError, "relation coefficient vector length mismatch"),
+        # the row length is checked before the degrees, the degrees before homogeneity
+        (2, [(0, -1)], [((0, 0), [1, 1])], AmbientMismatchError, "relation coefficient vector length mismatch"),
+        (2, [(1, 0)], [((0, -1), [1])], PreconditionError, "negative degree (0, -1)"),
+    ],
+)
+def test_build_refuses_bad_input_with_its_message(m, gens, relations, error, message):
+    # modfile refuses m < 1 and negative degrees before `build`, so only a library call reaches these
+    with pytest.raises(error) as info:
+        GradedPresentation.build(m, F5, gens, relations)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_build_names_the_first_inhomogeneous_pair_generator_major():
+    # two violations, generator 1 on relation 0 and generator 0 on relation 1:
+    # the generator-major scan names generator 0 first
+    with pytest.raises(HomogeneityError) as info:
+        GradedPresentation.build(2, F5, [(0, 1), (1, 0)], [((0, 0), [0, 1]), ((0, 0), [1, 0])])
+    assert str(info.value) == (
+        "relation 1 (degree (0, 0)) has a coefficient on generator 0 (degree (0, 1)) but (0, 1) is not <= (0, 0)"
+    )
+
+
+def _derived_modules(fld, m, seed):
+    """The modules built from checked ones without a second check: shifts,
+    direct sums, localizations, cokernels and reconstructions."""
+    rng = random.Random(seed)
+    mod, other = (random_presentation(s, m=m, max_degree=4, fld=fld) for s in (seed, seed + 100))
+    yield mod.shift(tuple(rng.randint(0, 3) for _ in range(m)))
+    yield direct_sum(mod, other)
+    yield direct_sum(mod)
+    for k in range(m):  # every proper sigma of one size; modfile needs m >= 1
+        yield localize(mod, rng.sample(range(1, m + 1), k))
+    if m == 2:
+        yield twoparam.reconstruct(twoparam.decompose(mod), fld)
+        for name in ("notsplit_map", "split_projection"):
+            yield named_example(name, fld).cokernel()
+
+
+@pytest.mark.parametrize("fld", [Field(2), F5, Field(0)], ids=str)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_derived_modules_pass_build_again(m, fld):
+    # the constructor trusts its fields; what derived constructions hand it
+    # is what `build` would accept and return unchanged
+    for seed in range(8):
+        for derived in _derived_modules(fld, m, seed):
+            assert modfile.module_from_obj(modfile.module_to_obj(derived)) == derived
 
 
 def test_zero_and_free():
