@@ -554,14 +554,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, DegreeOrderError) as exc:
         report = _error_report(echo, "usage", exc)
         exit_code = 2
-    except (
-        ParseError,
-        HomogeneityError,
-        UnknownNameError,
-        PreconditionError,
-        DecompositionError,
-        OSError,
-    ) as exc:
+    except (ParseError, HomogeneityError, PreconditionError, DecompositionError, OSError) as exc:
         report = _error_report(echo, "domain", exc)
         exit_code = 1
     try:
@@ -576,11 +569,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _error_report(echo: list[str], kind: str, exc: Exception) -> dict:
-    message = str(exc)
-    if isinstance(exc, KeyError) and message.startswith(("'", '"')):
-        message = message[1:-1]
     return {
         "format": 1,
         "command": echo,
-        "error": {"kind": kind, "type": type(exc).__name__, "message": message},
+        "error": {"kind": kind, "type": type(exc).__name__, "message": str(exc)},
     }

@@ -34,6 +34,9 @@ MAX_VARIABLES = 12
 
 
 def _require_variable_budget(m: int) -> None:
+    """Refuse m < 1, and m past `MAX_VARIABLES`, before any walk over 2^m subsets."""
+    if m < 1:
+        raise PreconditionError("need at least one vertex slot")
     if m > MAX_VARIABLES:
         raise PreconditionError(
             f"m = {m} is more than {MAX_VARIABLES} variables; the 2^m subsets are out of budget"
@@ -63,13 +66,18 @@ class SimplicialComplex(Record):
     `faces` empty is the empty complex; `faces = {frozenset()}` is the
     one-point family containing only the empty face.  Both are valid and are
     distinct objects.
+
+    The constructor trusts its fields: outside data enters through `make`, which
+    checks it; `skeleton`, `serre_step`, `supp_complex` and `enumerate_complexes`
+    build downward-closed families on a checked m.
     """
 
     __slots__ = ("m", "faces")
 
-    def __init__(self, m: int, faces: frozenset[Face]) -> None:
-        if m < 1:
-            raise PreconditionError("need at least one vertex slot")
+    @classmethod
+    def make(cls, m: int, faces: Iterable[Iterable[int]]) -> "SimplicialComplex":
+        """Check outside data: m against the variable budget, then face by face its vertices and facets."""
+        faces = frozenset(_face(f) for f in faces)
         _require_variable_budget(m)
         for f in faces:
             if any(v < 1 or v > m for v in f):
@@ -80,11 +88,7 @@ class SimplicialComplex(Record):
                         f"family is not downward closed: {sorted(f)} present, "
                         f"{sorted(f - {v})} missing"
                     )
-        super().__init__(m, faces)
-
-    @classmethod
-    def make(cls, m: int, faces: Iterable[Iterable[int]]) -> "SimplicialComplex":
-        return cls(m, frozenset(_face(f) for f in faces))
+        return cls(m, faces)
 
     def sorted_faces(self) -> list[Face]:
         return sorted(self.faces, key=face_sort_key)
@@ -97,7 +101,7 @@ class SimplicialComplex(Record):
 
 
 def empty_complex(m: int) -> SimplicialComplex:
-    return SimplicialComplex(m, frozenset())
+    return SimplicialComplex.make(m, ())
 
 
 def full_simplex(m: int) -> SimplicialComplex:
@@ -113,8 +117,6 @@ def skeleton(m: int, i: int) -> SimplicialComplex:
     if not -2 <= i <= m - 1:
         raise PreconditionError(f"skeleton index {i} outside [-2, {m - 1}]")
     _require_variable_budget(m)
-    if i == -2:
-        return empty_complex(m)
     return SimplicialComplex(m, frozenset(_subsets(range(1, m + 1), i + 1)))
 
 
@@ -290,6 +292,7 @@ def enumerate_complexes(m: int) -> Iterator[SimplicialComplex]:
     """
     if m > 4:
         raise PreconditionError("exhaustive enumeration supported for m <= 4")
+    _require_variable_budget(m)
     order = list(_subsets(range(1, m + 1)))
 
     def grow(i: int, faces: frozenset[Face]) -> Iterator[SimplicialComplex]:
@@ -306,6 +309,7 @@ def enumerate_complexes(m: int) -> Iterator[SimplicialComplex]:
 
 def random_complex(seed: int, m: int) -> SimplicialComplex:
     """Seeded random complex: sample faces, then close downward."""
+    _require_variable_budget(m)
     rng = random.Random(("complex", seed, m).__repr__())
     faces: set[Face] = set()
     for face in _subsets(range(1, m + 1)):

@@ -7,7 +7,7 @@ import operator
 from itertools import product
 from typing import Collection, Iterable, Iterator
 
-from .errors import PreconditionError
+from .errors import AmbientMismatchError, PreconditionError
 
 Degree = tuple[int, ...]
 
@@ -18,7 +18,15 @@ MAX_BOX_DEGREES = 100_000
 def as_degree(values: Iterable[int], m: int | None = None) -> Degree:
     d = tuple(map(int, values))
     if m is not None and len(d) != m:
-        raise ValueError(f"degree {d} has {len(d)} components, expected {m}")
+        raise AmbientMismatchError(f"degree {d} has {len(d)} components, expected {m}")
+    return d
+
+
+def as_nonnegative(values: Iterable[int], m: int, what: str = "degree") -> Degree:
+    """`as_degree(values, m)`, refused unless it lies in N^m."""
+    d = as_degree(values, m)
+    if not is_nonnegative(d):
+        raise PreconditionError(f"{what} {d} not in N^{m}")
     return d
 
 

@@ -317,7 +317,7 @@ def rep_from_obj(obj: object, where: str = "rep") -> quiver.QuiverRep:
         leg_dims.append(dims)
         arrows.append(tuple(maps))
     try:
-        return quiver.QuiverRep(fld, n, sink_dim, tuple(leg_dims), tuple(arrows))
+        return quiver.QuiverRep.build(fld, n, sink_dim, tuple(leg_dims), tuple(arrows))
     except PreconditionError as exc:
         raise ParseError(f"{where}: {exc}") from exc
 

@@ -154,17 +154,12 @@ class GradedPresentation(Record):
         return [red[k] for k in sl.coords]
 
     def dim_at(self, d) -> int:
-        d = dg.as_degree(d, self.m)
-        if not dg.is_nonnegative(d):
-            raise PreconditionError(f"degree {d} not in N^{self.m}")
-        return self._slice(d).dim
+        return self._slice(dg.as_nonnegative(d, self.m)).dim
 
     def transition(self, a, b) -> Matrix:
         """Multiplication by t^(b-a) in the canonical slice bases."""
-        a = dg.as_degree(a, self.m)
+        a = dg.as_nonnegative(a, self.m)
         b = dg.as_degree(b, self.m)
-        if not dg.is_nonnegative(a):
-            raise PreconditionError(f"degree {a} not in N^{self.m}")
         if not dg.leq(a, b):
             raise DegreeOrderError(f"{a} is not <= {b}")
         sa = self._slice(a)
@@ -199,9 +194,7 @@ class GradedPresentation(Record):
     # -- constructions ----------------------------------------------------
 
     def shift(self, e) -> "GradedPresentation":
-        e = dg.as_degree(e, self.m)
-        if not dg.is_nonnegative(e):
-            raise PreconditionError(f"shift {e} not in N^{self.m}")
+        e = dg.as_nonnegative(e, self.m, "shift")
         return GradedPresentation(
             self.m,
             self.field,
@@ -314,7 +307,7 @@ class PresentationMap(Record):
 
     def slice_matrix(self, d) -> Matrix:
         """The induced map on canonical slices at degree d."""
-        d = dg.as_degree(d, self.m)
+        d = dg.as_nonnegative(d, self.m)
         ss = self.source._slice(d)
         cols = []
         for k in ss.coords:

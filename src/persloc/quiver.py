@@ -89,27 +89,34 @@ class QuiverRep(Record):
     `arrows[leg][j]` maps leg vertex j to vertex j+1 for j < n-1; the last
     entry maps leg vertex n-1 into the sink.  `dims` and `maps` list the same
     data flat, in the vertex and arrow order of `_star`.
+
+    The constructor trusts its fields: outside data enters through `build`, which
+    checks it; `from_flat`, `direct_sum`, `to_quiver_rep` and the Fitting witnesses
+    of `is_indecomposable` build from checked data.
     """
 
     __slots__ = ("field", "n", "sink_dim", "leg_dims", "arrows")
 
-    def __init__(self, field: Field, n: int, sink_dim: int, leg_dims: tuple, arrows: tuple) -> None:
+    @classmethod
+    def build(cls, field: Field, n: int, sink_dim: int, leg_dims: tuple, arrows: tuple) -> "QuiverRep":
+        """Check outside data: the leg length, the leg count, each leg, then each arrow's shape and field."""
         _require_leg_length(n)
         if len(leg_dims) != 3 or len(arrows) != 3:
             raise PreconditionError("exactly three legs")
         if any(len(leg) != n for leg in (*leg_dims, *arrows)):
             raise PreconditionError("leg length mismatch")
-        super().__init__(field, n, sink_dim, leg_dims, arrows)
-        dims = self.dims
-        for (s, t), mat in zip(_star(self.n), self.maps):
+        rep = cls(field, n, sink_dim, leg_dims, arrows)
+        dims = rep.dims
+        for (s, t), mat in zip(_star(n), rep.maps):
             if mat.ncols != dims[s] or mat.nrows != dims[t]:
-                names = quiver_shape(self.n)["vertices"]
+                names = quiver_shape(n)["vertices"]
                 raise PreconditionError(
                     f"arrow {names[s]}->{names[t]} shape {mat.nrows}x{mat.ncols}, "
                     f"expected {dims[t]}x{dims[s]}"
                 )
-            if mat.field != self.field:
+            if mat.field != field:
                 raise PreconditionError("arrow over wrong field")
+        return rep
 
     @classmethod
     def from_flat(cls, field: Field, n: int, dims, maps) -> "QuiverRep":
@@ -586,4 +593,4 @@ def random_rep(
         return Matrix.from_rows(fld, rows, ncols)
 
     maps = [rand_matrix(dims[t], dims[s]) for s, t in _star(n)]
-    return QuiverRep.from_flat(fld, n, dims, maps)
+    return QuiverRep.build(fld, n, sink, _by_leg(n, dims[1:]), _by_leg(n, maps))

@@ -186,9 +186,7 @@ def delocalize_dim(module: GradedPresentation, d) -> int:
     slices.  Differs from dim_at exactly when finite data was lost.
     """
     _require_two_params(module)
-    d = dg.as_degree(d, 2)
-    if not dg.is_nonnegative(d):
-        raise PreconditionError(f"degree {d} not in N^2")
+    d = dg.as_nonnegative(d, 2)
     b1, b2 = module.stabilization_bound()
     e1, e2 = max(d[0], b1), max(d[1], b2)
     t1 = module.transition((d[0], e2), (e1, e2))  # axis-2 localization -> corner

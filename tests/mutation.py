@@ -59,6 +59,8 @@ class Mutant(NamedTuple):
 _PRES = "tests/test_presentation.py::"
 _CPLX = "tests/test_complexes.py::"
 _QUIV = "tests/test_quiver.py::"
+_MOD = "tests/test_modfile.py::"
+_REC = "tests/test_records.py::"
 
 _ROW_CHECK = '''        if any(len(c) != len(gen_degrees) for c in cols):
             raise AmbientMismatchError("relation coefficient vector length mismatch")
@@ -69,6 +71,18 @@ _M_CHECK = '''        if m < 0:
 _DEGREE_CHECK = '''        for d in gen_degrees + rel_degrees:
             if not dg.is_nonnegative(d):
                 raise PreconditionError(f"negative degree {d}")
+'''
+
+_MAKE_M = "        _require_variable_budget(m)\n"
+_MAKE_FACES = '''        for f in faces:
+            if any(v < 1 or v > m for v in f):
+                raise PreconditionError(f"face {sorted(f)} outside 1..{m}")
+            for v in f:
+                if f - {v} not in faces:
+                    raise PreconditionError(
+                        f"family is not downward closed: {sorted(f)} present, "
+                        f"{sorted(f - {v})} missing"
+                    )
 '''
 
 MUTANTS = (
@@ -134,6 +148,164 @@ MUTANTS = (
         "equivalent",
         "with m < 0 any degree fails in `dg.as_degree` before both checks, and with no degree there is no "
         "relation, so the row-length check cannot fire: the two checks never both apply",
+    ),
+    # -- degrees enter through one check --
+    Mutant(
+        "as_degree raises a plain ValueError",
+        "degrees.py",
+        'raise AmbientMismatchError(f"degree {d} has',
+        'raise ValueError(f"degree {d} has',
+        (_PRES + "test_build_refuses_a_degree_of_the_wrong_length_as_an_ambient_mismatch",),
+        "killed",
+    ),
+    Mutant(
+        "a map's slice skips the orthant check",
+        "presentation.py",
+        "d = dg.as_nonnegative(d, self.m)\n        ss = self.source._slice(d)",
+        "d = dg.as_degree(d, self.m)\n        ss = self.source._slice(d)",
+        (_PRES + "test_degrees_outside_the_orthant_are_refused_with_their_messages",),
+        "killed",
+    ),
+    # -- the checks of outside input, in `QuiverRep.build` (a budget is never dropped) --
+    Mutant(
+        "rep build drops the n >= 1 check",
+        "quiver.py",
+        "        _require_leg_length(n)\n        if len(leg_dims) != 3",
+        "        _require_leg_length(max(n, 1))\n        if len(leg_dims) != 3",
+        (_QUIV + "test_build_refuses_bad_input_with_its_message",),
+        "killed",
+    ),
+    Mutant(
+        "rep build drops the leg-count check",
+        "quiver.py",
+        "if len(leg_dims) != 3 or len(arrows) != 3:",
+        "if False:",
+        (_QUIV + "test_build_refuses_bad_input_with_its_message",),
+        "killed",
+    ),
+    Mutant(
+        "rep build drops the leg-length check",
+        "quiver.py",
+        "if any(len(leg) != n for leg in (*leg_dims, *arrows)):",
+        "if False:",
+        (_QUIV + "test_build_refuses_bad_input_with_its_message",),
+        "killed",
+    ),
+    Mutant(
+        "rep build drops the arrow shape check",
+        "quiver.py",
+        "if mat.ncols != dims[s] or mat.nrows != dims[t]:",
+        "if False:",
+        (_QUIV + "test_bad_arrow_shape_names_the_arrow",),
+        "killed",
+    ),
+    Mutant(
+        "rep build drops the arrow field check",
+        "quiver.py",
+        "if mat.field != field:",
+        "if False:",
+        (_QUIV + "test_build_refuses_bad_input_with_its_message",),
+        "killed",
+    ),
+    Mutant(
+        "rep build checks an arrow's field before its shape",
+        "quiver.py",
+        "if mat.ncols != dims[s] or mat.nrows != dims[t]:",
+        "if mat.field == field and (mat.ncols != dims[s] or mat.nrows != dims[t]):",
+        (_QUIV + "test_build_refuses_bad_input_with_its_message",),
+        "killed",
+    ),
+    Mutant(
+        "modfile builds a rep through the trusted constructor",
+        "modfile.py",
+        "quiver.QuiverRep.build(fld, n,",
+        "quiver.QuiverRep(fld, n,",
+        (_MOD + "test_rep_over_the_vertex_budget_is_refused_with_its_location",),
+        "killed",
+    ),
+    # -- the checks of outside input, in `SimplicialComplex.make` --
+    Mutant(
+        "variable budget drops the m >= 1 check",
+        "complexes.py",
+        "    if m < 1:\n",
+        "    if False:\n",
+        (_CPLX + "test_complex_builders_refuse_m_before_any_subset_walk",),
+        "killed",
+    ),
+    Mutant(
+        "make drops the m >= 1 check",
+        "complexes.py",
+        _MAKE_M,
+        "        _require_variable_budget(max(m, 1))\n",
+        (_CPLX + "test_make_refuses_bad_input_with_its_message",),
+        "killed",
+    ),
+    Mutant(
+        "make drops the face range check",
+        "complexes.py",
+        "if any(v < 1 or v > m for v in f):",
+        "if False:",
+        (_CPLX + "test_make_refuses_bad_input_with_its_message",),
+        "killed",
+    ),
+    Mutant(
+        "make drops the downward-closure check",
+        "complexes.py",
+        "if f - {v} not in faces:",
+        "if False:",
+        (_CPLX + "test_complex_requires_downward_closure",),
+        "killed",
+    ),
+    Mutant(
+        "make checks the faces before m",
+        "complexes.py",
+        _MAKE_M + _MAKE_FACES,
+        _MAKE_FACES + _MAKE_M,
+        (_CPLX + "test_make_refuses_bad_input_with_its_message",),
+        "killed",
+    ),
+    Mutant(
+        "modfile builds a complex through the trusted constructor",
+        "modfile.py",
+        "complexes.SimplicialComplex.make(m, faces)",
+        "complexes.SimplicialComplex(m, frozenset(map(frozenset, faces)))",
+        (_MOD + "test_complex_file_is_checked_by_make",),
+        "killed",
+    ),
+    # -- the one record constructor and the CLI's file reading --
+    Mutant(
+        "record constructor drops the arity check",
+        "fields.py",
+        """        if len(values) != len(setters):
+            raise TypeError(f"{self._signature} takes {len(setters)} fields, got {len(values)}")
+""",
+        "",
+        (_REC + "test_wrong_constructor_calls_raise_type_error",),
+        "killed",
+    ),
+    Mutant(
+        "record setters are looked up in the class's own dict",
+        "fields.py",
+        "getattr(cls, n).__set__",
+        "cls.__dict__[n].__set__",
+        (_REC + "test_a_subclass_instance_is_not_equal_to_its_parent_instance",),
+        "killed",
+    ),
+    Mutant(
+        "record constructor accepts a field given twice",
+        "fields.py",
+        "rest = self._fields[len(values):]",
+        "rest = self._fields",
+        (_REC + "test_wrong_constructor_calls_raise_type_error",),
+        "killed",
+    ),
+    Mutant(
+        "CLI file reading catches the wrong decode error",
+        "cli.py",
+        "except UnicodeDecodeError as exc:",
+        "except UnicodeEncodeError as exc:",
+        ("tests/test_cli.py::test_non_utf8_file_is_one_domain_envelope",),
+        "killed",
     ),
     # -- the nilpotence walk on the generator-coordinate grid --
     Mutant(

@@ -39,7 +39,58 @@ F5 = DEFAULT_FIELD
 
 def test_complex_requires_downward_closure():
     with pytest.raises(PreconditionError):
-        SimplicialComplex(2, frozenset({frozenset({1, 2})}))
+        SimplicialComplex.make(2, [[1, 2]])
+
+
+_BUDGET = "m = {} is more than 12 variables; the 2^m subsets are out of budget"
+
+
+@pytest.mark.parametrize(
+    "m, faces, message",
+    [
+        (0, [], "need at least one vertex slot"),
+        (13, [], _BUDGET.format(13)),
+        (2, [[], [3]], "face [3] outside 1..2"),
+        (2, [[], [0]], "face [0] outside 1..2"),
+        (2, [[], [1, 2], [1]], "family is not downward closed: [1, 2] present, [2] missing"),
+        # in order: m, then face by face its vertices and its facets
+        (0, [[5]], "need at least one vertex slot"),
+        (40, [[41]], _BUDGET.format(40)),
+        (2, [[1, 3]], "face [1, 3] outside 1..2"),
+    ],
+)
+def test_make_refuses_bad_input_with_its_message(m, faces, message):
+    with pytest.raises(PreconditionError) as info:
+        SimplicialComplex.make(m, faces)
+    assert type(info.value) is PreconditionError and str(info.value) == message
+
+
+def _no_walk(*args, **kwargs):
+    raise AssertionError("walked the subsets of the variables")
+
+
+@pytest.mark.parametrize("m", [0, -1, 13, 40])
+def test_complex_builders_refuse_m_before_any_subset_walk(m, monkeypatch):
+    # each refuses as `make` does, before it visits the 2^m subsets
+    monkeypatch.setattr(complexes, "_subsets", _no_walk)
+    message = "need at least one vertex slot" if m < 1 else _BUDGET.format(m)
+    builders = [
+        lambda: empty_complex(m),
+        lambda: skeleton(m, -2),
+        lambda: full_simplex(m),
+        lambda: random_complex(0, m),
+        lambda: SimplicialComplex.make(m, []),
+    ]
+    if m < 1:
+        builders.append(lambda: next(enumerate_complexes(m)))
+    if m > 0:
+        builders.append(lambda: supp_complex(free_module(m, (0,) * m, F5)))
+    else:  # every variable of a module inverted
+        builders.append(lambda: supp_complex(localize(free_module(2, (0, 0), F5), [1, 2])))
+    for build in builders:
+        with pytest.raises(PreconditionError) as info:
+            build()
+        assert str(info.value) == message
 
 
 def test_skeleton_tower():
@@ -268,8 +319,7 @@ def test_enumerate_complexes_counts():
     assert len(list(enumerate_complexes(2))) == 6
     assert len(list(enumerate_complexes(3))) == 20
     for k in enumerate_complexes(2):
-        # each result is a valid complex (constructor re-validates)
-        assert SimplicialComplex(k.m, k.faces) == k
+        assert SimplicialComplex.make(k.m, k.faces) == k
     # m = 4: 168 distinct complexes, grown from the empty one to the simplex
     four = [k.faces for k in enumerate_complexes(4)]
     assert len(four) == len(set(four)) == 168
@@ -281,7 +331,29 @@ def test_random_complex_is_valid_and_deterministic():
         a = random_complex(seed, 4)
         b = random_complex(seed, 4)
         assert a == b
-        assert SimplicialComplex(a.m, a.faces) == a
+        assert SimplicialComplex.make(a.m, a.faces) == a
+
+
+def _derived_complexes(fld, m, seed):
+    """The complexes built from checked data without a second check: supports,
+    Serre steps, skeleta, the enumeration and random complexes."""
+    yield supp_complex(random_presentation(seed, m=m, max_gens=4, max_rels=5, max_degree=3, fld=fld))
+    k = random_complex(seed, m)
+    yield k
+    yield from serre_chain(k)[1:]
+    yield serre_step(empty_complex(m))
+    for i in range(-2, m):
+        yield skeleton(m, i)
+
+
+@pytest.mark.parametrize("fld", [Field(2), F5, Field(101), Field(0)], ids=str)
+def test_derived_complexes_pass_make_again(fld):
+    # the constructor trusts its fields; what derived constructions hand it
+    # is what `make` would accept and return unchanged
+    for m in (1, 2, 3, 4):
+        derived = [k for seed in range(8) for k in _derived_complexes(fld, m, seed)]
+        for k in derived + list(enumerate_complexes(m)):
+            assert SimplicialComplex.make(k.m, k.faces) == k
 
 
 def test_subset_walks_are_pinned():

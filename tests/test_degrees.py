@@ -4,7 +4,9 @@
 `operator` and `min`; each must agree with the plain generator expression
 it replaces on every input, including m = 0, negative entries, degrees of
 different lengths (both forms stop at the shorter) and the wrong-length
-`ValueError` of `as_degree`.
+`AmbientMismatchError` of `as_degree`, a `PreconditionError` and so a
+`ValueError`.  `as_nonnegative` is `as_degree` that also refuses a degree
+outside N^m.
 """
 
 import re
@@ -14,12 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persloc import degrees as dg
+from persloc.errors import AmbientMismatchError, PreconditionError
 
 
 def _as_degree(values, m=None):
     d = tuple(int(x) for x in values)
     if m is not None and len(d) != m:
-        raise ValueError(f"degree {d} has {len(d)} components, expected {m}")
+        raise AmbientMismatchError(f"degree {d} has {len(d)} components, expected {m}")
     return d
 
 
@@ -46,11 +49,17 @@ def test_helpers_equal_their_generator_definitions(m, data):
         for want in (None, m, len(values)):
             try:
                 expected = _as_degree(values, want)
-            except ValueError as err:
-                with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+            except AmbientMismatchError as err:
+                with pytest.raises(AmbientMismatchError, match=f"^{re.escape(str(err))}$"):
                     dg.as_degree(values, want)
             else:
                 assert dg.as_degree(values, want) == expected
+        if len(values) == m:
+            if all(x >= 0 for x in expected):
+                assert dg.as_nonnegative(values, m) == expected
+            else:
+                with pytest.raises(PreconditionError, match=f"^shift {re.escape(str(expected))} not in N\\^{m}$"):
+                    dg.as_nonnegative(values, m, "shift")
 
 
 def test_empty_degrees():

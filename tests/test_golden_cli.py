@@ -31,13 +31,17 @@ from persloc.quiver import QuiverRep, random_rep
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
-# module and complex files written by the CLI itself before the pinned
-# invocations run; a `support` envelope is read back as a complex file
+# module, complex and quiver-rep files written by the CLI itself before the
+# pinned invocations run; a `support` envelope is read back as a complex file
+# and a `quiverize` envelope as a rep file (one with a zero sink)
 GENERATED = {
     "rand2.json": "random --seeds 3,4 --params m=2,max_gens=6,max_rels=9,max_degree=5",
     "rand2q.json": "random --seeds 5 --params m=2,max_gens=5,max_rels=8,max_degree=4 --char 0",
     "rand3.json": "random --seeds 2 --params m=3,max_gens=4,max_rels=5,max_degree=2",
     "supp_m.json": "support samerank_m",
+    "ring3.json": "face-ring skeleton:3:1",
+    "quiv_rand3.json": "quiverize rand3.json -n 2",
+    "quiv_ring3.json": "quiverize ring3.json -n 2",
 }
 
 
@@ -93,6 +97,32 @@ NOMAP = {
     "coeffs": [[]],
 }
 
+# a split map onto the strip [0, 2) x N: its target has a relation, so the
+# section equations and the witness check run over the target relations
+_STRIP = {"characteristic": 5, "m": 2, "generators": [[0, 0]], "relations": [{"degree": [2, 0], "coeffs": [1]}]}
+RELMAP = {
+    "source": {
+        "characteristic": 5,
+        "m": 2,
+        "generators": [[0, 0], [1, 0]],
+        "relations": [{"degree": [2, 0], "coeffs": [1, 0]}],
+    },
+    "target": _STRIP,
+    "coeffs": [[1, 0]],
+}
+
+# every summand twice: two vertical strips [0, 2), two horizontal strips
+# [1, 3) and two quadrants at (1, 1), so each picture carries its "x2" label
+STRIPS = {
+    "characteristic": 5,
+    "m": 2,
+    "generators": [[0, 0], [0, 0], [0, 1], [0, 1], [1, 1], [1, 1]],
+    "relations": [
+        {"degree": degree, "coeffs": [int(i == k) for i in range(6)]}
+        for k, degree in enumerate([[2, 0], [2, 0], [0, 3], [0, 3]])
+    ],
+}
+
 _M2 = ["fixtures/samerank_M.json", "fixtures/samerank_N.json", "fixtures/coordinate_cross.json",
        "samerank_m", "samerank_n", "coordinate_cross", "quadrant:1,1", "vstrip:0,2", "hstrip:1,3",
        "rand2.json", "rand2q.json"]
@@ -122,7 +152,8 @@ def _invocations() -> list[str]:
             f"in-kernel {mod} skeleton:2:0",
             f"in-kernel {mod} full:2",
         ]
-    out += ["decompose samerank_m --svg out.svg", "decompose samerank_m --same-as samerank_n",
+    out += ["decompose samerank_m --svg out.svg", "decompose vstrip:0,2 --svg out.svg",
+            "decompose strips.json --svg out.svg", "decompose samerank_m --same-as samerank_n",
             "decompose fixtures/samerank_M.json --same-as fixtures/samerank_N.json"]
     for mod in _M3:
         out += [
@@ -140,7 +171,9 @@ def _invocations() -> list[str]:
         out += [f"endo {rep}", f"indec {rep}"]
     out += ["indec tube2_f5.json", "indec tube7_f5.json", "indec tube2_q.json",
             "split-legs legs_f5.json", "split-legs legs_q.json"]
-    for pmap in _MAPS:
+    for rep in ("quiv_rand3.json", "quiv_ring3.json"):
+        out += [f"indec {rep}", f"split-legs {rep}"]
+    for pmap in [*_MAPS, "relmap.json"]:
         out.append(f"section-exists {pmap}")
     for k in _COMPLEXES:
         out += [f"face-ring {k}", f"face-ring {k} --all-missing", f"simples {k}",
@@ -200,7 +233,8 @@ def _prepare(workdir: Path) -> None:
         (workdir / name).write_text(out, encoding="utf-8")
     for name, make in REPS.items():
         (workdir / name).write_text(modfile.canonical_json(modfile.rep_to_obj(make())), encoding="utf-8")
-    (workdir / "nomap.json").write_text(modfile.canonical_json(NOMAP), encoding="utf-8")
+    for name, obj in (("nomap.json", NOMAP), ("relmap.json", RELMAP), ("strips.json", STRIPS)):
+        (workdir / name).write_text(modfile.canonical_json(obj), encoding="utf-8")
 
 
 def _record(line: str) -> str:
@@ -406,6 +440,8 @@ GOLDEN: dict[str, str] = {
     'in-kernel rand2q.json skeleton:2:0': '0:879d304fa6ea59eff70254989de2f26d012ad62554224d0a922adb06b41cb3be',
     'in-kernel rand2q.json full:2': '0:a478cac07c572bf8cee9d34d7cd48492a57322aea0a36e0587cc8c929210944b',
     'decompose samerank_m --svg out.svg': '0:0cef42ef0854f973c4baeb8a831d5589935f2eb1032267fc34d71097a2d2a0a4:f1dbb3d3e246c4e22c84a9c854edf78007129ee4bc55a3e8f65d7e991b8d96c2',
+    'decompose vstrip:0,2 --svg out.svg': '0:54ae7228ee60a47a254cd87546fda90f36c3baea8caca33ff65bb150a35bfc5f:122ffdc35b6e5850c1600c010fbdf3d12f783337b6f0638720da753473e0b675',
+    'decompose strips.json --svg out.svg': '0:8789ee05c6f267ef48c868a9c87d837169c265043ec21cfd86a89a570ad715d2:9869fadbe9972df76a2624ca798e1f7a165a0d77ffec6cbea767a0f9948b147a',
     'decompose samerank_m --same-as samerank_n': '0:122c507c32dabc485e90557934c252b29efe65b2e8879016ae738a5ec665b804',
     'decompose fixtures/samerank_M.json --same-as fixtures/samerank_N.json': '0:d690355c9e585c99d268762c74fd052ae4c850d15f184db7b39fc06fce03d09e',
     'dims fixtures/m3_indecomposable.json': '0:e5bd3f9bf1a67ad5e997320fd935ce28138a6c423c29b63094763d0d63fe1c05',
@@ -445,10 +481,15 @@ GOLDEN: dict[str, str] = {
     'indec tube2_q.json': '0:00c86a8369e99e5ab7560e57bbdb7815cba5baa83047bd44c24b4b13df000dd4',
     'split-legs legs_f5.json': '0:21cddc47067e09093748411d32d00db80d24d2fdd6e0d41727e8edb38feea529',
     'split-legs legs_q.json': '0:ffe38147fcea90c7750bdc7788f71cdca1070b90251ddd92f1b4e49d345c36e0',
+    'indec quiv_rand3.json': '0:f934faad852cd55433cb7e6f2c386e5b9bc4dabd52bcd3ad8afef05db0247951',
+    'split-legs quiv_rand3.json': '0:895536598efb3b2277ba66f5ebf4aaa4247daeb6f1befa6e7c924849c9fec6c2',
+    'indec quiv_ring3.json': '0:ff1efb4512de1b70195c8add0003d4c4e34e00039a56443babd4bafc8e1c7920',
+    'split-legs quiv_ring3.json': '0:6928ef1522b6b03ccde91e999cda6d7b7ee936ee48303ba78faf4d3fd8309c81',
     'section-exists fixtures/notsplit_map.json': '0:c25b84aa54f301486ed05800192da083a00a8508024f22de77a70c6259c01e67',
     'section-exists fixtures/split_projection_map.json': '0:0d22ddf0c37bbc0f85b93e9b9d513eb9d12b3854d651cb78fe111f1ae5ff7857',
     'section-exists notsplit_map': '0:7be1467ba77ec44a580f08cc0300d3fdb8a3fdfedd42cb5ef927dd982ca60882',
     'section-exists split_projection': '0:6aeeda6bfa7fe3bb341385752186ecf77afe24f940dc2ca88b683f94c72a965b',
+    'section-exists relmap.json': '0:05c251290d7bb4bcfea46a681ab87b700da75d1cc818f8a8506ef02fd26d897a',
     'face-ring skeleton:3:0': '0:dcc978484c00ec5461704ef5dd3884bc06b1a44436b4ea5ebd80db143982942f',
     'face-ring skeleton:3:0 --all-missing': '0:6a23ad86e85185f71612a2e9ed139adf7208a0ed1be0fee4f17bd96baad1a0f9',
     'simples skeleton:3:0': '0:0a14d4cf508f37223dd9b59cd561ce8e0d0a3cc825821a50508600a937e659d4',

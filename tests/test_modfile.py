@@ -1,11 +1,13 @@
 """Serialization: canonical JSON, envelopes, and round-trips."""
 
 import json
+import re
 
 import pytest
 
 from persloc import modfile
 from persloc.complexes import full_simplex, skeleton
+from persloc.degrees import MAX_BOX_DEGREES
 from persloc.errors import ParseError
 from persloc.examples import named_example
 from persloc.fields import DEFAULT_FIELD, Field, Matrix
@@ -64,6 +66,21 @@ def test_rep_roundtrip():
         rep = random_rep(seed, n=2, max_dim=2)
         obj = modfile.rep_to_obj(rep)
         assert modfile.rep_from_obj(obj) == rep
+
+
+def test_rep_over_the_vertex_budget_is_refused_with_its_location():
+    # every shape check of the format passes; `QuiverRep.build` refuses the leg length
+    n = (MAX_BOX_DEGREES + 2) // 3
+    obj = {"characteristic": 5, "n": n, "sink_dim": 0, "legs": [{"dims": [0] * n, "maps": [[]] * n}] * 3}
+    with pytest.raises(ParseError) as info:
+        modfile.rep_from_obj(obj, where="big.json")
+    assert str(info.value) == f"big.json: leg length {n} gives {3 * n + 1} vertices, more than {MAX_BOX_DEGREES}"
+
+
+def test_complex_file_is_checked_by_make():
+    for faces, message in (([[1, 2]], "[1, 2] present, [2] missing"), ([[], [3]], "face [3] outside 1..2")):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            modfile.complex_from_obj({"m": 2, "faces": faces}, where="k.json")
 
 
 def test_envelope_unwrap():

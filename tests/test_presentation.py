@@ -54,6 +54,34 @@ def test_build_refuses_bad_input_with_its_message(m, gens, relations, error, mes
     assert type(info.value) is error and str(info.value) == message
 
 
+def test_build_refuses_a_degree_of_the_wrong_length_as_an_ambient_mismatch():
+    # a library caller catching `PreconditionError` sees it too
+    for gens, relations in (([(0,)], []), ([], [((0, 0, 0), [])])):
+        with pytest.raises(AmbientMismatchError) as info:
+            GradedPresentation.build(2, F5, gens, relations)
+        length = len(gens[0] if gens else relations[0][0])
+        assert str(info.value) == f"degree {(0,) * length} has {length} components, expected 2"
+
+
+def test_degrees_outside_the_orthant_are_refused_with_their_messages():
+    # each entry point names the degree it was given; a map's slice refuses as `dim_at` does
+    module, f = named_example("samerank_m"), named_example("split_projection")
+    calls = [
+        (lambda: module.dim_at((-1, 0)), "degree (-1, 0) not in N^2"),
+        (lambda: module.transition((0, -1), (1, 1)), "degree (0, -1) not in N^2"),
+        (lambda: module.rank_invariant((0, -1), (0, -1)), "degree (0, -1) not in N^2"),
+        (lambda: module.shift((2, -1)), "shift (2, -1) not in N^2"),
+        (lambda: twoparam.delocalize_dim(module, (-1, -1)), "degree (-1, -1) not in N^2"),
+        (lambda: f.slice_matrix((-1, 0)), "degree (-1, 0) not in N^2"),
+    ]
+    for call, message in calls:
+        with pytest.raises(PreconditionError) as info:
+            call()
+        assert type(info.value) is PreconditionError and str(info.value) == message
+    with pytest.raises(AmbientMismatchError):
+        f.slice_matrix((0, 0, 0))
+
+
 def test_build_names_the_first_inhomogeneous_pair_generator_major():
     # two violations, generator 1 on relation 0 and generator 0 on relation 1:
     # the generator-major scan names generator 0 first

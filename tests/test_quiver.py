@@ -337,12 +337,76 @@ def test_endomorphism_basis_matches_the_dense_solve():
 def test_bad_arrow_shape_names_the_arrow():
     def rep(n, sink_dim, leg_dims, shapes):
         arrows = tuple(tuple(Matrix.from_rows(F5, [[0] * c for _ in range(r)], c) for r, c in leg) for leg in shapes)
-        return QuiverRep(F5, n, sink_dim, leg_dims, arrows)
+        return QuiverRep.build(F5, n, sink_dim, leg_dims, arrows)
 
     with pytest.raises(PreconditionError, match=r"^arrow leg3\.0->sink shape 1x2, expected 1x3$"):
         rep(1, 1, ((2,), (2,), (3,)), (((1, 2),), ((1, 2),), ((1, 2),)))
     with pytest.raises(PreconditionError, match=r"^arrow leg2\.0->leg2\.1 shape 2x1, expected 1x1$"):
         rep(2, 1, ((1, 1),) * 3, (((1, 1), (1, 1)), ((2, 1), (1, 1)), ((1, 1), (1, 1))))
+
+
+def _zero_arrows(legs, fld=F5):
+    """Zero 1x1 arrows, one tuple of `len(leg)` per leg."""
+    return tuple(tuple(Matrix.from_rows(fld, [[0]], 1) for _ in leg) for leg in legs)
+
+
+_ONES = ((1,), (1,), (1,))
+_OVER_BUDGET = (MAX_BOX_DEGREES + 2) // 3
+
+
+@pytest.mark.parametrize(
+    "n, leg_dims, arrows, message",
+    [
+        (0, ((), (), ()), ((), (), ()), "leg length must be at least 1"),
+        (
+            _OVER_BUDGET, ((),) * 3, ((),) * 3,
+            f"leg length {_OVER_BUDGET} gives {3 * _OVER_BUDGET + 1} vertices, more than {MAX_BOX_DEGREES}",
+        ),
+        (1, _ONES[:2], _zero_arrows(_ONES[:2]), "exactly three legs"),
+        (1, _ONES, _zero_arrows(_ONES)[:2], "exactly three legs"),
+        (1, ((1,), (1, 1), (1,)), _zero_arrows(_ONES), "leg length mismatch"),
+        (1, _ONES, _zero_arrows(((1,), (1, 1), (1,))), "leg length mismatch"),
+        (1, _ONES, _zero_arrows(_ONES[:2]) + _zero_arrows(((1,),), Field(7)), "arrow over wrong field"),
+        # in order: the leg length, the leg count, the leg lengths, then arrow by
+        # arrow its shape and its field
+        (0, _ONES[:2], ((), ()), "leg length must be at least 1"),
+        (2, _ONES[:2], ((), ()), "exactly three legs"),
+        (1, ((2,), (1,), (1,)), _zero_arrows(((1,),), Field(7)) + _zero_arrows(_ONES[:2]),
+         "arrow leg1.0->sink shape 1x1, expected 1x2"),
+        (1, ((1,), (1,), (2,)), _zero_arrows(((1,),), Field(7)) + _zero_arrows(_ONES[:2]), "arrow over wrong field"),
+        (1, ((2,), (1,), (1,)), _zero_arrows(_ONES[:2]) + _zero_arrows(((1,),), Field(7)),
+         "arrow leg1.0->sink shape 1x1, expected 1x2"),
+    ],
+)
+def test_build_refuses_bad_input_with_its_message(n, leg_dims, arrows, message):
+    with pytest.raises(PreconditionError) as info:
+        QuiverRep.build(F5, n, 1, leg_dims, arrows)
+    assert type(info.value) is PreconditionError and str(info.value) == message
+
+
+def _derived_reps(fld, seed):
+    """The reps built from checked data without a second check: quiver
+    conversions, random reps, direct sums and Fitting witnesses."""
+    module = random_presentation(seed, m=3, max_gens=4, max_rels=5, max_degree=2, fld=fld)
+    for n in (1, 2, 3):
+        if in_leq_n(module, n):
+            yield to_quiver_rep(module, n)
+    a, b = random_rep(seed, max_dim=2, fld=fld), random_rep(seed, n=2, max_dim=2, fld=fld)
+    yield a
+    yield b
+    yield a.direct_sum(a)
+    yield b.direct_sum(random_rep(seed + 100, n=2, max_dim=1, fld=fld))
+    for rep in (a, b, b.direct_sum(b)):
+        yield from is_indecomposable(rep).witness or ()
+
+
+@pytest.mark.parametrize("fld", [F2, F5, Field(101), Field(0)], ids=str)
+def test_derived_reps_pass_build_again(fld):
+    # the constructor trusts its fields; what derived constructions hand it
+    # is what `build` would accept and return unchanged
+    for seed in range(12):
+        for rep in _derived_reps(fld, seed):
+            assert QuiverRep.build(rep.field, rep.n, rep.sink_dim, rep.leg_dims, rep.arrows) == rep
 
 
 def test_endomorphism_basis_brute_force_f2():

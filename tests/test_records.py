@@ -189,8 +189,12 @@ def test_wrong_constructor_calls_raise_type_error(cls):
             cls(*values[: required - 1])
 
 
-# the records with no checks and no defaults take `Record.__init__` as it is
-_CHECK_FREE = [Matrix, Subspace, _Slice, Barcode, SimpleDescriptor, Decomposition, SectionWitness, SectionResult]
+# the records with no checks and no defaults take `Record.__init__` as it is;
+# `QuiverRep.build` and `SimplicialComplex.make` check what enters from outside
+_CHECK_FREE = [
+    Matrix, Subspace, _Slice, Barcode, SimplicialComplex, SimpleDescriptor, QuiverRep, Decomposition,
+    SectionWitness, SectionResult,
+]
 
 
 @pytest.mark.parametrize("cls", _CHECK_FREE, ids=lambda c: c.__name__)
