@@ -85,6 +85,43 @@ _MAKE_FACES = '''        for f in faces:
                     )
 '''
 
+# the sparse solve numbers column j as ncols - j, so its stored lows are the
+# pivots of the dense reduced echelon form; the mutant numbers them j + 1
+_SOLVE = '''def _reduce_system(field: Field, ncols: int, equations: Iterable[dict]) -> dict:
+    """The stored rows of `solve`'s equations, column j reduced as ncols - j."""
+    stored: dict = {}
+    for eq in equations:
+        _store_low(field, stored, {ncols - c: x for c, x in eq.items()})
+    return stored
+
+
+def reduced_rows(field: Field, ncols: int, equations: Iterable[dict]) -> list[dict] | None:
+    """Equations as `solve` takes them, reduced to rows with distinct pivots,
+    or None when they have no solution; `solve` takes the rows back unreduced."""
+    stored = _reduce_system(field, ncols, equations)
+    return None if 0 in stored else [{ncols - c: x for c, x in row.items()} for row in stored.values()]
+
+
+def solve(field: Field, ncols: int, equations: Iterable[dict]) -> tuple | None:
+    """One solution in F^ncols of sparse equations ({column: nonzero entry},
+    the right-hand side at column ncols) with the free variables 0, or None.
+
+    Column j is reduced as ncols - j, so the stored lows are the pivots of the
+    dense reduced echelon form of [A | b], and the right-hand side's column,
+    numbered 0, is a low exactly when there is none; only it is back-substituted.
+    """
+    stored = _reduce_system(field, ncols, equations)
+    if 0 in stored:
+        return None
+    value = _back_substitute(field, stored, 0)
+    return tuple(field.neg(value.get(ncols - j, 0)) for j in range(ncols))
+'''
+_SOLVE_FIRST_TO_LAST = (
+    _SOLVE.replace("{ncols - c: x for c, x in eq.items()}", "{c + 1 if c < ncols else 0: x for c, x in eq.items()}")
+    .replace("{ncols - c: x for c, x in row.items()}", "{c - 1 if c else ncols: x for c, x in row.items()}")
+    .replace("value.get(ncols - j, 0)", "value.get(j + 1, 0)")
+)
+
 MUTANTS = (
     # -- the checks of outside input, all in `GradedPresentation.build` --
     Mutant(
@@ -297,6 +334,35 @@ MUTANTS = (
         "rest = self._fields[len(values):]",
         "rest = self._fields",
         (_REC + "test_wrong_constructor_calls_raise_type_error",),
+        "killed",
+    ),
+    Mutant(
+        "sparse solve numbers the columns first to last",
+        "fields.py",
+        _SOLVE,
+        _SOLVE_FIRST_TO_LAST,
+        ("tests/test_fields.py::test_solve_sets_the_free_variables_to_zero",),
+        "killed",
+    ),
+    Mutant(
+        "Matrix gets its own constructor",
+        "fields.py",
+        '''    __slots__ = ("field", "nrows", "ncols", "entries")
+''',
+        '''    __slots__ = ("field", "nrows", "ncols", "entries")
+
+    def __init__(self, *values) -> None:
+        super().__init__(*values)
+''',
+        (_REC + "test_only_record_sets_fields",),
+        "killed",
+    ),
+    Mutant(
+        "a complex sets its faces with object.__setattr__",
+        "complexes.py",
+        "        return cls(m, faces)\n",
+        "        k = cls(m, frozenset())\n        object.__setattr__(k, 'faces', faces)\n        return k\n",
+        (_REC + "test_only_record_sets_fields",),
         "killed",
     ),
     Mutant(
