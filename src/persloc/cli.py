@@ -134,9 +134,8 @@ def _resolve_complex(spec: str, inputs: list):
     return k
 
 
-def _resolve_rep(spec: str, fld: Field, inputs: list, n: int | None, end_budget: bool = False) -> quiver.QuiverRep:
-    """A quiver-rep file, or a module (file or example name) converted at -n; with
-    `end_budget`, a module whose End is over budget is refused before any map is built."""
+def _resolve_rep(spec: str, fld: Field, inputs: list, n: int | None) -> quiver.QuiverRep:
+    """A quiver-rep file, or a module (file or example name) converted at -n."""
     if _looks_like_path(spec):
         obj = modfile.unwrap_envelope(_read_json(spec))
         if isinstance(obj, dict) and "legs" not in obj and isinstance(obj.get("rep"), dict):
@@ -153,10 +152,6 @@ def _resolve_rep(spec: str, fld: Field, inputs: list, n: int | None, end_budget:
         module = _resolve(spec, fld, inputs, GradedPresentation)
     if n is None:
         raise UsageError("converting a module needs -n LEG_LENGTH")
-    if end_budget:
-        at = quiver._star_degrees(module, n)
-        dims = {d: module.dim_at(d) for d in set(at)}
-        quiver._require_end_unknowns(dims[d] for d in at)
     return quiver.to_quiver_rep(module, n)
 
 
@@ -310,7 +305,7 @@ def _cmd_quiverize(args, fld: Field, inputs: list) -> dict:
 
 
 def _cmd_endo(args, fld: Field, inputs: list) -> dict:
-    rep = _resolve_rep(args.input, fld, inputs, args.n, end_budget=True)
+    rep = _resolve_rep(args.input, fld, inputs, args.n)
     basis = quiver.endomorphism_basis(rep)
     return {
         "dimension": len(basis),
@@ -325,7 +320,7 @@ def _cmd_endo(args, fld: Field, inputs: list) -> dict:
 
 
 def _cmd_indec(args, fld: Field, inputs: list) -> dict:
-    rep = _resolve_rep(args.input, fld, inputs, args.n, end_budget=True)
+    rep = _resolve_rep(args.input, fld, inputs, args.n)
     res = quiver.is_indecomposable(rep)
     witness = None
     if res.witness is not None:

@@ -91,8 +91,8 @@ class QuiverRep(Record):
     data flat, in the vertex and arrow order of `_star`.
 
     The constructor trusts its fields: outside data enters through `build`, which
-    checks it; `from_flat`, `direct_sum`, `to_quiver_rep` and the Fitting witnesses
-    of `is_indecomposable` build from checked data.
+    checks it; `from_flat`, `direct_sum`, `to_quiver_rep`, `random_rep` and the
+    Fitting witnesses of `is_indecomposable` build from checked data.
     """
 
     __slots__ = ("field", "n", "sink_dim", "leg_dims", "arrows")
@@ -175,9 +175,11 @@ def in_leq_n(module: GradedPresentation, n: int) -> bool:
     )
 
 
-def _star_degrees(module: GradedPresentation, n: int) -> list:
-    """`to_quiver_rep`'s vertex degrees in `_star` order, after its checks; leg
-    coordinates are clamped at the stabilization bound, past which slices repeat."""
+def to_quiver_rep(module: GradedPresentation, n: int) -> QuiverRep:
+    """Stabilized slices along each axis, with the sink at the stable corner.
+    Refuses m != 3, then a leg length `_require_leg_length` refuses, then a
+    module not stable by n (`in_leq_n`); leg coordinates are clamped at the
+    stabilization bound, past which slices repeat."""
     if module.m != 3:
         raise PreconditionError("quiver conversion works over m = 3")
     _require_leg_length(n)
@@ -188,12 +190,7 @@ def _star_degrees(module: GradedPresentation, n: int) -> list:
         )
     bound = module.stabilization_bound()
     pin = tuple(max(n, b) for b in bound)
-    return [pin, *(dg.with_axis(pin, axis, min(j, bound[axis - 1])) for axis in (1, 2, 3) for j in range(n))]
-
-
-def to_quiver_rep(module: GradedPresentation, n: int) -> QuiverRep:
-    """Stabilized slices along each axis, with the sink at the stable corner."""
-    at = _star_degrees(module, n)
+    at = [pin, *(dg.with_axis(pin, axis, min(j, bound[axis - 1])) for axis in (1, 2, 3) for j in range(n))]
     # clamped leg degrees repeat: ask once per distinct degree and arrow
     dim_at, transition = functools.cache(module.dim_at), functools.cache(module.transition)
     return QuiverRep.from_flat(
@@ -202,16 +199,6 @@ def to_quiver_rep(module: GradedPresentation, n: int) -> QuiverRep:
         [dim_at(d) for d in at],
         [transition(at[s], at[t]) for s, t in _star(n)],
     )
-
-
-def _require_end_unknowns(dims) -> None:
-    """Refuse an End system with more than `_MAX_END_UNKNOWNS` unknowns."""
-    total = sum(d * d for d in dims)
-    if total > _MAX_END_UNKNOWNS:
-        raise PreconditionError(
-            f"End has {total} unknowns (the sum of squared vertex dimensions), "
-            f"more than {_MAX_END_UNKNOWNS}"
-        )
 
 
 # -- endomorphisms and splittings ----------------------------------------
@@ -243,11 +230,16 @@ def _combine(fld: Field, coeffs, vectors: list[list]) -> list:
 
 def _end_rows(rep: QuiverRep) -> tuple:
     """The dimension of End and its basis as flat row-major vectors, the
-    identity first, each past it back-substituted only when it is reached."""
+    identity first, each past it back-substituted only when it is reached.
+    The one End budget: more than `_MAX_END_UNKNOWNS` unknowns are refused first."""
     fld = rep.field
     dims = rep.dims
-    _require_end_unknowns(dims)
     offsets = list(itertools.accumulate((d * d for d in dims), initial=0))
+    if offsets[-1] > _MAX_END_UNKNOWNS:
+        raise PreconditionError(
+            f"End has {offsets[-1]} unknowns (the sum of squared vertex dimensions), "
+            f"more than {_MAX_END_UNKNOWNS}"
+        )
 
     def equations():
         # X_w A - A X_u = 0 entrywise over (r, c) in d_w x d_u, each built in
@@ -375,7 +367,7 @@ def try_split(rep: QuiverRep, basis: list[tuple[Matrix, ...]]) -> tuple[QuiverRe
     """The Fitting decomposition along the first element of
     `endomorphism_basis(rep)` past the identity `basis[0]` that splits rep:
     (generalized kernel, generalized image), or None when each is nilpotent
-    or invertible.  This is the first pass of `is_indecomposable`.
+    or invertible.  Kept only because `perfbench/tracing.py` looks it up by name.
     """
     return _first_split(rep, basis[1:])
 
@@ -499,10 +491,9 @@ def _fixed_split(rep: QuiverRep, one: list, x: list) -> tuple[QuiverRep, QuiverR
 
 
 class IndecResult(Record):
-    __slots__ = ("verdict", "endo_dim", "witness")
+    """Verdict "yes", "no" or "unknown", End's dimension, and for "no" the splitting (else None)."""
 
-    def __init__(self, verdict: str, endo_dim: int, witness: tuple[QuiverRep, QuiverRep] | None = None) -> None:
-        super().__init__(verdict, endo_dim, witness)  # verdict: "yes" | "no" | "unknown"
+    __slots__ = ("verdict", "endo_dim", "witness")
 
 
 def is_indecomposable(rep: QuiverRep) -> IndecResult:
@@ -524,7 +515,7 @@ def is_indecomposable(rep: QuiverRep) -> IndecResult:
     """
     dim, rows = _end_rows(rep)
     if dim <= 1:
-        return IndecResult("yes", dim)
+        return IndecResult("yes", dim, None)
     vectors = [next(rows)]  # the rows reached so far, which the certificates read
     for v in rows:
         vectors.append(v)
@@ -536,9 +527,9 @@ def is_indecomposable(rep: QuiverRep) -> IndecResult:
     else:
         fixed, local = None, _split_local(rep, vectors)
     if local:
-        return IndecResult("yes", dim)
+        return IndecResult("yes", dim, None)
     split = _fixed_split(rep, vectors[0], fixed[0]) if fixed else _first_split(rep, _trials(rep, vectors))
-    return IndecResult("unknown", dim) if split is None else IndecResult("no", dim, split)
+    return IndecResult("unknown" if split is None else "no", dim, split)
 
 
 def torsion_leg_split(rep: QuiverRep) -> tuple[tuple[tuple[Interval, int], ...], ...] | None:
@@ -578,10 +569,11 @@ def random_rep(
     sink_zero: bool = False,
     fld: Field = DEFAULT_FIELD,
 ) -> QuiverRep:
-    """Seeded random representation (testing and demos)."""
+    """Seeded random representation (testing and demos); n is checked before any draw."""
     rng = random.Random(("rep", seed, n, max_dim, sink_zero, fld.char).__repr__())
     if n is None:
         n = rng.randint(1, 4)
+    _require_leg_length(n)
     sink = 0 if sink_zero else rng.randint(0, max_dim)
     dims = (sink, *(rng.randint(0, max_dim) for _ in range(3 * n)))
 
@@ -592,5 +584,4 @@ def random_rep(
             rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
         return Matrix.from_rows(fld, rows, ncols)
 
-    maps = [rand_matrix(dims[t], dims[s]) for s, t in _star(n)]
-    return QuiverRep.build(fld, n, sink, _by_leg(n, dims[1:]), _by_leg(n, maps))
+    return QuiverRep.from_flat(fld, n, dims, [rand_matrix(dims[t], dims[s]) for s, t in _star(n)])

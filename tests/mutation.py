@@ -85,6 +85,24 @@ _MAKE_FACES = '''        for f in faces:
                     )
 '''
 
+_CONVERT_M = '''    if module.m != 3:
+        raise PreconditionError("quiver conversion works over m = 3")
+    _require_leg_length(n)
+'''
+_RANDOM_REP = '''    _require_leg_length(n)
+    sink = 0 if sink_zero else rng.randint(0, max_dim)
+    dims = (sink, *(rng.randint(0, max_dim) for _ in range(3 * n)))
+
+    def rand_matrix(nrows: int, ncols: int) -> Matrix:
+        if fld.char:
+            rows = [[rng.randrange(fld.char) for _ in range(ncols)] for _ in range(nrows)]
+        else:
+            rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+        return Matrix.from_rows(fld, rows, ncols)
+
+    return QuiverRep.from_flat(fld, n, dims, [rand_matrix(dims[t], dims[s]) for s, t in _star(n)])
+'''
+
 # the sparse solve numbers column j as ncols - j, so its stored lows are the
 # pivots of the dense reduced echelon form; the mutant numbers them j + 1
 _SOLVE = '''def _reduce_system(field: Field, ncols: int, equations: Iterable[dict]) -> dict:
@@ -258,6 +276,41 @@ MUTANTS = (
         "quiver.QuiverRep.build(fld, n,",
         "quiver.QuiverRep(fld, n,",
         (_MOD + "test_rep_over_the_vertex_budget_is_refused_with_its_location",),
+        "killed",
+    ),
+    # -- the conversion's checks and the one End budget, in `quiver` --
+    Mutant(
+        "conversion drops the m = 3 check",
+        "quiver.py",
+        _CONVERT_M,
+        "    _require_leg_length(n)\n",
+        (_QUIV + "test_to_quiver_rep_refuses_in_a_fixed_order",),
+        "killed",
+    ),
+    Mutant(
+        "conversion drops the in_leq_n refusal",
+        "quiver.py",
+        "    if not in_leq_n(module, n):",
+        "    if False:",
+        (_QUIV + "test_to_quiver_rep_refuses_in_a_fixed_order",),
+        "killed",
+    ),
+    Mutant(
+        "End budget refuses its own bound",
+        "quiver.py",
+        "if offsets[-1] > _MAX_END_UNKNOWNS:",
+        "if offsets[-1] >= _MAX_END_UNKNOWNS:",
+        (_QUIV + "test_end_budget_boundary",),
+        "killed",
+    ),
+    Mutant(
+        "random_rep checks the leg length after its draws",
+        "quiver.py",
+        _RANDOM_REP,
+        _RANDOM_REP.replace("    _require_leg_length(n)\n", "").replace(
+            "    return QuiverRep.from_flat", "    _require_leg_length(n)\n    return QuiverRep.from_flat"
+        ),
+        (_QUIV + "test_random_rep_refuses_a_leg_length_before_it_draws",),
         "killed",
     ),
     # -- the checks of outside input, in `SimplicialComplex.make` --

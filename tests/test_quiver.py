@@ -31,6 +31,7 @@ from persloc.examples import named_example, strip_presentation
 from persloc.quiver import (
     QuiverRep,
     _combine,
+    _end_rows,
     _endo_from_vector,
     _end_vectors,
     _endo_to_vector,
@@ -148,6 +149,19 @@ def test_to_quiver_rep_requires_window():
         to_quiver_rep(free_module(2, (0, 0), F5), 1)
 
 
+def test_to_quiver_rep_refuses_in_a_fixed_order():
+    # m = 3 first, then the leg length, then stability by n (`in_leq_n`)
+    deep = GradedPresentation.build(3, F5, [(0, 0, 0)], [((3, 0, 0), [1])])
+    for module, n, message in [
+        (free_module(2, (0, 0), F5), 0, "quiver conversion works over m = 3"),
+        (deep, 0, "leg length must be at least 1"),
+        (deep, 1, "transitions are not isomorphisms past degree 1; choose a larger n"),
+    ]:
+        with pytest.raises(PreconditionError) as info:
+            to_quiver_rep(module, n)
+        assert str(info.value) == message, (module.m, n)
+
+
 def test_to_quiver_rep_free_module():
     rep = to_quiver_rep(free_module(3, (0, 0, 0), F5), 1)
     assert rep.sink_dim == 1
@@ -187,9 +201,10 @@ def test_clamped_legs_ask_once_per_distinct_degree_and_arrow(monkeypatch):
     assert len(calls["transition"]) == len(set(calls["transition"])) == 6
 
 
-def test_end_budget_refuses_long_legs_before_their_maps(capsys):
-    # 100,001 vertices of dimension 1 are 100,000 End unknowns; the budget
-    # used to be checked after 100,000 leg maps were built (about 3 s)
+def test_end_budget_refuses_long_legs_in_a_fraction_of_a_second(capsys):
+    # 100,001 vertices of dimension 1 are 100,000 End unknowns; the conversion
+    # asks each distinct degree and arrow once, so its 99,999 leg maps are
+    # cheap, and `_end_rows` refuses them before it builds any equation
     for command in ("indec", "endo"):
         start = time.perf_counter()
         code = cli.main([command, "quadrant:0,0,0", "-n", "33333"])
@@ -198,6 +213,47 @@ def test_end_budget_refuses_long_legs_before_their_maps(capsys):
         assert code == 1 and error["type"] == "PreconditionError", command
         assert "End has 100000 unknowns" in error["message"], command
         assert elapsed < 0.5, (command, elapsed)
+
+
+def test_endo_and_indec_convert_a_module_once(monkeypatch, capsys):
+    # the conversion's checks run once per command: one `in_leq_n`
+    calls = []
+    real = quiver.in_leq_n
+    monkeypatch.setattr(quiver, "in_leq_n", lambda *args: calls.append(args) or real(*args))
+    for command in ("endo", "indec"):
+        calls.clear()
+        assert cli.main([command, "m3_indecomposable", "-n", "2"]) == 0, capsys.readouterr()
+        assert len(calls) == 1, command
+    capsys.readouterr()
+
+
+def _zero_rep(n: int, dims: list) -> QuiverRep:
+    """The rep with vertex `dims` in `_star` order and every arrow zero."""
+    zeros = [Matrix.from_rows(F5, [[0] * dims[s]] * dims[t], dims[s]) for s, t in _star(n)]
+    return QuiverRep.from_flat(F5, n, dims, zeros)
+
+
+def test_end_budget_boundary():
+    # 30^2 + 6 * 10^2 = 1,500 unknowns are solved; one more is refused
+    assert quiver._MAX_END_UNKNOWNS == 1_500
+    assert _end_rows(_zero_rep(2, [30] + [10] * 6))[0] == 1_500
+    with pytest.raises(PreconditionError) as info:
+        _end_rows(_zero_rep(3, [30, 10, 10, 1, 10, 10, 0, 10, 10, 0]))
+    assert str(info.value) == "End has 1501 unknowns (the sum of squared vertex dimensions), more than 1500"
+
+
+def test_random_rep_refuses_a_leg_length_before_it_draws(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew before refusing")
+
+    for name in ("randint", "randrange"):
+        monkeypatch.setattr(random.Random, name, no_draw)
+    with pytest.raises(PreconditionError) as info:
+        random_rep(0, n=40000)
+    assert str(info.value) == f"leg length 40000 gives 120001 vertices, more than {MAX_BOX_DEGREES}"
+    with pytest.raises(PreconditionError) as info:
+        random_rep(0, n=0)
+    assert str(info.value) == "leg length must be at least 1"
 
 
 def test_endomorphisms_contain_identity_and_compose():

@@ -170,7 +170,7 @@ def test_keyword_construction_is_positional_construction(cls):
 
 
 # class -> how many of its last fields have defaults
-_DEFAULTED = {Field: 1, Interval: 1, IndecResult: 1}
+_DEFAULTED = {Field: 1, Interval: 1}
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
@@ -192,7 +192,7 @@ def test_wrong_constructor_calls_raise_type_error(cls):
 # the records with no checks and no defaults take `Record.__init__` as it is;
 # `QuiverRep.build` and `SimplicialComplex.make` check what enters from outside
 _CHECK_FREE = [
-    Matrix, Subspace, _Slice, Barcode, SimplicialComplex, SimpleDescriptor, QuiverRep, Decomposition,
+    Matrix, Subspace, _Slice, Barcode, SimplicialComplex, SimpleDescriptor, QuiverRep, IndecResult, Decomposition,
     SectionWitness, SectionResult,
 ]
 
@@ -256,7 +256,6 @@ def test_copies_and_pickles_are_equal(cls):
 def test_defaults():
     assert Field() == Field(5)
     assert Interval(3).end is None
-    assert IndecResult("yes", 1).witness is None
 
 
 def test_slice_cache_is_outside_equality_hash_and_repr():
