@@ -134,8 +134,9 @@ def _resolve_complex(spec: str, inputs: list):
     return k
 
 
-def _resolve_rep(spec: str, fld: Field, inputs: list, n: int | None) -> quiver.QuiverRep:
-    """A quiver-rep file, or a module (file or example name) converted at -n."""
+def _resolve_rep(spec: str, fld: Field, inputs: list, n: int | None, end_budget: bool = False) -> quiver.QuiverRep:
+    """A quiver-rep file, or a module (file or example name) converted at -n; with
+    `end_budget`, a module whose End is over budget is refused before any map is built."""
     if _looks_like_path(spec):
         obj = modfile.unwrap_envelope(_read_json(spec))
         if isinstance(obj, dict) and "legs" not in obj and isinstance(obj.get("rep"), dict):
@@ -152,7 +153,7 @@ def _resolve_rep(spec: str, fld: Field, inputs: list, n: int | None) -> quiver.Q
         module = _resolve(spec, fld, inputs, GradedPresentation)
     if n is None:
         raise UsageError("converting a module needs -n LEG_LENGTH")
-    return quiver.to_quiver_rep(module, n)
+    return quiver.to_quiver_rep(module, n, end_budget)
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -305,7 +306,7 @@ def _cmd_quiverize(args, fld: Field, inputs: list) -> dict:
 
 
 def _cmd_endo(args, fld: Field, inputs: list) -> dict:
-    rep = _resolve_rep(args.input, fld, inputs, args.n)
+    rep = _resolve_rep(args.input, fld, inputs, args.n, end_budget=True)
     basis = quiver.endomorphism_basis(rep)
     return {
         "dimension": len(basis),
@@ -320,7 +321,7 @@ def _cmd_endo(args, fld: Field, inputs: list) -> dict:
 
 
 def _cmd_indec(args, fld: Field, inputs: list) -> dict:
-    rep = _resolve_rep(args.input, fld, inputs, args.n)
+    rep = _resolve_rep(args.input, fld, inputs, args.n, end_budget=True)
     res = quiver.is_indecomposable(rep)
     witness = None
     if res.witness is not None:

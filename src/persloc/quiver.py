@@ -175,11 +175,12 @@ def in_leq_n(module: GradedPresentation, n: int) -> bool:
     )
 
 
-def to_quiver_rep(module: GradedPresentation, n: int) -> QuiverRep:
+def to_quiver_rep(module: GradedPresentation, n: int, end_budget: bool = False) -> QuiverRep:
     """Stabilized slices along each axis, with the sink at the stable corner.
     Refuses m != 3, then a leg length `_require_leg_length` refuses, then a
-    module not stable by n (`in_leq_n`); leg coordinates are clamped at the
-    stabilization bound, past which slices repeat."""
+    module not stable by n (`in_leq_n`); with `end_budget`, then a rep whose End
+    is over budget (`_require_end_unknowns`), before any map is built.  Leg
+    coordinates are clamped at the stabilization bound, past which slices repeat."""
     if module.m != 3:
         raise PreconditionError("quiver conversion works over m = 3")
     _require_leg_length(n)
@@ -193,12 +194,20 @@ def to_quiver_rep(module: GradedPresentation, n: int) -> QuiverRep:
     at = [pin, *(dg.with_axis(pin, axis, min(j, bound[axis - 1])) for axis in (1, 2, 3) for j in range(n))]
     # clamped leg degrees repeat: ask once per distinct degree and arrow
     dim_at, transition = functools.cache(module.dim_at), functools.cache(module.transition)
-    return QuiverRep.from_flat(
-        module.field,
-        n,
-        [dim_at(d) for d in at],
-        [transition(at[s], at[t]) for s, t in _star(n)],
-    )
+    dims = [dim_at(d) for d in at]
+    if end_budget:
+        _require_end_unknowns(dims)
+    return QuiverRep.from_flat(module.field, n, dims, [transition(at[s], at[t]) for s, t in _star(n)])
+
+
+def _require_end_unknowns(dims) -> None:
+    """Refuse an End system with more than `_MAX_END_UNKNOWNS` unknowns."""
+    total = sum(d * d for d in dims)
+    if total > _MAX_END_UNKNOWNS:
+        raise PreconditionError(
+            f"End has {total} unknowns (the sum of squared vertex dimensions), "
+            f"more than {_MAX_END_UNKNOWNS}"
+        )
 
 
 # -- endomorphisms and splittings ----------------------------------------
@@ -231,15 +240,11 @@ def _combine(fld: Field, coeffs, vectors: list[list]) -> list:
 def _end_rows(rep: QuiverRep) -> tuple:
     """The dimension of End and its basis as flat row-major vectors, the
     identity first, each past it back-substituted only when it is reached.
-    The one End budget: more than `_MAX_END_UNKNOWNS` unknowns are refused first."""
+    A rep whose End is over budget (`_require_end_unknowns`) is refused first."""
     fld = rep.field
     dims = rep.dims
+    _require_end_unknowns(dims)
     offsets = list(itertools.accumulate((d * d for d in dims), initial=0))
-    if offsets[-1] > _MAX_END_UNKNOWNS:
-        raise PreconditionError(
-            f"End has {offsets[-1]} unknowns (the sum of squared vertex dimensions), "
-            f"more than {_MAX_END_UNKNOWNS}"
-        )
 
     def equations():
         # X_w A - A X_u = 0 entrywise over (r, c) in d_w x d_u, each built in
@@ -367,7 +372,8 @@ def try_split(rep: QuiverRep, basis: list[tuple[Matrix, ...]]) -> tuple[QuiverRe
     """The Fitting decomposition along the first element of
     `endomorphism_basis(rep)` past the identity `basis[0]` that splits rep:
     (generalized kernel, generalized image), or None when each is nilpotent
-    or invertible.  Kept only because `perfbench/tracing.py` looks it up by name.
+    or invertible.  A public helper, also looked up by name in `perfbench/tracing.py`;
+    `is_indecomposable` no longer calls it.
     """
     return _first_split(rep, basis[1:])
 

@@ -92,15 +92,10 @@ _CONVERT_M = '''    if module.m != 3:
 _RANDOM_REP = '''    _require_leg_length(n)
     sink = 0 if sink_zero else rng.randint(0, max_dim)
     dims = (sink, *(rng.randint(0, max_dim) for _ in range(3 * n)))
-
-    def rand_matrix(nrows: int, ncols: int) -> Matrix:
-        if fld.char:
-            rows = [[rng.randrange(fld.char) for _ in range(ncols)] for _ in range(nrows)]
-        else:
-            rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
-        return Matrix.from_rows(fld, rows, ncols)
-
-    return QuiverRep.from_flat(fld, n, dims, [rand_matrix(dims[t], dims[s]) for s, t in _star(n)])
+'''
+_CONVERT_MAPS = '''    if end_budget:
+        _require_end_unknowns(dims)
+    return QuiverRep.from_flat(module.field, n, dims, [transition(at[s], at[t]) for s, t in _star(n)])
 '''
 
 # the sparse solve numbers column j as ncols - j, so its stored lows are the
@@ -296,20 +291,27 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        "conversion checks the End budget after building the maps",
+        "quiver.py",
+        _CONVERT_MAPS,
+        "    maps = [transition(at[s], at[t]) for s, t in _star(n)]\n"
+        + _CONVERT_MAPS.replace("[transition(at[s], at[t]) for s, t in _star(n)]", "maps"),
+        (_QUIV + "test_end_budget_refuses_large_vertex_dimensions_before_any_map",),
+        "killed",
+    ),
+    Mutant(
         "End budget refuses its own bound",
         "quiver.py",
-        "if offsets[-1] > _MAX_END_UNKNOWNS:",
-        "if offsets[-1] >= _MAX_END_UNKNOWNS:",
+        "    if total > _MAX_END_UNKNOWNS:",
+        "    if total >= _MAX_END_UNKNOWNS:",
         (_QUIV + "test_end_budget_boundary",),
         "killed",
     ),
     Mutant(
-        "random_rep checks the leg length after its draws",
+        "random_rep checks the leg length after drawing the dimensions",
         "quiver.py",
         _RANDOM_REP,
-        _RANDOM_REP.replace("    _require_leg_length(n)\n", "").replace(
-            "    return QuiverRep.from_flat", "    _require_leg_length(n)\n    return QuiverRep.from_flat"
-        ),
+        _RANDOM_REP.replace("    _require_leg_length(n)\n", "") + "    _require_leg_length(n)\n",
         (_QUIV + "test_random_rep_refuses_a_leg_length_before_it_draws",),
         "killed",
     ),

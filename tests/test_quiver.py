@@ -150,15 +150,18 @@ def test_to_quiver_rep_requires_window():
 
 
 def test_to_quiver_rep_refuses_in_a_fixed_order():
-    # m = 3 first, then the leg length, then stability by n (`in_leq_n`)
+    # m = 3 first, then the leg length, then stability by n (`in_leq_n`), then
+    # with `end_budget` the End budget on the vertex dimensions
     deep = GradedPresentation.build(3, F5, [(0, 0, 0)], [((3, 0, 0), [1])])
+    free40 = GradedPresentation.build(3, F5, [(0, 0, 0)] * 40, [])
     for module, n, message in [
         (free_module(2, (0, 0), F5), 0, "quiver conversion works over m = 3"),
         (deep, 0, "leg length must be at least 1"),
         (deep, 1, "transitions are not isomorphisms past degree 1; choose a larger n"),
+        (free40, 1, "End has 6400 unknowns (the sum of squared vertex dimensions), more than 1500"),
     ]:
         with pytest.raises(PreconditionError) as info:
-            to_quiver_rep(module, n)
+            to_quiver_rep(module, n, end_budget=True)
         assert str(info.value) == message, (module.m, n)
 
 
@@ -201,10 +204,9 @@ def test_clamped_legs_ask_once_per_distinct_degree_and_arrow(monkeypatch):
     assert len(calls["transition"]) == len(set(calls["transition"])) == 6
 
 
-def test_end_budget_refuses_long_legs_in_a_fraction_of_a_second(capsys):
-    # 100,001 vertices of dimension 1 are 100,000 End unknowns; the conversion
-    # asks each distinct degree and arrow once, so its 99,999 leg maps are
-    # cheap, and `_end_rows` refuses them before it builds any equation
+def test_end_budget_refuses_long_legs_before_their_maps(capsys):
+    # 100,001 vertices of dimension 1 are 100,000 End unknowns; the budget
+    # used to be checked after 100,000 leg maps were built (about 3 s)
     for command in ("indec", "endo"):
         start = time.perf_counter()
         code = cli.main([command, "quadrant:0,0,0", "-n", "33333"])
@@ -212,6 +214,26 @@ def test_end_budget_refuses_long_legs_in_a_fraction_of_a_second(capsys):
         error = json.loads(capsys.readouterr().out)["error"]
         assert code == 1 and error["type"] == "PreconditionError", command
         assert "End has 100000 unknowns" in error["message"], command
+        assert elapsed < 0.5, (command, elapsed)
+
+
+def test_end_budget_refuses_large_vertex_dimensions_before_any_map(monkeypatch, tmp_path, capsys):
+    # 2,000 free generators at 0 give four vertices of dimension 2,000: the
+    # conversion refuses them on its vertex dimensions, before any transition
+    path = tmp_path / "free2000.json"
+    path.write_text(json.dumps({"characteristic": 5, "m": 3, "generators": [[0, 0, 0]] * 2000, "relations": []}))
+
+    def no_map(*args):
+        raise AssertionError("built a map before refusing")
+
+    monkeypatch.setattr(GradedPresentation, "transition", no_map)
+    for command in ("indec", "endo"):
+        start = time.perf_counter()
+        code = cli.main([command, str(path), "-n", "1"])
+        elapsed = time.perf_counter() - start
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert code == 1 and error["type"] == "PreconditionError", (command, error)
+        assert error["message"] == "End has 16000000 unknowns (the sum of squared vertex dimensions), more than 1500"
         assert elapsed < 0.5, (command, elapsed)
 
 
