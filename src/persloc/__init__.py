@@ -41,7 +41,7 @@ _EXPORTS = {
         "skeleton",
         "supp_complex",
     ),
-    "degrees": ("axis_unit", "box", "join", "leq", "zero"),
+    "degrees": ("box", "join", "leq", "zero"),
     "errors": (
         "AmbientMismatchError",
         "DecompositionError",

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 
 from . import degrees as dg
 from .errors import PreconditionError
-from .fields import DEFAULT_FIELD, Field, Record
+from .fields import DEFAULT_FIELD, Field, Matrix, Record
 from .presentation import GradedPresentation
 
 Face = frozenset[int]
@@ -163,23 +163,22 @@ def kdim(k: SimplicialComplex) -> int:
     return k.m - min(len(f) for f in missing)
 
 
-def face_ring(
-    k: SimplicialComplex, fld: Field = DEFAULT_FIELD, all_missing: bool = False
-) -> GradedPresentation:
+def _cyclic(m: int, fld: Field, faces: Iterable[Face]) -> GradedPresentation:
+    """Face rings and simples: one generator at 0 killed by each face's squarefree monomial, unchecked."""
+    rels = tuple(tuple(1 if v in f else 0 for v in range(1, m + 1)) for f in faces)
+    return GradedPresentation(m, fld, (dg.zero(m),), rels, Matrix(fld, 1, len(rels), ((fld.one,) * len(rels),)))
+
+
+def face_ring(k: SimplicialComplex, fld: Field = DEFAULT_FIELD, all_missing: bool = False) -> GradedPresentation:
     """Cyclic module with one squarefree monomial relation per missing face.
 
     By default only the minimal missing faces appear (the rest are redundant);
     `all_missing` adds every missing face.  The empty complex yields the zero
     quotient: its missing empty face contributes the relation 1 = 0 in
-    degree 0.
+    degree 0.  Derived data: `_cyclic` builds it unchecked, as it does the simples.
     """
-    m = k.m
     missing = k.missing_faces() if all_missing else sorted(minimal_missing_faces(k), key=face_sort_key)
-    relations = []
-    for f in missing:
-        deg = tuple(1 if v in f else 0 for v in range(1, m + 1))
-        relations.append((deg, [1]))
-    return GradedPresentation.build(m, fld, [dg.zero(m)], relations)
+    return _cyclic(k.m, fld, missing)
 
 
 def supp_complex(module: GradedPresentation) -> SimplicialComplex:
@@ -268,19 +267,15 @@ class SimpleDescriptor(Record):
 def simples(k: SimplicialComplex, fld: Field = DEFAULT_FIELD) -> list[tuple[SimpleDescriptor, GradedPresentation]]:
     """One simple per minimal missing face, with a module realizing it.
 
-    The realization is the cyclic module killed by every variable outside the
-    face; inverting the face's variables leaves the one-dimensional simple.
+    The realization (`_cyclic`, unchecked) is the cyclic module killed by every
+    variable outside the face; inverting the face's variables leaves the
+    one-dimensional simple.
     """
     m = k.m
-    out = []
-    for f in sorted(minimal_missing_faces(k), key=face_sort_key):
-        relations = []
-        for v in range(1, m + 1):
-            if v not in f:
-                relations.append((dg.axis_unit(m, v), [1]))
-        module = GradedPresentation.build(m, fld, [dg.zero(m)], relations)
-        out.append((SimpleDescriptor(tuple(sorted(f)), dg.zero(m)), module))
-    return out
+    return [
+        (SimpleDescriptor(tuple(sorted(f)), dg.zero(m)), _cyclic(m, fld, [{v} for v in range(1, m + 1) if v not in f]))
+        for f in sorted(minimal_missing_faces(k), key=face_sort_key)
+    ]
 
 
 def enumerate_complexes(m: int) -> Iterator[SimplicialComplex]:

@@ -50,11 +50,6 @@ def zero(m: int) -> Degree:
     return (0,) * m
 
 
-def axis_unit(m: int, axis: int) -> Degree:
-    """Unit vector for a 1-based axis index."""
-    return tuple(1 if i == axis - 1 else 0 for i in range(m))
-
-
 def box(limit: Degree) -> Iterator[Degree]:
     """All degrees 0 <= d <= limit, in lexicographic order."""
     return product(*(range(b + 1) for b in limit))

@@ -201,7 +201,7 @@ def map_from_obj(obj: object, where: str = "map") -> PresentationMap:
         )
         rows.append([_scalar(source.field, x, f"{rwhere}[{j}]") for j, x in enumerate(row)])
     try:
-        return PresentationMap(source, target, Matrix.from_rows(source.field, rows, source.num_gens))
+        return PresentationMap.build(source, target, Matrix.from_rows(source.field, rows, source.num_gens))
     except (HomogeneityError, PreconditionError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
 

@@ -14,10 +14,10 @@ bases, which makes them strictly functorial (composition holds on the nose).
 m may be 0 (every variable inverted, see `localization.localize`): one vector
 space at degree ().  Module files and `random_presentation` still need m >= 1.
 
-A presentation is checked once, where it enters: `GradedPresentation.build`
-coerces the coefficients and checks degrees and homogeneity.  The constructor
-trusts its fields, so the modules derived from checked ones (shifts, direct
-sums, cokernels, localizations) are built without checking again.
+A presentation is checked once, where it enters: `GradedPresentation.build`,
+and `PresentationMap.build` for a map.  The constructors trust their fields,
+so derived modules (shifts, sums, cokernels, localizations, reconstructions,
+face rings, simples) are built without checking again.
 
 M(d) depends only on the eligible set, the presentation degrees at or below d.
 The first slice compares d with each degree; from the second on, one `bisect`
@@ -264,14 +264,17 @@ class PresentationMap(Record):
 
     `coeffs` has one row per target generator and one column per source
     generator: source generator j is sent to sum_i coeffs[i][j] *
-    t^(srcdeg_j - tgtdeg_i) * (target generator i).  Construction checks the
-    degree condition and that every source relation lands in the target's
+    t^(srcdeg_j - tgtdeg_i) * (target generator i).  The constructor trusts
+    its fields: a map from outside data enters through `build`, which checks
+    the degree condition and that every source relation lands in the target's
     relation span, so the map is well defined.
     """
 
     __slots__ = ("source", "target", "coeffs")
 
-    def __init__(self, source: GradedPresentation, target: GradedPresentation, coeffs: Matrix) -> None:
+    @classmethod
+    def build(cls, source: GradedPresentation, target: GradedPresentation, coeffs: Matrix) -> "PresentationMap":
+        """Check outside data: ambients, shape, field, degrees (target-major), then each source relation."""
         if source.m != target.m or source.field != target.field:
             raise AmbientMismatchError("map endpoints over different ambients")
         if coeffs.nrows != target.num_gens or coeffs.ncols != source.num_gens:
@@ -295,7 +298,7 @@ class PresentationMap(Record):
                     f"source relation {j} (degree {rd}) does not map into the "
                     "target relation span; the map is not well defined"
                 )
-        super().__init__(source, target, coeffs)
+        return cls(source, target, coeffs)
 
     @property
     def m(self) -> int:

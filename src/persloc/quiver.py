@@ -33,6 +33,8 @@ from .presentation import GradedPresentation
 
 # most unknowns (the sum of d_v^2) of the commutation system behind End
 _MAX_END_UNKNOWNS = 1_500
+# most entries (the sum of d_s * d_t over the arrows) of the maps a conversion builds
+_MAX_MAP_ENTRIES = 1_000_000
 # seeded random combinations tried by is_indecomposable when its certificate
 # finds End not local and gives no element to split along
 _TRIALS = 64
@@ -178,17 +180,14 @@ def in_leq_n(module: GradedPresentation, n: int) -> bool:
 def to_quiver_rep(module: GradedPresentation, n: int, end_budget: bool = False) -> QuiverRep:
     """Stabilized slices along each axis, with the sink at the stable corner.
     Refuses m != 3, then a leg length `_require_leg_length` refuses, then a
-    module not stable by n (`in_leq_n`); with `end_budget`, then a rep whose End
-    is over budget (`_require_end_unknowns`), before any map is built.  Leg
-    coordinates are clamped at the stabilization bound, past which slices repeat."""
+    module not stable by n (`in_leq_n`); with `end_budget`, then an End over budget
+    (`_require_end_unknowns`); then maps over budget (`_require_map_entries`), all
+    before any map is built.  Leg coordinates are clamped at the stabilization bound."""
     if module.m != 3:
         raise PreconditionError("quiver conversion works over m = 3")
     _require_leg_length(n)
     if not in_leq_n(module, n):
-        raise PreconditionError(
-            f"transitions are not isomorphisms past degree {n}; "
-            "choose a larger n"
-        )
+        raise PreconditionError(f"transitions are not isomorphisms past degree {n}; choose a larger n")
     bound = module.stabilization_bound()
     pin = tuple(max(n, b) for b in bound)
     at = [pin, *(dg.with_axis(pin, axis, min(j, bound[axis - 1])) for axis in (1, 2, 3) for j in range(n))]
@@ -197,6 +196,7 @@ def to_quiver_rep(module: GradedPresentation, n: int, end_budget: bool = False) 
     dims = [dim_at(d) for d in at]
     if end_budget:
         _require_end_unknowns(dims)
+    _require_map_entries(dims)
     return QuiverRep.from_flat(module.field, n, dims, [transition(at[s], at[t]) for s, t in _star(n)])
 
 
@@ -207,6 +207,16 @@ def _require_end_unknowns(dims) -> None:
         raise PreconditionError(
             f"End has {total} unknowns (the sum of squared vertex dimensions), "
             f"more than {_MAX_END_UNKNOWNS}"
+        )
+
+
+def _require_map_entries(dims) -> None:
+    """Refuse star arrows on vertex `dims` with more than `_MAX_MAP_ENTRIES` entries in all."""
+    total = sum(dims[s] * dims[t] for s, t in _star((len(dims) - 1) // 3))
+    if total > _MAX_MAP_ENTRIES:
+        raise PreconditionError(
+            f"the maps have {total} entries (the sum of d_s * d_t over the arrows), "
+            f"more than {_MAX_MAP_ENTRIES}"
         )
 
 

@@ -34,10 +34,9 @@ from .errors import (
     NotLocallyEpicError,
     PreconditionError,
 )
-from .fields import Field, Record, Subspace, reduced_rows, solve
+from .fields import Field, Matrix, Record, Subspace, reduced_rows, solve
 from .localization import Barcode, presentation_bars
-from .presentation import GradedPresentation, PresentationMap, direct_sum, free_module, zero_module
-from .examples import strip_presentation
+from .presentation import GradedPresentation, PresentationMap
 
 Corners = tuple[tuple[Degree, int], ...]
 
@@ -156,25 +155,22 @@ def decompose(module: GradedPresentation) -> Decomposition:
 
 
 def reconstruct(deco: Decomposition, fld: Field) -> GradedPresentation:
-    """Direct sum of strip and quadrant presentations matching the data."""
-    parts: list[GradedPresentation] = []
-    for iv, mult in deco.vertical:
-        parts.extend(strip_presentation(1, iv.start, iv.end, fld) for _ in range(mult))
-    for iv, mult in deco.horizontal:
-        parts.extend(strip_presentation(2, iv.start, iv.end, fld) for _ in range(mult))
-    for corner, mult in deco.quadrants:
-        parts.extend(free_module(2, corner, fld) for _ in range(mult))
-    if not parts:
-        return zero_module(2, fld)
-    return direct_sum(*parts)
+    """The direct sum of the strips and quadrants, written out as one derived presentation: a
+    generator per strip copy at its start on its axis (vertical, then horizontal), killed by its
+    own relation at its end, then a free generator per quadrant copy at its corner."""
+    families = ((1, deco.vertical), (2, deco.horizontal))
+    strips = [(axis, iv) for axis, family in families for iv, mult in family for _ in range(mult)]
+    gens = [dg.with_axis((0, 0), axis, iv.start) for axis, iv in strips]
+    gens += [corner for corner, mult in deco.quadrants for _ in range(mult)]
+    rels = tuple(dg.with_axis((0, 0), axis, iv.end) for axis, iv in strips)
+    rows = tuple(tuple(fld.one if j == i else fld.zero for j in range(len(rels))) for i in range(len(gens)))
+    return GradedPresentation(2, fld, tuple(gens), rels, Matrix(fld, len(gens), len(rels), rows))
 
 
 def equivalent_after_localization(a: GradedPresentation, b: GradedPresentation) -> bool:
     """Same strip/quadrant data, i.e. isomorphic once variables are inverted."""
     if a.field != b.field:
         raise AmbientMismatchError("modules over different fields")
-    _require_two_params(a)
-    _require_two_params(b)
     return decompose(a) == decompose(b)
 
 
@@ -199,9 +195,7 @@ def delocalize_dim(module: GradedPresentation, d) -> int:
 
 def intersection_rank(module: GradedPresentation, a, b, c) -> int:
     """dim( im(M(a) -> M(c))  cap  im(M(b) -> M(c)) )."""
-    a = dg.as_degree(a, module.m)
-    b = dg.as_degree(b, module.m)
-    c = dg.as_degree(c, module.m)
+    a, b, c = (dg.as_degree(d, module.m) for d in (a, b, c))
     if not (dg.is_nonnegative(a) and dg.is_nonnegative(b)):
         raise PreconditionError("degrees must be in N^m")
     if not (dg.leq(a, c) and dg.leq(b, c)):

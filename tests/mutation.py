@@ -16,8 +16,10 @@ imports `persloc` from the copy (it checks `persloc.__file__` before the tests
 start, so an installed `persloc` cannot shadow the mutant).  A `killed` entry
 must make pytest report a failure; an `equivalent` entry must pass, and its
 `why` says why no test can fail on it.  First, the unmutated copy must pass
-every named test, so that a failure is the mutant's.  The table is a check: a
-change that edits or drops an entry says so in CHANGES.md.
+every named test, so that a failure is the mutant's.  Then the entries run on
+`os.cpu_count()` worker threads, each with its own copy and subprocess, and
+the results print in table order.  The table is a check: a change that edits
+or drops an entry says so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -73,6 +76,16 @@ _DEGREE_CHECK = '''        for d in gen_degrees + rel_degrees:
                 raise PreconditionError(f"negative degree {d}")
 '''
 
+_MAP_AMBIENT = '''        if source.m != target.m or source.field != target.field:
+            raise AmbientMismatchError("map endpoints over different ambients")
+'''
+_MAP_SHAPE = '''        if coeffs.nrows != target.num_gens or coeffs.ncols != source.num_gens:
+            raise AmbientMismatchError("map coefficient matrix shape mismatch")
+'''
+_MAP_FIELD = '''        if coeffs.field != source.field:
+            raise AmbientMismatchError("map coefficients over wrong field")
+'''
+
 _MAKE_M = "        _require_variable_budget(m)\n"
 _MAKE_FACES = '''        for f in faces:
             if any(v < 1 or v > m for v in f):
@@ -95,6 +108,7 @@ _RANDOM_REP = '''    _require_leg_length(n)
 '''
 _CONVERT_MAPS = '''    if end_budget:
         _require_end_unknowns(dims)
+    _require_map_entries(dims)
     return QuiverRep.from_flat(module.field, n, dims, [transition(at[s], at[t]) for s, t in _star(n)])
 '''
 
@@ -216,6 +230,98 @@ MUTANTS = (
         (_PRES + "test_degrees_outside_the_orthant_are_refused_with_their_messages",),
         "killed",
     ),
+    # -- the checks of a map from outside, all in `PresentationMap.build` --
+    Mutant(
+        "map build drops the ambient check",
+        "presentation.py",
+        _MAP_AMBIENT,
+        "",
+        (_PRES + "test_map_build_refuses_bad_input_with_its_message",),
+        "killed",
+    ),
+    Mutant(
+        "map build drops the shape check",
+        "presentation.py",
+        _MAP_SHAPE,
+        "",
+        (_PRES + "test_map_build_refuses_bad_input_with_its_message",),
+        "killed",
+    ),
+    Mutant(
+        "map build drops the field check",
+        "presentation.py",
+        _MAP_FIELD,
+        "",
+        (_PRES + "test_map_build_refuses_bad_input_with_its_message",),
+        "killed",
+    ),
+    Mutant(
+        "map build drops the degree condition",
+        "presentation.py",
+        "if coeffs.entries[i][j] != 0 and not dg.leq(td, sd):",
+        "if False:",
+        (_PRES + "test_map_build_refuses_bad_input_with_its_message",),
+        "killed",
+    ),
+    Mutant(
+        "map build drops the relation check",
+        "presentation.py",
+        "if coords is None or any(x != 0 for x in coords):",
+        "if False:",
+        (_PRES + "test_map_build_refuses_bad_input_with_its_message",),
+        "killed",
+    ),
+    Mutant(
+        "map build checks the shape before the ambients",
+        "presentation.py",
+        _MAP_AMBIENT + _MAP_SHAPE,
+        _MAP_SHAPE + _MAP_AMBIENT,
+        (_PRES + "test_map_build_refuses_bad_input_with_its_message",),
+        "killed",
+    ),
+    Mutant(
+        "map build checks the field before the shape",
+        "presentation.py",
+        _MAP_SHAPE + _MAP_FIELD,
+        _MAP_FIELD + _MAP_SHAPE,
+        (_PRES + "test_map_build_refuses_bad_input_with_its_message",),
+        "killed",
+    ),
+    Mutant(
+        "map build scans the degree condition source-major",
+        "presentation.py",
+        """        for i, td in enumerate(target.gen_degrees):
+            for j, sd in enumerate(source.gen_degrees):""",
+        """        for j, sd in enumerate(source.gen_degrees):
+            for i, td in enumerate(target.gen_degrees):""",
+        (_PRES + "test_map_build_refuses_bad_input_with_its_message",),
+        "killed",
+    ),
+    Mutant(
+        "modfile builds a map through the trusted constructor",
+        "modfile.py",
+        "PresentationMap.build(source, target,",
+        "PresentationMap(source, target,",
+        (_MOD + "test_map_file_is_checked_by_build",),
+        "killed",
+    ),
+    # -- derived modules, written out for the trusted constructor --
+    Mutant(
+        "reconstruct puts a strip's relation on the next generator",
+        "twoparam.py",
+        "one if j == i else zero",
+        "one if i == j + 1 else zero",
+        ("tests/test_twoparam.py::test_reconstruct_is_the_direct_sum_of_strips_and_quadrants",),
+        "killed",
+    ),
+    Mutant(
+        "cyclic module flips a face's monomial",
+        "complexes.py",
+        "tuple(1 if v in f else 0 for v in range(1, m + 1))",
+        "tuple(0 if v in f else 1 for v in range(1, m + 1))",
+        (_CPLX + "test_face_ring_small_cases",),
+        "killed",
+    ),
     # -- the checks of outside input, in `QuiverRep.build` (a budget is never dropped) --
     Mutant(
         "rep build drops the n >= 1 check",
@@ -297,6 +403,27 @@ MUTANTS = (
         "    maps = [transition(at[s], at[t]) for s, t in _star(n)]\n"
         + _CONVERT_MAPS.replace("[transition(at[s], at[t]) for s, t in _star(n)]", "maps"),
         (_QUIV + "test_end_budget_refuses_large_vertex_dimensions_before_any_map",),
+        "killed",
+    ),
+    Mutant(
+        "conversion checks the map budget after building the maps",
+        "quiver.py",
+        _CONVERT_MAPS,
+        _CONVERT_MAPS.replace(
+            "    _require_map_entries(dims)\n    return QuiverRep.from_flat(module.field, n, dims, "
+            "[transition(at[s], at[t]) for s, t in _star(n)])",
+            "    maps = [transition(at[s], at[t]) for s, t in _star(n)]\n    _require_map_entries(dims)\n"
+            "    return QuiverRep.from_flat(module.field, n, dims, maps)",
+        ),
+        (_QUIV + "test_map_budget_refuses_large_vertex_dimensions_before_any_map",),
+        "killed",
+    ),
+    Mutant(
+        "map budget refuses its own bound",
+        "quiver.py",
+        "    if total > _MAX_MAP_ENTRIES:",
+        "    if total >= _MAX_MAP_ENTRIES:",
+        (_QUIV + "test_map_budget_boundary",),
         "killed",
     ),
     Mutant(
@@ -546,14 +673,19 @@ MUTANTS = (
 )
 
 
-def _run(src: str, tests) -> int:
-    """pytest's exit status for `tests` against the persloc package under `src`."""
+def _run(src: str, tests) -> tuple[int, str]:
+    """pytest's exit status for `tests` against the persloc package under `src`, and its output."""
     argv = [sys.executable, "-c", _BOOT, src, "-x", "-q", "-p", "no:cacheprovider", *tests]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]).rstrip(os.pathsep))
     done = subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-    if done.returncode not in (0, 1):  # not a verdict: show why
-        sys.stdout.write(done.stdout[-2000:])
-    return done.returncode
+    return done.returncode, done.stdout
+
+
+def _shown(status: int, output: str) -> int:
+    """`_run`'s exit status, with its output shown when the status is not a verdict."""
+    if status not in (0, 1):
+        sys.stdout.write(output[-2000:])
+    return status
 
 
 def _copy(where: str) -> str:
@@ -587,19 +719,24 @@ def main(argv: list[str]) -> int:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="persloc-mutation-") as where:
         tests = list(dict.fromkeys(t for mutant in chosen for t in mutant.tests))
-        status = _run(_copy(os.path.join(where, "base")), tests)
+        status = _shown(*_run(_copy(os.path.join(where, "base")), tests))
         if status != 0:
             print(f"the unmutated copy does not pass the named tests (exit status {status})")
             return 1
-        wrong = 0
-        for k, mutant in enumerate(chosen):
+
+        def mutated(k: int) -> tuple[int, str]:
             src = _copy(os.path.join(where, str(k)))
-            _apply(src, mutant)
-            status = _run(src, mutant.tests)
-            # 1: a test failed; 0: all passed; anything else is a usage, collection or import problem
-            got = {0: "equivalent", 1: "killed"}.get(status, f"error (exit status {status})")
-            wrong += got != mutant.verdict
-            print(f"{'ok' if got == mutant.verdict else 'WRONG':<6} {got:<10} {mutant.name}")
+            _apply(src, chosen[k])
+            return _run(src, chosen[k].tests)
+
+        wrong = 0
+        with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
+            for mutant, result in zip(chosen, pool.map(mutated, range(len(chosen)))):
+                status = _shown(*result)
+                # 1: a test failed; 0: all passed; anything else is a usage, collection or import problem
+                got = {0: "equivalent", 1: "killed"}.get(status, f"error (exit status {status})")
+                wrong += got != mutant.verdict
+                print(f"{'ok' if got == mutant.verdict else 'WRONG':<6} {got:<10} {mutant.name}", flush=True)
     print(f"{len(chosen)} mutants, {wrong} not as the table says, {time.perf_counter() - start:.1f} s")
     return 1 if wrong else 0
 

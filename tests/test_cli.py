@@ -439,6 +439,22 @@ def test_decompose_same_as_and_reconstruct(capsys, tmp_path):
     assert again["result"]["quadrants"] == report["result"]["quadrants"]
 
 
+def test_decompose_same_as_a_module_of_other_m_is_one_envelope(capsys):
+    # `decompose` refuses the second module's m as it refuses the first's
+    code, out, err = run(
+        capsys, "decompose", str(FIXTURES / "samerank_M.json"), "--same-as", str(FIXTURES / "m3_indecomposable.json")
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"] == {
+        "kind": "domain",
+        "message": "operation needs m = 2, module has m = 3",
+        "type": "PreconditionError",
+    }
+    assert set(report) == {"command", "error", "format"}
+    assert "Traceback" not in err
+
+
 def test_kdim_shorthand(capsys):
     code, report, _ = run_json(capsys, "kdim", "skeleton:3:0")
     assert code == 0
@@ -609,6 +625,10 @@ print(code, [n for n in names if type(sys.modules.get("persloc." + n)) is types.
         (["dims", str(FIXTURES / "coordinate_cross.json")], ["quiver", "complexes", "twoparam", "verify", "svgplot"]),
         (["indec", str(FIXTURES / "m3_indecomposable.json"), "-n", "2"], ["twoparam", "verify", "svgplot"]),
         (["verify-paper", "--list"], ["complexes", "quiver", "twoparam", "svgplot"]),
+        (
+            ["decompose", str(FIXTURES / "samerank_M.json"), "--reconstruct"],
+            ["examples", "quiver", "verify", "svgplot"],
+        ),
     ],
 )
 def test_a_command_runs_only_the_modules_it_uses(argv, unused):

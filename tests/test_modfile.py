@@ -83,6 +83,17 @@ def test_complex_file_is_checked_by_make():
             modfile.complex_from_obj({"m": 2, "faces": faces}, where="k.json")
 
 
+def test_map_file_is_checked_by_build():
+    free0, free10 = (modfile.module_to_obj(named_example(name)) for name in ("quadrant:0,0", "quadrant:1,0"))
+    strip = modfile.module_to_obj(named_example("vstrip:0,1"))
+    for source, target, message in (
+        (free0, free10, "map hits target generator 0 (degree (1, 0)) from source generator 0 (degree (0, 0))"),
+        (strip, free0, "source relation 0 (degree (1, 0)) does not map into the target relation span"),
+    ):
+        with pytest.raises(ParseError, match="^" + re.escape(f"f.json: {message}")):
+            modfile.map_from_obj({"source": source, "target": target, "coeffs": [[1]]}, where="f.json")
+
+
 def test_envelope_unwrap():
     mod = named_example("coordinate_cross")
     inner = modfile.module_to_obj(mod)

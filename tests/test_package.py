@@ -27,7 +27,7 @@ for name in persloc.__all__:
 star = {}
 exec("from persloc import *", star)
 assert all(star[name] is getattr(persloc, name) for name in persloc.__all__)
-assert len(persloc.__all__) == 70
+assert len(persloc.__all__) == 69
 
 try:
     persloc.no_such_name

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persloc import modfile, twoparam
+from persloc.complexes import enumerate_complexes, face_ring, simples
 from persloc.degrees import add, box, join, leq
 from persloc.errors import AmbientMismatchError, DegreeOrderError, HomogeneityError, PreconditionError
 from persloc.examples import named_example
@@ -93,8 +94,10 @@ def test_build_names_the_first_inhomogeneous_pair_generator_major():
 
 
 def _derived_modules(fld, m, seed):
-    """The modules built from checked ones without a second check: shifts,
-    direct sums, localizations, cokernels and reconstructions."""
+    """The modules built without a check: shifts, direct sums, localizations
+    and cokernels of checked ones, and those written out from derived data,
+    reconstructions and the face rings and simples of every complex on the m
+    vertices."""
     rng = random.Random(seed)
     mod, other = (random_presentation(s, m=m, max_degree=4, fld=fld) for s in (seed, seed + 100))
     yield mod.shift(tuple(rng.randint(0, 3) for _ in range(m)))
@@ -106,6 +109,11 @@ def _derived_modules(fld, m, seed):
         yield twoparam.reconstruct(twoparam.decompose(mod), fld)
         for name in ("notsplit_map", "split_projection"):
             yield named_example(name, fld).cokernel()
+    if seed == 0:  # the complexes do not depend on the seed
+        for k in enumerate_complexes(m):
+            yield face_ring(k, fld)
+            yield face_ring(k, fld, all_missing=True)
+            yield from (module for _, module in simples(k, fld))
 
 
 @pytest.mark.parametrize("fld", [Field(2), F5, Field(0)], ids=str)
@@ -255,7 +263,7 @@ def test_presentation_map_validation():
     assert ok.slice_matrix((1, 1)).rank() == 1
     # a generator of the target born later cannot receive an earlier source generator
     with pytest.raises(HomogeneityError):
-        PresentationMap(tgt, src, Matrix.from_rows(F5, [[1]]))
+        PresentationMap.build(tgt, src, Matrix.from_rows(F5, [[1]]))
 
 
 def test_map_must_kill_relations():
@@ -264,7 +272,48 @@ def test_map_must_kill_relations():
     src = GradedPresentation.build(2, F5, [(0, 0)], [((1, 0), [1])])
     tgt = free_module(2, (0, 0), F5)
     with pytest.raises(HomogeneityError):
-        PresentationMap(src, tgt, Matrix.from_rows(F5, [[1]]))
+        PresentationMap.build(src, tgt, Matrix.from_rows(F5, [[1]]))
+
+
+_F7 = Field(7)
+_FREE0, _FREE11 = free_module(2, (0, 0), F5), free_module(2, (1, 1), F5)
+# two generators each: target 0 cannot receive source 1, nor target 1 source 0,
+# and the source relation is not killed
+_CROSS_SRC = GradedPresentation.build(2, F5, [(1, 0), (0, 1)], [((1, 1), [1, 0])])
+_CROSS_TGT = GradedPresentation.build(2, F5, [(1, 0), (0, 1)], [])
+
+
+@pytest.mark.parametrize(
+    "source, target, rows, fld, error, message",
+    [
+        # each case but the second also fails the next check, which must come later
+        (_FREE0, free_module(1, (0,), F5), [[1, 0]], F5, AmbientMismatchError, "map endpoints over different ambients"),
+        (_FREE0, free_module(2, (0, 0), _F7), [[1]], F5, AmbientMismatchError, "map endpoints over different ambients"),
+        (_FREE0, _FREE0, [[1, 0]], _F7, AmbientMismatchError, "map coefficient matrix shape mismatch"),
+        (_FREE0, _FREE11, [[1]], _F7, AmbientMismatchError, "map coefficients over wrong field"),
+        # the degree condition is scanned target-major: (0, 1) before (1, 0)
+        (_CROSS_SRC, _CROSS_TGT, [[1, 1], [1, 1]], F5, HomogeneityError,
+         "map hits target generator 0 (degree (1, 0)) from source generator 1 (degree (0, 1)) "
+         "but (1, 0) is not <= (0, 1)"),
+        (_CROSS_SRC, _CROSS_TGT, [[1, 0], [0, 1]], F5, HomogeneityError,
+         "source relation 0 (degree (1, 1)) does not map into the target relation span; "
+         "the map is not well defined"),
+    ],
+)
+def test_map_build_refuses_bad_input_with_its_message(source, target, rows, fld, error, message):
+    coeffs = Matrix.from_rows(fld, rows)
+    with pytest.raises(error) as info:
+        PresentationMap.build(source, target, coeffs)
+    assert type(info.value) is error and str(info.value) == message
+    # the constructor trusts its fields
+    assert PresentationMap(source, target, coeffs).coeffs is coeffs
+
+
+@pytest.mark.parametrize("fld", [Field(2), F5, Field(0)], ids=str)
+def test_example_maps_pass_build(fld):
+    for name in ("notsplit_map", "split_projection"):
+        f = named_example(name, fld)
+        assert PresentationMap.build(f.source, f.target, f.coeffs) == f
 
 
 def test_cokernel_dims():

@@ -217,24 +217,63 @@ def test_end_budget_refuses_long_legs_before_their_maps(capsys):
         assert elapsed < 0.5, (command, elapsed)
 
 
-def test_end_budget_refuses_large_vertex_dimensions_before_any_map(monkeypatch, tmp_path, capsys):
-    # 2,000 free generators at 0 give four vertices of dimension 2,000: the
-    # conversion refuses them on its vertex dimensions, before any transition
+def _free2000(tmp_path) -> str:
+    """A module file of 2,000 free generators at 0: at -n 1, four vertices of
+    dimension 2,000, 16,000,000 End unknowns and 12,000,000 map entries."""
     path = tmp_path / "free2000.json"
     path.write_text(json.dumps({"characteristic": 5, "m": 3, "generators": [[0, 0, 0]] * 2000, "relations": []}))
+    return str(path)
 
-    def no_map(*args):
-        raise AssertionError("built a map before refusing")
 
-    monkeypatch.setattr(GradedPresentation, "transition", no_map)
+def _no_map(*args):
+    raise AssertionError("built a map before refusing")
+
+
+def test_end_budget_refuses_large_vertex_dimensions_before_any_map(monkeypatch, tmp_path, capsys):
+    # the conversion refuses them on its vertex dimensions, before any
+    # transition, and the End budget comes before the map budget
+    path = _free2000(tmp_path)
+    monkeypatch.setattr(GradedPresentation, "transition", _no_map)
     for command in ("indec", "endo"):
         start = time.perf_counter()
-        code = cli.main([command, str(path), "-n", "1"])
+        code = cli.main([command, path, "-n", "1"])
         elapsed = time.perf_counter() - start
         error = json.loads(capsys.readouterr().out)["error"]
         assert code == 1 and error["type"] == "PreconditionError", (command, error)
         assert error["message"] == "End has 16000000 unknowns (the sum of squared vertex dimensions), more than 1500"
         assert elapsed < 0.5, (command, elapsed)
+
+
+def test_map_budget_refuses_large_vertex_dimensions_before_any_map(monkeypatch, tmp_path, capsys):
+    # `quiverize` and `split-legs` solve no End, but the three 2,000 x 2,000
+    # transitions took seconds and hundreds of MB before the budget
+    path = _free2000(tmp_path)
+    monkeypatch.setattr(GradedPresentation, "transition", _no_map)
+    for command in ("quiverize", "split-legs"):
+        start = time.perf_counter()
+        code = cli.main([command, path, "-n", "1"])
+        elapsed = time.perf_counter() - start
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert code == 1 and error["type"] == "PreconditionError", (command, error)
+        assert error["message"] == (
+            "the maps have 12000000 entries (the sum of d_s * d_t over the arrows), more than 1000000"
+        )
+        assert elapsed < 0.5, (command, elapsed)
+
+
+def test_map_budget_boundary():
+    # at n = 1 the arrows are leg -> sink: 1,000 x 1,000 entries are built,
+    # and 101 x 9,901 = 1,000,001 are refused; at n = 2 an arrow inside a leg
+    # counts as one into the sink does
+    assert quiver._MAX_MAP_ENTRIES == 1_000_000
+    quiver._require_map_entries([1000, 1000, 0, 0])
+    quiver._require_map_entries([0, 1000, 1000, 0, 0, 0, 0])
+    for dims, total in (([101, 9901, 0, 0], 1_000_001), ([0, 1000, 1000, 1, 1, 0, 0], 1_000_001)):
+        with pytest.raises(PreconditionError) as info:
+            quiver._require_map_entries(dims)
+        assert str(info.value) == (
+            f"the maps have {total} entries (the sum of d_s * d_t over the arrows), more than 1000000"
+        )
 
 
 def test_endo_and_indec_convert_a_module_once(monkeypatch, capsys):

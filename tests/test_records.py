@@ -190,10 +190,11 @@ def test_wrong_constructor_calls_raise_type_error(cls):
 
 
 # the records with no checks and no defaults take `Record.__init__` as it is;
-# `QuiverRep.build` and `SimplicialComplex.make` check what enters from outside
+# `PresentationMap.build`, `QuiverRep.build` and `SimplicialComplex.make` check
+# what enters from outside
 _CHECK_FREE = [
-    Matrix, Subspace, _Slice, Barcode, SimplicialComplex, SimpleDescriptor, QuiverRep, IndecResult, Decomposition,
-    SectionWitness, SectionResult,
+    Matrix, Subspace, _Slice, PresentationMap, Barcode, SimplicialComplex, SimpleDescriptor, QuiverRep, IndecResult,
+    Decomposition, SectionWitness, SectionResult,
 ]
 
 
@@ -233,6 +234,8 @@ def test_only_record_sets_fields():
     ]
     for cls in _CHECK_FREE:
         assert "__init__" not in vars(cls), cls.__name__
+    # defaults (Field, Interval) and the slice cache are the only reasons left
+    assert {cls for cls in RECORDS if "__init__" in vars(cls)} == {Field, Interval, GradedPresentation}
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)

@@ -112,6 +112,33 @@ def test_roundtrip_idempotence():
         assert equivalent_after_localization(mod, rebuilt)
 
 
+def _summed_reconstruction(deco: Decomposition, fld: Field) -> GradedPresentation:
+    """What `reconstruct` writes out, as the direct sum of checked parts: a
+    strip per copy (vertical, then horizontal), then a free quadrant per copy,
+    or the zero module."""
+    families = ((1, deco.vertical), (2, deco.horizontal))
+    parts = [strip_presentation(axis, iv.start, iv.end, fld)
+             for axis, family in families for iv, mult in family for _ in range(mult)]
+    parts += [free_module(2, corner, fld) for corner, mult in deco.quadrants for _ in range(mult)]
+    return direct_sum(*parts) if parts else zero_module(2, fld)
+
+
+def test_reconstruct_is_the_direct_sum_of_strips_and_quadrants():
+    # the same fields, down to the type of each coefficient (the repr shows it)
+    covered = set()
+    for seed in range(200):
+        fld = (Field(2), F5, Field(0))[seed % 3]
+        deco = decompose(random_presentation(seed, m=2, fld=fld))
+        rebuilt, want = reconstruct(deco, fld), _summed_reconstruction(deco, fld)
+        assert rebuilt == want and repr(rebuilt) == repr(want), (fld, seed)
+        if deco == Decomposition((), (), ()):
+            covered.add("empty")
+        families = zip("vhq", (deco.vertical, deco.horizontal, deco.quadrants))
+        covered.update(name for name, family in families if any(mult > 1 for _, mult in family))
+    # the empty data, and a repeated strip of each axis and a repeated quadrant
+    assert covered == {"empty", "v", "h", "q"}
+
+
 def test_strips_match_finite_bars():
     for mod in corpus(40):
         deco = decompose(mod)
