@@ -90,7 +90,6 @@ _EXPORTS = {
         "SectionWitness",
         "decompose",
         "delocalize_dim",
-        "equivalent_after_localization",
         "intersection_rank",
         "intersection_table",
         "quadrant_corners",

@@ -28,6 +28,7 @@ from pathlib import Path
 from . import complexes, examples, localization, modfile, quiver, svgplot, twoparam, verify
 from . import degrees as dg
 from .errors import (
+    AmbientMismatchError,
     DecompositionError,
     DegreeOrderError,
     HomogeneityError,
@@ -220,7 +221,9 @@ def _cmd_decompose(args, fld: Field, inputs: list) -> dict:
     result = modfile.decomposition_to_obj(deco)
     if args.same_as:
         other = _resolve(args.same_as, fld, inputs, GradedPresentation)
-        result["equivalent"] = twoparam.equivalent_after_localization(module, other)
+        if other.field != module.field:  # before `decompose` refuses an m != 2
+            raise AmbientMismatchError("modules over different fields")
+        result["equivalent"] = deco == twoparam.decompose(other)
     if args.reconstruct:
         result["reconstruction"] = modfile.module_to_obj(twoparam.reconstruct(deco, module.field))
     if args.svg:

@@ -27,15 +27,9 @@ from itertools import accumulate
 from . import complexes
 from . import degrees as dg
 from .degrees import Degree
-from .errors import (
-    AmbientMismatchError,
-    DecompositionError,
-    DegreeOrderError,
-    NotLocallyEpicError,
-    PreconditionError,
-)
+from .errors import DecompositionError, DegreeOrderError, NotLocallyEpicError, PreconditionError
 from .fields import Field, Matrix, Record, Subspace, reduced_rows, solve
-from .localization import Barcode, presentation_bars
+from .localization import canonical_bars, presentation_bars
 from .presentation import GradedPresentation, PresentationMap
 
 Corners = tuple[tuple[Degree, int], ...]
@@ -123,7 +117,8 @@ def decompose(module: GradedPresentation) -> Decomposition:
 
     Read off the presentation by two passes of the persistence column
     reduction behind `barcode_by_reduction`, over relation columns built
-    once.  Axis i: the finite bars of its pass are its strips.  Corners: the
+    once.  Axis i: its strips are the bounded bars of its pass, merged and
+    sorted by one `canonical_bars` call.  Corners: the
     axis-2 pass goes on past the relations to the unit vectors e_g in
     (deg_1, index) order, and one with low h is a quadrant at
     (deg_1 g, deg_2 h).  The relations enter that pass in (deg_2, index)
@@ -149,8 +144,8 @@ def decompose(module: GradedPresentation) -> Decomposition:
     stable = module.rank_invariant(bound, bound)
     if len(corners) != stable:
         raise DecompositionError(f"{len(corners)} quadrant corners, stable corner has dimension {stable}")
-    strips = [Barcode.make(axis, bars).finite() for axis, bars in ((1, bars1), (2, bars2))]
-    # finite() bars are canonical and bounded, and counts are positive: make's checks hold already
+    # an axis's strips are the bounded bars of its pass; the unbounded ones are dropped unsorted
+    strips = [canonical_bars((iv, m) for iv, m in bars if iv.end is not None) for bars in (bars1, bars2)]
     return Decomposition(*strips, tuple(sorted(Counter(corners).items())))
 
 
@@ -165,13 +160,6 @@ def reconstruct(deco: Decomposition, fld: Field) -> GradedPresentation:
     rels = tuple(dg.with_axis((0, 0), axis, iv.end) for axis, iv in strips)
     rows = tuple(tuple(fld.one if j == i else fld.zero for j in range(len(rels))) for i in range(len(gens)))
     return GradedPresentation(2, fld, tuple(gens), rels, Matrix(fld, len(gens), len(rels), rows))
-
-
-def equivalent_after_localization(a: GradedPresentation, b: GradedPresentation) -> bool:
-    """Same strip/quadrant data, i.e. isomorphic once variables are inverted."""
-    if a.field != b.field:
-        raise AmbientMismatchError("modules over different fields")
-    return decompose(a) == decompose(b)
 
 
 def delocalize_dim(module: GradedPresentation, d) -> int:

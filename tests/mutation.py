@@ -86,6 +86,12 @@ _MAP_FIELD = '''        if coeffs.field != source.field:
             raise AmbientMismatchError("map coefficients over wrong field")
 '''
 
+_SAME_AS_FIELD = '''        if other.field != module.field:  # before `decompose` refuses an m != 2
+            raise AmbientMismatchError("modules over different fields")
+'''
+_SAME_AS_COMPARE = '''        result["equivalent"] = deco == twoparam.decompose(other)
+'''
+
 _MAKE_M = "        _require_variable_budget(m)\n"
 _MAKE_FACES = '''        for f in faces:
             if any(v < 1 or v > m for v in f):
@@ -309,8 +315,8 @@ MUTANTS = (
     Mutant(
         "reconstruct puts a strip's relation on the next generator",
         "twoparam.py",
-        "one if j == i else zero",
-        "one if i == j + 1 else zero",
+        "fld.one if j == i else fld.zero",
+        "fld.one if i == j + 1 else fld.zero",
         ("tests/test_twoparam.py::test_reconstruct_is_the_direct_sum_of_strips_and_quadrants",),
         "killed",
     ),
@@ -320,6 +326,47 @@ MUTANTS = (
         "tuple(1 if v in f else 0 for v in range(1, m + 1))",
         "tuple(0 if v in f else 1 for v in range(1, m + 1))",
         (_CPLX + "test_face_ring_small_cases",),
+        "killed",
+    ),
+    # -- bars and decompositions, each built once --
+    Mutant(
+        "presentation bars end an unbounded bar one step after its start",
+        "localization.py",
+        "(Interval(gens[g], None), 1)",
+        "(Interval(gens[g], gens[g] + 1), 1)",
+        ("tests/test_localization.py::test_presentation_bars_handmade",),
+        "killed",
+    ),
+    Mutant(
+        "decompose keeps the unbounded bars among its strips",
+        "twoparam.py",
+        "canonical_bars((iv, m) for iv, m in bars if iv.end is not None)",
+        "canonical_bars(bars)",
+        ("tests/test_twoparam.py::test_quadrant_module_decomposes_to_corner",),
+        "killed",
+    ),
+    Mutant(
+        "--same-as compares the first module with itself",
+        "cli.py",
+        "deco == twoparam.decompose(other)",
+        "deco == twoparam.decompose(module)",
+        ("tests/test_cli.py::test_decompose_same_as_and_reconstruct",),
+        "killed",
+    ),
+    Mutant(
+        "--same-as drops the field check",
+        "cli.py",
+        _SAME_AS_FIELD,
+        "",
+        ("tests/test_cli.py::test_decompose_same_as_a_module_over_another_field_is_refused[samerank_N.json]",),
+        "killed",
+    ),
+    Mutant(
+        "--same-as checks the fields after decomposing the second module",
+        "cli.py",
+        _SAME_AS_FIELD + _SAME_AS_COMPARE,
+        _SAME_AS_COMPARE + _SAME_AS_FIELD,
+        ("tests/test_cli.py::test_decompose_same_as_a_module_over_another_field_is_refused[m3_indecomposable.json]",),
         "killed",
     ),
     # -- the checks of outside input, in `QuiverRep.build` (a budget is never dropped) --

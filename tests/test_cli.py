@@ -455,6 +455,48 @@ def test_decompose_same_as_a_module_of_other_m_is_one_envelope(capsys):
     assert "Traceback" not in err
 
 
+def _over_f7(tmp_path, fixture):
+    path = tmp_path / f"f7-{fixture}"
+    path.write_text(json.dumps(dict(json.loads((FIXTURES / fixture).read_text()), characteristic=7)))
+    return str(path)
+
+
+@pytest.mark.parametrize("fixture", ["samerank_N.json", "m3_indecomposable.json"])
+def test_decompose_same_as_a_module_over_another_field_is_refused(capsys, tmp_path, fixture):
+    # the fields are compared before the second module is decomposed, so an
+    # m = 3 module over F_7 meets the field check, not the m = 3 refusal
+    code, out, err = run(
+        capsys, "decompose", str(FIXTURES / "samerank_M.json"), "--same-as", _over_f7(tmp_path, fixture)
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"] == {
+        "kind": "domain",
+        "message": "modules over different fields",
+        "type": "AmbientMismatchError",
+    }
+    assert set(report) == {"command", "error", "format"}
+    assert "Traceback" not in err
+
+
+def test_decompose_same_as_decomposes_each_module_once(capsys, monkeypatch):
+    from persloc import twoparam
+
+    calls = []
+    decompose = twoparam.decompose
+
+    def counting(module):
+        calls.append(module)
+        return decompose(module)
+
+    monkeypatch.setattr(twoparam, "decompose", counting)
+    code, report, _ = run_json(
+        capsys, "decompose", str(FIXTURES / "samerank_M.json"), "--same-as", str(FIXTURES / "samerank_N.json")
+    )
+    assert code == 0 and report["result"]["equivalent"] is False
+    assert len(calls) == 2 and calls[0] != calls[1]
+
+
 def test_kdim_shorthand(capsys):
     code, report, _ = run_json(capsys, "kdim", "skeleton:3:0")
     assert code == 0

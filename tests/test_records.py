@@ -65,7 +65,7 @@ RECORDS = {
     ),
     Decomposition: (
         ("vertical", "horizontal", "quadrants"),
-        lambda k: Decomposition(((Interval(0, 2), 1),), ((Interval(1), 2),)[:k], (((0, 0), 1),)),
+        lambda k: Decomposition(((Interval(0, 2), 1),), ((Interval(1, None), 2),)[:k], (((0, 0), 1),)),
     ),
     SectionWitness: (
         ("degrees", "axis1_slices", "axis2_slices", "axis1_vectors", "axis2_vectors"),
@@ -152,7 +152,7 @@ def test_repr_lists_every_field_in_order(cls):
 
 def test_repr_text():
     assert repr(Field(7)) == "Field(char=7)"
-    assert repr(Interval(2)) == "Interval(start=2, end=None)"
+    assert repr(Interval(2, None)) == "Interval(start=2, end=None)"
     assert repr(SimpleDescriptor((1,), (0, 2))) == "SimpleDescriptor(sigma=(1,), shift=(0, 2))"
     assert repr(free_module(1, (3,))) == (
         "GradedPresentation(m=1, field=Field(char=5), gen_degrees=((3,),), rel_degrees=(), "
@@ -170,7 +170,7 @@ def test_keyword_construction_is_positional_construction(cls):
 
 
 # class -> how many of its last fields have defaults
-_DEFAULTED = {Field: 1, Interval: 1}
+_DEFAULTED = {Field: 1}
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
@@ -191,10 +191,10 @@ def test_wrong_constructor_calls_raise_type_error(cls):
 
 # the records with no checks and no defaults take `Record.__init__` as it is;
 # `PresentationMap.build`, `QuiverRep.build` and `SimplicialComplex.make` check
-# what enters from outside
+# what enters from outside, and an `Interval` is only ever derived
 _CHECK_FREE = [
-    Matrix, Subspace, _Slice, PresentationMap, Barcode, SimplicialComplex, SimpleDescriptor, QuiverRep, IndecResult,
-    Decomposition, SectionWitness, SectionResult,
+    Matrix, Subspace, _Slice, PresentationMap, Interval, Barcode, SimplicialComplex, SimpleDescriptor, QuiverRep,
+    IndecResult, Decomposition, SectionWitness, SectionResult,
 ]
 
 
@@ -234,8 +234,10 @@ def test_only_record_sets_fields():
     ]
     for cls in _CHECK_FREE:
         assert "__init__" not in vars(cls), cls.__name__
-    # defaults (Field, Interval) and the slice cache are the only reasons left
-    assert {cls for cls in RECORDS if "__init__" in vars(cls)} == {Field, Interval, GradedPresentation}
+    # Field keeps an `__init__` for its default characteristic and
+    # GradedPresentation for its slice cache; every other record, Interval
+    # too, is built by Record.__init__ alone
+    assert {cls for cls in RECORDS if "__init__" in vars(cls)} == {Field, GradedPresentation}
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
@@ -258,7 +260,6 @@ def test_copies_and_pickles_are_equal(cls):
 
 def test_defaults():
     assert Field() == Field(5)
-    assert Interval(3).end is None
 
 
 def test_slice_cache_is_outside_equality_hash_and_repr():
@@ -277,7 +278,7 @@ _BOUNDS = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
 def test_intervals_sort_as_their_tuples():
     # by `sort_key`, as `canonical_bars` lists bars: bounded ones as their
     # (start, end) tuples, and an unbounded one after the bounded ones of its start
-    ivs = [Interval(1), *(Interval(*b) for b in reversed(_BOUNDS))]
+    ivs = [Interval(1, None), *(Interval(*b) for b in reversed(_BOUNDS))]
     want = [*_BOUNDS[:4], (1, None), _BOUNDS[4]]
     assert [(iv.start, iv.end) for iv in sorted(ivs, key=Interval.sort_key)] == want
 

@@ -24,7 +24,6 @@ from persloc.twoparam import (
     Decomposition,
     decompose,
     delocalize_dim,
-    equivalent_after_localization,
     intersection_rank,
     intersection_table,
     quadrant_corners,
@@ -50,7 +49,7 @@ def test_samerank_pair_decompositions_differ():
     assert dn.vertical == () and dn.horizontal == ()
     assert dm.quadrants == (((0, 0), 1), ((1, 1), 1))
     assert dn.quadrants == (((0, 1), 1), ((1, 0), 1))
-    assert not equivalent_after_localization(m, n)
+    assert dm != dn
 
 
 def test_coordinate_cross_strips():
@@ -109,7 +108,6 @@ def test_roundtrip_idempotence():
         rebuilt = reconstruct(deco, F5)
         again = decompose(rebuilt)
         assert again == deco
-        assert equivalent_after_localization(mod, rebuilt)
 
 
 def _summed_reconstruction(deco: Decomposition, fld: Field) -> GradedPresentation:
@@ -192,18 +190,15 @@ def test_decompose_checks_the_corner_count(monkeypatch):
 
 
 def test_decompose_canonicalizes_each_strip_family_once(monkeypatch):
-    # the finite bars of each axis are canonical already: decompose builds
-    # its Decomposition from them without merging and sorting them again
-    from persloc import localization
-
+    # one canonical_bars call per axis, on the bounded bars of its pass: the
+    # Decomposition takes them without merging and sorting them again
     calls = []
-    canonical_bars = localization.canonical_bars
 
     def counting(bars):
         calls.append(1)
         return canonical_bars(bars)
 
-    monkeypatch.setattr(localization, "canonical_bars", counting)
+    monkeypatch.setattr(twoparam, "canonical_bars", counting)
     mod = random_presentation(11, m=2, max_gens=5, max_rels=8, max_degree=6)
     deco = decompose(mod)
     assert len(calls) == 2
@@ -211,6 +206,23 @@ def test_decompose_canonicalizes_each_strip_family_once(monkeypatch):
     assert deco.vertical == canonical_bars(deco.vertical)
     assert deco.horizontal == canonical_bars(deco.horizontal)
     assert list(deco.quadrants) == sorted(deco.quadrants) and all(m > 0 for _, m in deco.quadrants)
+
+
+def test_decompose_builds_no_barcode(monkeypatch):
+    # the strips are canonical_bars of the bounded bars: no Barcode, so the
+    # unbounded bars are never sorted
+    from persloc import localization
+
+    calls = []
+    make = localization.Barcode.make
+
+    def counting(axis, bars):
+        calls.append(axis)
+        return make(axis, bars)
+
+    monkeypatch.setattr(localization.Barcode, "make", counting)
+    decompose(random_presentation(11, m=2, max_gens=5, max_rels=8, max_degree=6))
+    assert calls == []
 
 
 def test_decompose_makes_two_column_reductions_and_one_rank_query(monkeypatch):
@@ -520,10 +532,10 @@ def test_equivalence_is_localization_blind():
     # modules differing by strip torsion are equivalent after localization
     mod = free_module(2, (1, 1), F5)
     noisy = direct_sum(mod, strip_presentation(1, 0, 3))
-    assert equivalent_after_localization(mod, noisy) is False  # strips do count
+    assert decompose(mod) != decompose(noisy)  # strips do count
     # but two copies of the same strips on both sides do match
     other = direct_sum(strip_presentation(1, 0, 3), free_module(2, (1, 1), F5))
-    assert equivalent_after_localization(noisy, other) is True
+    assert decompose(noisy) == decompose(other)
 
 
 def test_planar_shadows_of_m3_modules():
