@@ -397,7 +397,7 @@ class Matrix(Record):
         return tuple(norm(sum(map(operator.mul, row, vec))) for row in self.entries)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self.entries))
 
     def rank(self) -> int:
         _, pivots = _rref(self.field, list(self.entries), self.ncols)

@@ -65,9 +65,6 @@ class Barcode(Record):
     def make(cls, axis: int, bars: Iterable[tuple[Interval, int]]) -> "Barcode":
         return cls(axis, canonical_bars(bars))
 
-    def finite(self) -> Bars:
-        return tuple((iv, m) for iv, m in self.bars if iv.end is not None)
-
 
 def localize(module: GradedPresentation, sigma) -> GradedPresentation:
     """M with the variables in `sigma` inverted: the sigma-coordinates deleted.

@@ -325,38 +325,47 @@ def _restrict_arrow(a: Matrix, src: Subspace, tgt: Subspace) -> Matrix:
     return Matrix.from_cols(a.field, tgt.dim, cols)
 
 
-def _split_along(rep: QuiverRep, endo: tuple[Matrix, ...]) -> tuple[QuiverRep, QuiverRep] | None:
-    """Fitting decomposition along endo; None when one side is zero.
+@functools.cache
+def _full_and_zero(field: Field, d: int) -> tuple[Subspace, Subspace]:
+    """F^d and its zero subspace, built once per (field, d), as `Matrix.kernel` gives them."""
+    return Subspace(field, d, Matrix.identity(field, d).entries, tuple(range(d))), Subspace(field, d, (), ())
 
-    At a vertex of dimension d, kernel and image of X^d are the generalized
-    kernel and the stable image of X (both chains settle within d steps).
-    The image is reduced only when the kernel is neither 0 nor everything;
-    otherwise it is the full or the zero space.
+
+def _fitting_spaces(x: Matrix) -> tuple[Subspace, Subspace]:
+    """The generalized kernel and the stable image of X acting on F^d, which are those of X^d
+    since both chains settle within d steps.  A zero block, d = 0 too, gives (F^d, 0) with no
+    arithmetic; any other reduces X^d once, and its image only when that kernel is neither 0
+    nor everything."""
+    full, zero = _full_and_zero(x.field, x.nrows)
+    if x.is_zero():
+        return full, zero
+    power = _mat_power(x, x.nrows)
+    kernel = power.kernel()
+    if 0 < kernel.dim < x.nrows:
+        return kernel, power.image()
+    return (full, zero) if kernel.dim else (zero, full)
+
+
+def _split_along(rep: QuiverRep, endo: tuple[Matrix, ...]) -> tuple[QuiverRep, QuiverRep] | None:
+    """Fitting decomposition along endo from `_fitting_spaces` at each vertex;
+    None when one side is zero.  Each side's arrow is `_restrict_arrow`, or
+    the empty matrix, built directly, out of a zero-dimensional source space.
     """
-    powers = [_mat_power(x, x.nrows) for x in endo]
-    kernels = [x.kernel() for x in powers]
-    images = []
-    for x, k in zip(powers, kernels):
-        if 0 < k.dim < k.ambient:
-            images.append(x.image())
-        else:
-            rows = () if k.dim else Matrix.identity(x.field, k.ambient).entries
-            images.append(Subspace(x.field, k.ambient, rows, tuple(range(len(rows)))))
+    kernels, images = zip(*map(_fitting_spaces, endo))
     total_k = sum(s.dim for s in kernels)
     total_i = sum(s.dim for s in images)
     if total_k == 0 or total_i == 0:
         return None
     if total_k + total_i != rep.total_dim():
         raise DecompositionError("generalized kernel and image do not fill the space")
-    return tuple(
-        QuiverRep.from_flat(
-            rep.field,
-            rep.n,
-            [space.dim for space in spaces],
-            [_restrict_arrow(a, spaces[u], spaces[w]) for (u, w), a in zip(_star(rep.n), rep.maps)],
-        )
-        for spaces in (kernels, images)
-    )
+    fld, star = rep.field, _star(rep.n)
+
+    def side(spaces) -> QuiverRep:
+        arrows = ((spaces[u], spaces[w], a) for (u, w), a in zip(star, rep.maps))
+        maps = [_restrict_arrow(a, s, t) if s.dim else Matrix(fld, t.dim, 0, ((),) * t.dim) for s, t, a in arrows]
+        return QuiverRep.from_flat(fld, rep.n, [s.dim for s in spaces], maps)
+
+    return side(kernels), side(images)
 
 
 def _first_split(rep: QuiverRep, endos) -> tuple[QuiverRep, QuiverRep] | None:

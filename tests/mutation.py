@@ -688,17 +688,41 @@ MUTANTS = (
     Mutant(
         "Fitting split swaps the full and zero images",
         "quiver.py",
-        "rows = () if k.dim else Matrix.identity(x.field, k.ambient).entries",
-        "rows = Matrix.identity(x.field, k.ambient).entries if k.dim else ()",
+        "return (full, zero) if kernel.dim else (zero, full)",
+        "return (full, full) if kernel.dim else (zero, zero)",
         (_QUIV + "test_split_along_equals_the_kernel_and_image_reference[F_5]",),
         "killed",
     ),
     Mutant(
         "Fitting split reduces the image at a nilpotent vertex too",
         "quiver.py",
-        "if 0 < k.dim < k.ambient:",
-        "if 0 < k.dim <= k.ambient:",
-        (_QUIV + "test_fitting_image_is_reduced_only_at_a_mixed_vertex",),
+        "if 0 < kernel.dim < x.nrows:",
+        "if 0 < kernel.dim <= x.nrows:",
+        (_QUIV + "test_split_along_does_no_arithmetic_on_empty_and_zero_blocks[F_5]",),
+        "killed",
+    ),
+    Mutant(
+        "Fitting split answers (0, F^d) at a zero block",
+        "quiver.py",
+        "    if x.is_zero():\n        return full, zero\n",
+        "    if x.is_zero():\n        return zero, full\n",
+        (_QUIV + "test_split_along_equals_the_kernel_and_image_reference[F_5]",),
+        "killed",
+    ),
+    Mutant(
+        "Fitting split answers (F^d, 0) at an invertible block",
+        "quiver.py",
+        "if kernel.dim else (zero, full)",
+        "if kernel.dim else (full, zero)",
+        (_QUIV + "test_split_along_equals_the_kernel_and_image_reference[F_5]",),
+        "killed",
+    ),
+    Mutant(
+        "arrow out of an empty source gets the source's dimension as its row count",
+        "quiver.py",
+        "Matrix(fld, t.dim, 0, ((),) * t.dim)",
+        "Matrix(fld, s.dim, 0, ((),) * s.dim)",
+        (_QUIV + "test_split_along_equals_the_kernel_and_image_reference[F_5]",),
         "killed",
     ),
     Mutant(

@@ -739,6 +739,19 @@ def _endos_to_split_along(rep, rng, extra):
     return [_endo_from_vector(rep, v) for v in vectors + [_combine(rep.field, c, vectors) for c in mixes]]
 
 
+def _block_kind(x) -> str:
+    """Which Fitting case an End block is, by its kernel dimension under X^d."""
+    if not x.nrows:
+        return "empty"
+    if all(v == 0 for row in x.entries for v in row):
+        return "zero"
+    power = Matrix.identity(x.field, x.nrows)
+    for _ in range(x.nrows):
+        power = power.mul(x)
+    fitting = power.kernel().dim
+    return "invertible" if fitting == 0 else "nilpotent" if fitting == x.nrows else "mixed"
+
+
 @pytest.mark.parametrize("fld", [F2, F5, Field(101), Field(0)], ids=str)
 def test_split_along_equals_the_kernel_and_image_reference(fld):
     rng = random.Random(("fitting", fld.char).__repr__())
@@ -749,10 +762,9 @@ def test_split_along_equals_the_kernel_and_image_reference(fld):
             split = quiver._split_along(rep, endo)
             assert split == _fitting_reference(rep, endo), (seed, endo)
             splits += split is not None
-            for x in endo:
-                fitting = quiver._mat_power(x, x.nrows).kernel().dim
-                kinds.add("zero" if not x.nrows else "mixed" if 0 < fitting < x.nrows else "pure")
-    assert splits and kinds == {"zero", "mixed", "pure"}
+            kinds.update(map(_block_kind, endo))
+    # every shortcut of the split meets every field, Q's Fraction(0) included
+    assert splits and kinds == {"empty", "zero", "invertible", "nilpotent", "mixed"}
 
 
 @pytest.mark.parametrize("p, level", [(5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (7, 4)])
@@ -778,6 +790,31 @@ def test_fitting_image_is_reduced_only_at_a_mixed_vertex(monkeypatch):
     split = quiver._split_along(double, first)
     assert reduced == [d for d in double.dims if d]
     assert split is not None and split == _fitting_reference(double, first)
+
+
+@pytest.mark.parametrize("fld", [F5, Field(0)], ids=str)
+def test_split_along_does_no_arithmetic_on_empty_and_zero_blocks(fld, monkeypatch):
+    # A = k^2 -> k^2 on leg 1 (n = 2), B = k -> k -> k from leg 2 into the
+    # sink, leg 3 empty; the projection onto A is zero at the sink and on leg 2
+    powered, restricted, reduced = [], [], []
+    real_power, real_restrict, real_image = quiver._mat_power, quiver._restrict_arrow, Matrix.image
+    monkeypatch.setattr(quiver, "_mat_power", lambda mat, k: powered.append(mat) or real_power(mat, k))
+    monkeypatch.setattr(quiver, "_restrict_arrow", lambda a, s, t: restricted.append(s) or real_restrict(a, s, t))
+    monkeypatch.setattr(Matrix, "image", lambda self: reduced.append(self) or real_image(self))
+    one, zero = Matrix.identity(fld, 1), Matrix(fld, 1, 1, ((fld.zero,),))
+    id2, empty = Matrix.identity(fld, 2), Matrix(fld, 0, 0, ())
+    maps = [id2, Matrix(fld, 1, 2, ((fld.zero,) * 2,)), one, one, empty, Matrix(fld, 1, 0, ((),))]
+    rep = QuiverRep.from_flat(fld, 2, [1, 2, 2, 1, 1, 0, 0], maps)
+    projection = (zero, id2, id2, zero, zero, empty, empty)
+    split = quiver._split_along(rep, projection)
+    assert [part.dims for part in split] == [(1, 0, 0, 1, 1, 0, 0), (0, 2, 2, 0, 0, 0, 0)]
+    assert powered and all(any(map(any, mat.entries)) for mat in powered)
+    assert restricted and all(space.dim for space in restricted)
+    # at a nonzero nilpotent block the kernel of X^d is everything: no image is reduced
+    shift = Matrix.from_rows(fld, [[0, 1], [0, 0]])
+    assert quiver._split_along(rep, (zero, shift, shift, zero, zero, empty, empty)) is None
+    assert reduced == []
+    assert split == _fitting_reference(rep, projection)
 
 
 def test_restrict_arrow_refuses_a_non_invariant_subspace():
